@@ -24,7 +24,6 @@ from .calculus import (
     TheoryKind,
     TransitionMatrix,
     check_double_stochastic,
-    check_row_stochastic,
     classify_theory,
     lambda_from_statistics,
     normalization_residual,
@@ -95,7 +94,6 @@ __all__ = [
     "total_probability",
     "lambda_from_statistics",
     "classify_theory",
-    "check_row_stochastic",
     "check_double_stochastic",
     "phase_parametrization",
     "normalization_residual",

@@ -1,0 +1,6 @@
+"""``python -m ctxprob``: the command-line interface."""
+
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

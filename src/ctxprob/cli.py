@@ -21,18 +21,7 @@ import sys
 import numpy as np
 
 from ._validation import TOL_EXACT
-from .calculus import (
-    EPS_CLASS_DEFAULT,
-    DegeneracyPolicy,
-    LambdaPair,
-    TheoryKind,
-    TransitionMatrix,
-    check_double_stochastic,
-    classify_theory,
-    lambda_from_statistics,
-    phase_parametrization,
-)
-from .amplitudes import born_residual, lift_to_amplitudes
+from .calculus import EPS_CLASS_DEFAULT, LambdaPair, TransitionMatrix, check_double_stochastic
 from .errors import (
     CtxprobError,
     DegenerateContextError,
@@ -54,12 +43,7 @@ from .models import (
     exact_statistics,
     random_model,
 )
-from .report import (
-    amplitudes_to_dict,
-    analyze_estimated,
-    analyze_exact,
-    report_to_dict,
-)
+from .report import analyze_estimated, analyze_exact, balance_to_dict, report_to_dict
 from .sampling import EnsembleSizes, estimate_statistics, simulate_counts
 
 __all__ = ["main", "entry_point", "PRESETS"]
@@ -197,19 +181,17 @@ def _load_experiment(path: str) -> ExperimentFile:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     experiment = _load_experiment(args.input)
-    tol = args.tolerance if args.tolerance is not None else TOL_EXACT
     if experiment.exact is not None:
         eps = args.eps_class if args.eps_class is not None else EPS_CLASS_DEFAULT
-        report = analyze_exact(experiment.exact, eps_class=eps, tol=tol)
+        report = analyze_exact(experiment.exact, eps_class=eps, tol=args.tolerance)
     else:
         counts = experiment.counts
-        seed = args.seed if args.seed is not None else counts.seed
         report = analyze_estimated(
             estimate_statistics(counts),
             replicates=args.bootstrap_replicates,
-            seed=seed,
+            seed=args.seed if args.seed is not None else counts.seed,
             eps_class=args.eps_class,
-            tol=tol,
+            tol=args.tolerance,
         )
     _write_output(canonical_dumps(report_to_dict(report)), args.output)
     return EXIT_OK
@@ -262,8 +244,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.n_filtered_2 if args.n_filtered_2 is not None else args.n,
         ),
     )
-    seed = args.seed if args.seed is not None else 0
-    counts = simulate_counts(model, sizes, seed)
+    counts = simulate_counts(model, sizes, args.seed)
     experiment = ExperimentFile(counts=counts, model=model, note=args.note)
     _write_output(experiment.dumps(), args.output)
     return EXIT_OK
@@ -303,9 +284,8 @@ def _sweep_models(args: argparse.Namespace) -> tuple[list[str], list[tuple[list,
     count = args.count
     if count is None or count < 1:
         raise ValidationError("classical sweep needs --count >= 1")
-    seed = args.seed if args.seed is not None else 0
     rows = [
-        ([seed + k], random_model("classical", seed + k)) for k in range(count)
+        ([args.seed + k], random_model("classical", args.seed + k)) for k in range(count)
     ]
     return ["model_seed"], rows
 
@@ -317,14 +297,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     writer.writerow(parameter_names + _SWEEP_FIXED_COLUMNS)
     for values, model in entries:
         stats = exact_statistics(model)
-        lam = lambda_from_statistics(stats, DegeneracyPolicy.ZERO_LAMBDA)
-        phases = phase_parametrization(lam)
-        verdict = classify_theory(
-            lam, args.eps_class if args.eps_class is not None else EPS_CLASS_DEFAULT
-        )
-        balance = check_double_stochastic(
-            stats.transition, args.tolerance if args.tolerance is not None else TOL_EXACT
-        )
+        report = analyze_exact(stats, eps_class=args.eps_class, tol=args.tolerance)
         writer.writerow(
             values
             + [
@@ -332,10 +305,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 stats.transition.rows[0][0], stats.transition.rows[0][1],
                 stats.transition.rows[1][0], stats.transition.rows[1][1],
                 stats.outcome[0], stats.outcome[1],
-                lam.lambda1, lam.lambda2,
-                phases.phase1.theta, phases.phase2.theta,
-                verdict.kind.value,
-                balance.max_column_residual,
+                report.lambda_point.lambda1, report.lambda_point.lambda2,
+                report.phases.phase1.theta, report.phases.phase2.theta,
+                report.theory_class.kind.value,
+                report.balance.max_column_residual,
             ]
         )
     _write_output(buffer.getvalue(), args.output)
@@ -346,20 +319,17 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     experiment = _load_experiment(args.input)
     if experiment.exact is None:
         raise ValidationError("reconstruct needs a file with exact statistics")
-    stats = experiment.exact
-    lam = lambda_from_statistics(stats)
-    eps = args.eps_class if args.eps_class is not None else EPS_CLASS_DEFAULT
-    verdict = classify_theory(lam, eps)
-    if verdict.kind not in (TheoryKind.CLASSICAL, TheoryKind.TRIGONOMETRIC):
+    report = analyze_exact(experiment.exact, eps_class=args.eps_class)
+    if report.amplitudes is None:
         raise NonTrigonometricError(
-            f"statistics classify as {verdict.kind.value}; no amplitude lift exists"
+            f"statistics classify as {report.theory_class.kind.value}; "
+            "no amplitude lift exists"
         )
-    phases = phase_parametrization(lam, trig_tol=eps)
-    amplitudes = lift_to_amplitudes(stats, phases)
+    full = report_to_dict(report)
     payload = {
-        "lambda": [lam.lambda1, lam.lambda2],
-        "amplitudes": amplitudes_to_dict(amplitudes),
-        "born_residual": born_residual(amplitudes, stats.outcome),
+        "lambda": full["lambda"]["point"],
+        "amplitudes": full["amplitudes"],
+        "born_residual": full["born_residual"],
     }
     _write_output(canonical_dumps(payload), args.output)
     return EXIT_OK
@@ -371,16 +341,8 @@ def _cmd_balance(args: argparse.Namespace) -> int:
         transition = experiment.exact.transition
     else:
         transition = estimate_statistics(experiment.counts).point.transition
-    tol = args.tolerance if args.tolerance is not None else TOL_EXACT
-    report = check_double_stochastic(transition, tol)
-    payload = {
-        "row_residuals": list(report.row_residuals),
-        "column_residuals": list(report.column_residuals),
-        "is_stochastic": report.is_stochastic,
-        "is_double_stochastic": report.is_double_stochastic,
-        "tolerance": report.tolerance,
-    }
-    _write_output(canonical_dumps(payload), args.output)
+    report = check_double_stochastic(transition, args.tolerance)
+    _write_output(canonical_dumps(balance_to_dict(report)), args.output)
     return EXIT_OK
 
 
@@ -389,17 +351,12 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags(parser: _Parser) -> None:
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="tolerance for balance checks (default 1e-9)")
-    parser.add_argument("--eps-class", type=float, default=None,
-                        help="classification band half-width (default 1e-6 for exact "
-                             "statistics, bootstrap CI half-width for counts)")
-    parser.add_argument("--bootstrap-replicates", type=int, default=1000,
-                        help="bootstrap replicates for counts input (default 1000)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for simulation or bootstrap substreams")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
+# Flags shared by several subcommands; each subcommand declares only those it reads.
+_TOLERANCE = dict(type=float, default=TOL_EXACT,
+                  help="tolerance for balance checks (default 1e-9)")
+_EPS_CLASS = dict(type=float, default=EPS_CLASS_DEFAULT,
+                  help="classification band half-width (default 1e-6)")
+_OUTPUT = dict(default=None, help="output path (default stdout)")
 
 
 def build_parser() -> _Parser:
@@ -410,7 +367,15 @@ def build_parser() -> _Parser:
     analyze = subparsers.add_parser(
         "analyze", help="full report for an experiment file (exact or counts)")
     analyze.add_argument("input", help="experiment JSON file")
-    _common_flags(analyze)
+    analyze.add_argument("--tolerance", **_TOLERANCE)
+    analyze.add_argument("--eps-class", type=float, default=None,
+                         help="classification band half-width (default 1e-6 for exact "
+                              "statistics, bootstrap CI half-width for counts)")
+    analyze.add_argument("--bootstrap-replicates", type=int, default=1000,
+                         help="bootstrap replicates for counts input (default 1000)")
+    analyze.add_argument("--seed", type=int, default=None,
+                         help="bootstrap seed for counts input (default: the file's seed)")
+    analyze.add_argument("--output", **_OUTPUT)
     analyze.set_defaults(handler=_cmd_analyze)
 
     simulate = subparsers.add_parser(
@@ -446,7 +411,9 @@ def build_parser() -> _Parser:
     simulate.add_argument("--n-filtered-2", type=int, default=None,
                           help="override: A-on-filtered-context-2 ensemble size")
     simulate.add_argument("--note", default=None, help="free-text provenance note")
-    _common_flags(simulate)
+    simulate.add_argument("--seed", type=int, default=0,
+                          help="simulation seed (default 0)")
+    simulate.add_argument("--output", **_OUTPUT)
     simulate.set_defaults(handler=_cmd_simulate)
 
     sweep = subparsers.add_parser(
@@ -468,19 +435,25 @@ def build_parser() -> _Parser:
                             "balanced companion")
     sweep.add_argument("--count", type=int, default=None,
                        help="classical: number of random models")
-    _common_flags(sweep)
+    sweep.add_argument("--tolerance", **_TOLERANCE)
+    sweep.add_argument("--eps-class", **_EPS_CLASS)
+    sweep.add_argument("--seed", type=int, default=0,
+                       help="classical: seed of the first random model (default 0)")
+    sweep.add_argument("--output", **_OUTPUT)
     sweep.set_defaults(handler=_cmd_sweep)
 
     reconstruct = subparsers.add_parser(
         "reconstruct", help="amplitude lift of an exact-statistics file")
     reconstruct.add_argument("input", help="experiment JSON file with exact statistics")
-    _common_flags(reconstruct)
+    reconstruct.add_argument("--eps-class", **_EPS_CLASS)
+    reconstruct.add_argument("--output", **_OUTPUT)
     reconstruct.set_defaults(handler=_cmd_reconstruct)
 
     balance = subparsers.add_parser(
         "balance", help="stochasticity and statistical-balance checks only")
     balance.add_argument("input", help="experiment JSON file")
-    _common_flags(balance)
+    balance.add_argument("--tolerance", **_TOLERANCE)
+    balance.add_argument("--output", **_OUTPUT)
     balance.set_defaults(handler=_cmd_balance)
 
     return parser
@@ -514,3 +487,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

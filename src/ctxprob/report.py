@@ -10,6 +10,7 @@ balance residuals of the transition matrix, the normalization residual, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._validation import TOL_EXACT
 from .amplitudes import AmplitudePair, born_residual, lift_to_amplitudes
@@ -37,14 +38,40 @@ _LIFTABLE = (TheoryKind.CLASSICAL, TheoryKind.TRIGONOMETRIC)
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """One analysis of ``stats``.
+
+    The normalization residual and the amplitude lift are computed when
+    first read, so callers that never read them do not pay for them.
+    """
+
+    stats: ContextStatistics
     lambda_point: LambdaPair
     lambda_estimate: LambdaEstimate | None
     phases: PhasePair
     theory_class: TheoryClass
     balance: BalanceReport
-    normalization_residual: float
-    amplitudes: AmplitudePair | None
-    born_residual: float | None
+
+    @cached_property
+    def normalization_residual(self) -> float:
+        return normalization_residual(self.stats, self.lambda_point)
+
+    @cached_property
+    def amplitudes(self) -> AmplitudePair | None:
+        """The amplitude lift; None outside the classical and trigonometric regimes."""
+        if self.theory_class.kind not in _LIFTABLE:
+            return None
+        # A classical verdict with eps_class > 1 admits |lambda| > 1, which the
+        # phases clamp to |lambda| = 1 (a trigonometric verdict needs
+        # |lambda| <= 1 - eps_class, so the clamp never acts on it).  The
+        # clamp shifts the lifted norm by at most the total overshoot.
+        overshoot = sum(max(0.0, abs(value) - 1.0) for value in self.lambda_point)
+        return lift_to_amplitudes(self.stats, self.phases, norm_tol=TOL_EXACT + overshoot)
+
+    @cached_property
+    def born_residual(self) -> float | None:
+        if self.amplitudes is None:
+            return None
+        return born_residual(self.amplitudes, self.stats.outcome)
 
 
 def _assemble(
@@ -55,29 +82,15 @@ def _assemble(
     eps_class: float,
     tol: float,
 ) -> AnalysisReport:
-    # Within the classification band, coefficients a hair beyond |1| are
-    # trigonometric by verdict; clamp them so the lift stays defined.  The
-    # clamp shifts the lifted norm by at most the total overshoot.
-    overshoot = sum(max(0.0, abs(value) - 1.0) for value in lam)
-    phases = phase_parametrization(
-        lam, trig_tol=eps_class if verdict.kind in _LIFTABLE else 0.0
-    )
-    balance = check_double_stochastic(stats.transition, tol)
-    residual = normalization_residual(stats, lam)
-    amplitudes = None
-    born = None
-    if verdict.kind in _LIFTABLE:
-        amplitudes = lift_to_amplitudes(stats, phases, norm_tol=TOL_EXACT + overshoot)
-        born = born_residual(amplitudes, stats.outcome)
     return AnalysisReport(
+        stats=stats,
         lambda_point=lam,
         lambda_estimate=estimate,
-        phases=phases,
+        phases=phase_parametrization(
+            lam, trig_tol=eps_class if verdict.kind in _LIFTABLE else 0.0
+        ),
         theory_class=verdict,
-        balance=balance,
-        normalization_residual=residual,
-        amplitudes=amplitudes,
-        born_residual=born,
+        balance=check_double_stochastic(stats.transition, tol),
     )
 
 
@@ -108,12 +121,8 @@ def analyze_estimated(
     override it.
     """
     estimate = estimate_lambda(est, replicates=replicates, seed=seed)
-    if eps_class is None:
-        verdict = estimate.classification
-        eps = max(estimate.half_widths())
-    else:
-        eps = eps_class
-        verdict = classify_theory(estimate.lambda_hat, eps)
+    eps = max(estimate.half_widths()) if eps_class is None else eps_class
+    verdict = classify_theory(estimate.lambda_hat, eps)
     return _assemble(est.point, estimate.lambda_hat, estimate, verdict, eps, tol)
 
 
@@ -138,10 +147,13 @@ def _class_to_dict(verdict: TheoryClass) -> dict:
     return payload
 
 
-def amplitudes_to_dict(amplitudes: AmplitudePair) -> dict:
+def balance_to_dict(balance: BalanceReport) -> dict:
     return {
-        "psi": [[z.real, z.imag] for z in amplitudes.psi],
-        "phases": [_phase_to_dict(p) for p in amplitudes.phases],
+        "row_residuals": list(balance.row_residuals),
+        "column_residuals": list(balance.column_residuals),
+        "is_stochastic": balance.is_stochastic,
+        "is_double_stochastic": balance.is_double_stochastic,
+        "tolerance": balance.tolerance,
     }
 
 
@@ -162,16 +174,13 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "lambda": lam,
         "phases": [_phase_to_dict(p) for p in report.phases],
         "theory_class": _class_to_dict(report.theory_class),
-        "balance": {
-            "row_residuals": list(report.balance.row_residuals),
-            "column_residuals": list(report.balance.column_residuals),
-            "is_stochastic": report.balance.is_stochastic,
-            "is_double_stochastic": report.balance.is_double_stochastic,
-            "tolerance": report.balance.tolerance,
-        },
+        "balance": balance_to_dict(report.balance),
         "normalization_residual": report.normalization_residual,
     }
     if report.amplitudes is not None:
-        payload["amplitudes"] = amplitudes_to_dict(report.amplitudes)
+        payload["amplitudes"] = {
+            "psi": [[z.real, z.imag] for z in report.amplitudes.psi],
+            "phases": [_phase_to_dict(p) for p in report.amplitudes.phases],
+        }
         payload["born_residual"] = report.born_residual
     return payload

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,13 +168,16 @@ class LambdaEstimate:
     seed: int
     confidence: float
     failed_replicates: int
-    classification: TheoryClass
 
     def half_widths(self) -> tuple[float, float]:
         return (
             (self.ci_high[0] - self.ci_low[0]) / 2.0,
             (self.ci_high[1] - self.ci_low[1]) / 2.0,
         )
+
+    @cached_property
+    def classification(self) -> TheoryClass:
+        return classify_theory(self.lambda_hat, max(self.half_widths()))
 
 
 @dataclass(frozen=True)
@@ -347,9 +351,6 @@ def estimate_lambda(
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
     ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
     stderr = tuple(float(s) for s in samples.std(axis=0, ddof=1)) if len(draws) > 1 else (0.0, 0.0)
-    eps_class = max(
-        (ci_high[0] - ci_low[0]) / 2.0, (ci_high[1] - ci_low[1]) / 2.0
-    )
     return LambdaEstimate(
         lambda_hat=lambda_hat,
         ci_low=ci_low,
@@ -359,7 +360,6 @@ def estimate_lambda(
         seed=seed,
         confidence=confidence,
         failed_replicates=failed,
-        classification=classify_theory(lambda_hat, eps_class),
     )
 
 

@@ -18,7 +18,6 @@ from ctxprob import (
     TransitionMatrix,
     ValidationError,
     check_double_stochastic,
-    check_row_stochastic,
     classify_theory,
     lambda_from_statistics,
     normalization_residual,
@@ -237,17 +236,17 @@ class TestClassifyTheory:
 
 class TestBalanceChecks:
     def test_row_stochastic_true(self):
-        report = check_row_stochastic(E2_T, 1e-9)
+        report = check_double_stochastic(E2_T, 1e-9)
         assert report.is_stochastic
         assert report.row_residuals == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_row_stochastic_false_with_residuals(self):
-        report = check_row_stochastic(((0.2, 0.7), (0.6, 0.4)), 1e-9)
+        report = check_double_stochastic(((0.2, 0.7), (0.6, 0.4)), 1e-9)
         assert not report.is_stochastic
         assert report.row_residuals == pytest.approx((0.1, 0.0), abs=1e-12)
 
     def test_identity_is_row_stochastic(self):
-        assert check_row_stochastic(IDENTITY, 1e-9).is_stochastic
+        assert check_double_stochastic(IDENTITY, 1e-9).is_stochastic
 
     def test_double_stochastic_symmetric(self):
         report = check_double_stochastic(E3_T, 1e-9)
@@ -269,7 +268,7 @@ class TestBalanceChecks:
 
     def test_rejects_entries_outside_unit_interval(self):
         with pytest.raises(ValidationError):
-            check_row_stochastic(((1.2, -0.2), (0.5, 0.5)), 1e-9)
+            check_double_stochastic(((1.2, -0.2), (0.5, 0.5)), 1e-9)
 
 
 # ---------------------------------------------------------------------------

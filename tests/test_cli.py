@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctxprob
 from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix
 from ctxprob.cli import main
 
@@ -228,6 +233,22 @@ class TestReconstruct:
                      "--output", out]) == 0
         assert main(["reconstruct", out]) == 1
 
+    def test_agrees_with_analyze_beyond_unit_band(self, exact_file, capsys):
+        # eps_class > 1 reads |lambda| > 1 as classical; both commands then lift
+        # the clamped phases under the same normalization bound.
+        stats = ContextStatistics(
+            (0.1, 0.9), TransitionMatrix(((0.05, 0.95), (0.85, 0.15))), (0.53, 0.47)
+        )
+        path = exact_file(stats)
+        code, report = run_json(capsys, ["analyze", path, "--eps-class", "2.5"])
+        assert code == 0
+        assert report["theory_class"]["kind"] == "classical"
+        code, payload = run_json(capsys, ["reconstruct", path, "--eps-class", "2.5"])
+        assert code == 0
+        assert payload["amplitudes"] == report["amplitudes"]
+        assert payload["born_residual"] == report["born_residual"]
+        assert payload["lambda"] == report["lambda"]["point"]
+
 
 class TestBalance:
     def test_exact_balanced(self, exact_file, capsys):
@@ -268,3 +289,38 @@ class TestUsageErrors:
     def test_negative_seed_is_invalid(self, exact_file, tmp_path, capsys):
         assert main(["simulate", "--preset", "e1", "--seed", "-3",
                      "--output", str(tmp_path / "x.json")]) == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--tolerance"),
+        ("simulate", "--eps-class"),
+        ("simulate", "--bootstrap-replicates"),
+        ("sweep", "--bootstrap-replicates"),
+        ("reconstruct", "--tolerance"),
+        ("reconstruct", "--bootstrap-replicates"),
+        ("reconstruct", "--seed"),
+        ("balance", "--eps-class"),
+        ("balance", "--bootstrap-replicates"),
+        ("balance", "--seed"),
+    ])
+    def test_flag_the_subcommand_does_not_read(self, command, flag, exact_file, capsys):
+        leading = {
+            "simulate": ["--preset", "e1"],
+            "sweep": ["--family", "classical", "--count", "1"],
+        }.get(command, [exact_file(E1_STATS)])
+        assert main([command, *leading, flag, "1"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["ctxprob", "ctxprob.cli"])
+def test_python_dash_m_runs_main(module, tmp_path):
+    src = str(Path(ctxprob.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "simulate", "--preset", "e1", "--n", "100",
+         "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ExperimentFile.loads(out.read_text()).counts.n_context == 100
