@@ -22,8 +22,9 @@ ROLE_A_ON_CONTEXT = 1
 ROLE_B_ON_CONTEXT = 2
 ROLE_A_ON_FILTERED_1 = 3
 ROLE_A_ON_FILTERED_2 = 4
-ROLE_BOOTSTRAP = 5
+ROLE_BOOTSTRAP = 5  # retired: one stream per bootstrap replicate; never reuse
 ROLE_STUDY = 6
+ROLE_BOOTSTRAP_BLOCK = 7
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

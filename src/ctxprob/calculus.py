@@ -355,6 +355,18 @@ def total_probability(
     return predict_outcome(prior, transition, LambdaPair(0.0, 0.0))
 
 
+def coefficient_terms(q, p1, p2, ta, tb, sqrt=math.sqrt):
+    """Numerator and denominator of one interference coefficient.
+
+    Returns ``(q - (p1*ta + p2*tb), 2*sqrt(p1*p2*ta*tb))`` for an outcome
+    probability ``q`` and the two transition entries ``ta``, ``tb`` of its
+    column.  The arguments are Python floats, or numpy arrays that broadcast
+    together with ``sqrt=numpy.sqrt``; both square roots are correctly
+    rounded, so the scalar and array forms agree bit for bit.
+    """
+    return q - (p1 * ta + p2 * tb), 2.0 * sqrt(p1 * p2 * ta * tb)
+
+
 def lambda_from_statistics(
     stats: ContextStatistics,
     policy: DegeneracyPolicy = DegeneracyPolicy.ZERO_LAMBDA,
@@ -370,13 +382,12 @@ def lambda_from_statistics(
     data and :class:`DegenerateContextError` is raised.
     """
     p = stats.prior
+    rows = stats.transition.rows
     values = []
     for j in range(2):
-        weight = _interference_weight(p, stats.transition, j)
-        numerator = stats.outcome[j] - (
-            p[0] * stats.transition.rows[0][j] + p[1] * stats.transition.rows[1][j]
+        numerator, denominator = coefficient_terms(
+            stats.outcome[j], p[0], p[1], rows[0][j], rows[1][j]
         )
-        denominator = 2.0 * weight
         if denominator <= tol_degenerate:
             if abs(numerator) > tol_degenerate:
                 raise DegenerateContextError(

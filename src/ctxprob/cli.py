@@ -16,6 +16,7 @@ import csv
 import io as _stdio
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -459,9 +460,37 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Flags whose values may start with a minus sign ("-1.25:1.25:11",
+# "-1.25,1.25").  argparse reads such a token as an option unless it is a plain
+# negative number, so ``_attach_signed_values`` joins it to its flag.
+_SIGNED_VALUE_FLAGS = ("--alpha", "--phi", "--b-rotation", "--b-phase", "--lambda1", "--lambda")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -1.5...`` as ``--flag=-1.5...`` for the flags above.
+
+    A flag may be abbreviated as argparse allows (``--b-rot``): ``--b-rot=x``
+    then means what ``--b-rot x`` would.
+    """
+    out = list(argv)
+    i = 0
+    while i < len(out) - 1 and out[i] != "--":
+        flag = out[i]
+        if (
+            len(flag) > 2
+            and any(name.startswith(flag) for name in _SIGNED_VALUE_FLAGS)
+            and _SIGNED_VALUE.match(out[i + 1])
+        ):
+            out[i : i + 2] = [f"{flag}={out[i + 1]}"]
+        i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
     parser = build_parser()
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -29,7 +29,7 @@ from .calculus import (
     normalization_residual,
     phase_parametrization,
 )
-from .sampling import EstimatedStatistics, LambdaEstimate, estimate_lambda
+from .sampling import BOOTSTRAP_STREAM, EstimatedStatistics, LambdaEstimate, estimate_lambda
 
 __all__ = ["AnalysisReport", "analyze_exact", "analyze_estimated", "report_to_dict"]
 
@@ -169,6 +169,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             seed=est.seed,
             confidence=est.confidence,
             failed_replicates=est.failed_replicates,
+            stream=BOOTSTRAP_STREAM,
         )
     payload = {
         "lambda": lam,

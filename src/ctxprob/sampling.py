@@ -10,9 +10,10 @@ experiments, each on its own freshly prepared ensemble:
 Samples are never shared between experiments; probabilities belong to their
 preparation, so reusing one ensemble for two contexts would smuggle in a
 joint distribution the statistics do not define.  Every random draw comes
-from a substream derived from ``(seed, role)`` (and the replicate index for
-bootstrap draws), which makes all results deterministic functions of their
-inputs, independent of evaluation order or parallelism.
+from a substream derived from ``(seed, role)``; bootstrap replicates are drawn
+in fixed blocks of :data:`BOOTSTRAP_BLOCK`, block ``b`` from the substream
+``(seed, bootstrap-block, b)``.  All results are therefore deterministic
+functions of their inputs, independent of evaluation order or parallelism.
 
 Estimation is plain frequency counting with binomial standard errors; the
 interference coefficients inherit uncertainty through the inversion formula,
@@ -32,7 +33,7 @@ from ._rng import (
     ROLE_A_ON_FILTERED_1,
     ROLE_A_ON_FILTERED_2,
     ROLE_B_ON_CONTEXT,
-    ROLE_BOOTSTRAP,
+    ROLE_BOOTSTRAP_BLOCK,
     ROLE_STUDY,
     substream,
 )
@@ -44,6 +45,7 @@ from .calculus import (
     TheoryClass,
     TransitionMatrix,
     classify_theory,
+    coefficient_terms,
     lambda_from_statistics,
 )
 from .errors import (
@@ -66,6 +68,13 @@ __all__ = [
     "estimate_lambda",
     "convergence_study",
 ]
+
+#: Bootstrap replicates per random substream.  Fixed, so that the draws for
+#: ``R`` replicates are the first ``R`` rows of the draws for any larger ``R``.
+BOOTSTRAP_BLOCK = 1024
+
+#: Names the bootstrap stream layout in reports; changes with the layout.
+BOOTSTRAP_STREAM = f"bootstrap-block-{BOOTSTRAP_BLOCK}"
 
 
 @dataclass(frozen=True)
@@ -276,26 +285,57 @@ def estimate_statistics(counts: CountsRecord) -> EstimatedStatistics:
     return EstimatedStatistics(point=point, stderr=stderr, counts=counts)
 
 
-def _lambda_from_frequencies(
-    q1: float, p1: float, t11: float, t21: float
-) -> tuple[float, float] | None:
-    """Both coefficients from the four first-outcome frequencies.
+def _bootstrap_frequencies(
+    est: EstimatedStatistics, replicates: int, seed: int
+) -> np.ndarray:
+    """First-outcome frequencies ``(q1, p1, t11, t21)`` of each replicate.
 
-    Returns None when a denominator vanishes against a nonzero numerator
-    (degenerate resample); 0/0 components resolve to zero.
+    Returns an ``(replicates, 4)`` array.  Each row redraws the four tallies
+    from their estimated binomial laws.  Whole blocks of
+    :data:`BOOTSTRAP_BLOCK` rows are drawn, block ``b`` from the substream
+    ``(seed, bootstrap-block, b)``, and the last block is cut to length.
     """
-    p2 = 1.0 - p1
-    out = []
-    for q, ta, tb in ((q1, t11, t21), (1.0 - q1, 1.0 - t11, 1.0 - t21)):
-        denominator = 2.0 * math.sqrt(p1 * p2 * ta * tb)
-        numerator = q - p1 * ta - p2 * tb
-        if denominator <= TOL_DEGENERATE:
-            if abs(numerator) > TOL_DEGENERATE:
-                return None
-            out.append(0.0)
-        else:
-            out.append(numerator / denominator)
-    return (out[0], out[1])
+    counts = est.counts
+    n = np.array(
+        (counts.n_context, counts.n_filtration, counts.n_filtered[0], counts.n_filtered[1])
+    )
+    p_hat = (
+        est.point.outcome[0],
+        est.point.prior[0],
+        est.point.transition.rows[0][0],
+        est.point.transition.rows[1][0],
+    )
+    blocks = [
+        substream(seed, ROLE_BOOTSTRAP_BLOCK, b).binomial(n, p_hat, size=(BOOTSTRAP_BLOCK, 4))
+        for b in range(-(-replicates // BOOTSTRAP_BLOCK))
+    ]
+    return np.concatenate(blocks)[:replicates] / n
+
+
+def _invert_replicates(frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both coefficients of every row of ``(q1, p1, t11, t21)`` frequencies.
+
+    Returns an ``(R, 2)`` coefficient array and an ``(R,)`` mask of failed
+    rows: those where a denominator vanishes against a nonzero deviation, the
+    rows on which :func:`lambda_from_statistics` raises.  0/0 components
+    resolve to zero.
+    """
+    q1, p1, t11, t21 = frequencies.T
+    p1 = p1[:, None]
+    numerator, denominator = coefficient_terms(
+        np.stack((q1, 1.0 - q1), axis=1),
+        p1,
+        1.0 - p1,
+        np.stack((t11, 1.0 - t11), axis=1),
+        np.stack((t21, 1.0 - t21), axis=1),
+        sqrt=np.sqrt,
+    )
+    vanishing = denominator <= TOL_DEGENERATE
+    failed = (vanishing & (np.abs(numerator) > TOL_DEGENERATE)).any(axis=1)
+    coefficients = np.divide(
+        numerator, denominator, out=np.zeros_like(numerator), where=~vanishing
+    )
+    return coefficients, failed
 
 
 def estimate_lambda(
@@ -309,12 +349,14 @@ def estimate_lambda(
 
     The point estimate inverts the frequency statistics directly.  Each
     bootstrap replicate redraws all four tallies from their estimated
-    binomial laws (equivalent to resampling the underlying ensembles) on its
-    own ``(seed, bootstrap, replicate)`` substream and re-inverts; the CI is
-    the percentile interval of the surviving replicates, widened if needed so
-    that it contains the point estimate.  A percentile bootstrap stays
-    meaningful near degenerate statistics where error propagation through the
-    inversion's denominator does not.
+    binomial laws (equivalent to resampling the underlying ensembles), in
+    fixed blocks of :data:`BOOTSTRAP_BLOCK` replicates per substream, and all
+    replicates are re-inverted in one array pass through the kernel of
+    :func:`lambda_from_statistics`.  The CI is the percentile interval of the
+    surviving replicates, widened if needed so that it contains the point
+    estimate.  A percentile bootstrap stays meaningful near degenerate
+    statistics where error propagation through the inversion's denominator
+    does not.
     """
     require_positive_int(replicates, "replicates")
     seed = require_seed(seed)
@@ -322,35 +364,21 @@ def estimate_lambda(
         raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
     lambda_hat = lambda_from_statistics(est.point, DegeneracyPolicy.ZERO_LAMBDA)
 
-    counts = est.counts
-    p_hat = (
-        est.point.outcome[0],
-        est.point.prior[0],
-        est.point.transition.rows[0][0],
-        est.point.transition.rows[1][0],
+    coefficients, failed_rows = _invert_replicates(
+        _bootstrap_frequencies(est, replicates, seed)
     )
-    n = (counts.n_context, counts.n_filtration, counts.n_filtered[0], counts.n_filtered[1])
-    draws: list[tuple[float, float]] = []
-    failed = 0
-    for r in range(replicates):
-        rng = substream(seed, ROLE_BOOTSTRAP, r)
-        q1, b1, t11, t21 = (rng.binomial(n[k], p_hat[k]) / n[k] for k in range(4))
-        pair = _lambda_from_frequencies(q1, b1, t11, t21)
-        if pair is None:
-            failed += 1
-        else:
-            draws.append(pair)
-    if not draws:
+    samples = coefficients[~failed_rows]
+    failed = int(failed_rows.sum())
+    if not len(samples):
         raise DegenerateContextError(
             f"all {replicates} bootstrap replicates were degenerate"
         )
-    samples = np.asarray(draws)
     tail = 100.0 * (1.0 - confidence) / 2.0
     low = np.percentile(samples, tail, axis=0)
     high = np.percentile(samples, 100.0 - tail, axis=0)
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
     ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
-    stderr = tuple(float(s) for s in samples.std(axis=0, ddof=1)) if len(draws) > 1 else (0.0, 0.0)
+    stderr = tuple(float(s) for s in samples.std(axis=0, ddof=1)) if len(samples) > 1 else (0.0, 0.0)
     return LambdaEstimate(
         lambda_hat=lambda_hat,
         ci_low=ci_low,

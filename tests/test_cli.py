@@ -290,6 +290,27 @@ class TestUsageErrors:
         assert main(["simulate", "--preset", "e1", "--seed", "-3",
                      "--output", str(tmp_path / "x.json")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "synthetic", "--lambda1", "-1.25:1.25:11"],
+        ["sweep", "--family", "qubit", "--b-rot", "-0.3:0.3:3"],
+        ["sweep", "--family", "qubit", "--alpha", "-0.5:0.5:3", "--phi", "-1e-3",
+         "--b-rotation", "-.7", "--b-phase", "-0.2,0.2"],
+        ["simulate", "--model", "synthetic", "--lambda", "-1.25,1.25", "--n", "100"],
+        ["simulate", "--model", "qubit", "--alpha", "-0.5", "--phi", "-1e-3",
+         "--b-rotation", "-.7", "--b-phase", "-0.2", "--n", "100"],
+    ])
+    def test_signed_values_in_two_token_form(self, argv, capsys):
+        joined = []
+        for token in argv:
+            if token[:1] == "-" and token[1:2] != "-":
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        assert main(argv) == 0
+        two_token = capsys.readouterr().out
+        assert main(joined) == 0
+        assert capsys.readouterr().out == two_token
+
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--tolerance"),
         ("simulate", "--eps-class"),

@@ -2,9 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ctxprob.sampling
 from ctxprob import (
+    ContextStatistics,
     CountsRecord,
     DegenerateContextError,
     EmptyEnsembleError,
@@ -20,8 +25,11 @@ from ctxprob import (
     convergence_study,
     estimate_lambda,
     estimate_statistics,
+    lambda_from_statistics,
     simulate_counts,
 )
+from ctxprob._rng import ROLE_BOOTSTRAP_BLOCK
+from ctxprob.sampling import BOOTSTRAP_BLOCK, _bootstrap_frequencies, _invert_replicates
 
 E1_MODEL = QubitModel(alpha=math.pi / 6, phi=math.pi / 2, b_rotation=math.pi / 4)
 E2_MODEL = KolmogorovModel(
@@ -181,6 +189,54 @@ class TestEstimateLambda:
         result = estimate_lambda(estimate_statistics(counts), replicates=400, seed=3)
         assert result.lambda_hat.lambda1 == pytest.approx(1.25, abs=0.01)
         assert result.classification.kind is TheoryKind.HYPERBOLIC
+
+
+FREQUENCY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+class TestBootstrapKernel:
+    @given(st.lists(st.tuples(FREQUENCY, FREQUENCY, FREQUENCY, FREQUENCY), min_size=1,
+                    max_size=10))
+    @settings(max_examples=500)
+    def test_rows_agree_with_scalar_inversion(self, rows):
+        coefficients, failed = _invert_replicates(np.array(rows))
+        for (q1, p1, t11, t21), row, row_failed in zip(rows, coefficients, failed):
+            stats = ContextStatistics(
+                (p1, 1.0 - p1),
+                TransitionMatrix(((t11, 1.0 - t11), (t21, 1.0 - t21))),
+                (q1, 1.0 - q1),
+            )
+            try:
+                lam = lambda_from_statistics(stats)
+            except DegenerateContextError:
+                assert row_failed
+            else:
+                assert not row_failed
+                assert row.tobytes() == np.array(tuple(lam)).tobytes()
+
+    def test_block_count(self, monkeypatch):
+        est = estimate_statistics(simulate_counts(E1_MODEL, 1000, seed=4))
+        calls = []
+        substream = ctxprob.sampling.substream
+
+        def counted(*path):
+            calls.append(path)
+            return substream(*path)
+
+        monkeypatch.setattr(ctxprob.sampling, "substream", counted)
+        estimate_lambda(est, replicates=BOOTSTRAP_BLOCK, seed=9)
+        assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0)]
+        calls.clear()
+        estimate_lambda(est, replicates=BOOTSTRAP_BLOCK + 1, seed=9)
+        assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0), (9, ROLE_BOOTSTRAP_BLOCK, 1)]
+
+    def test_fewer_replicates_draw_a_prefix(self):
+        est = estimate_statistics(simulate_counts(E1_MODEL, 1000, seed=4))
+        for replicates in (1, 1000, BOOTSTRAP_BLOCK, 2000):
+            prefix = _bootstrap_frequencies(est, replicates, seed=9)
+            longer = _bootstrap_frequencies(est, replicates + 500, seed=9)
+            assert prefix.shape == (replicates, 4)
+            assert np.array_equal(prefix, longer[:replicates])
 
 
 class TestConvergenceStudy:
