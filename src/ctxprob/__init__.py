@@ -14,7 +14,6 @@ from .calculus import (
     TOL_EXACT,
     BalanceReport,
     ContextStatistics,
-    DegeneracyPolicy,
     DichotomicObservable,
     LambdaPair,
     Phase,
@@ -88,7 +87,6 @@ __all__ = [
     "TheoryKind",
     "TheoryClass",
     "BalanceReport",
-    "DegeneracyPolicy",
     # core operations
     "predict_outcome",
     "total_probability",

@@ -57,7 +57,6 @@ __all__ = [
     "TheoryKind",
     "TheoryClass",
     "BalanceReport",
-    "DegeneracyPolicy",
     "predict_outcome",
     "lambda_from_statistics",
     "total_probability",
@@ -165,9 +164,6 @@ class LambdaPair:
 
     def __getitem__(self, index: int) -> float:
         return (self.lambda1, self.lambda2)[index]
-
-    def max_abs(self) -> float:
-        return max(abs(self.lambda1), abs(self.lambda2))
 
 
 class PhaseKind(str, Enum):
@@ -286,56 +282,45 @@ class BalanceReport:
         return max(self.column_residuals)
 
 
-class DegeneracyPolicy(Enum):
-    """What to do when an interference weight and the deviation both vanish.
-
-    A vanishing weight carries no interference information; ``ZERO_LAMBDA``
-    (the default) assigns coefficient zero, which keeps the transformation
-    consistent.  ``RAISE`` refuses instead.
-    """
-
-    ZERO_LAMBDA = "zero"
-    RAISE = "raise"
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
 
-def _interference_weight(prior: tuple[float, float], transition: TransitionMatrix, j: int) -> float:
-    """sqrt(p1 * p2 * t1j * t2j) for 0-based A-outcome ``j``."""
-    t1j = transition.rows[0][j]
-    t2j = transition.rows[1][j]
-    return math.sqrt(prior[0] * prior[1] * t1j * t2j)
+def interference_terms(p1, p2, ta, tb, sqrt=math.sqrt):
+    """Classical term and interference weight of one outcome.
+
+    Returns ``(p1*ta + p2*tb, 2*sqrt(p1*p2*ta*tb))`` for the filtration
+    probabilities and the two transition entries ``ta``, ``tb`` of one
+    column, so that ``q = classical + weight*lambda``.  This is the only place
+    the transformation is written out.  The arguments are Python floats, or
+    numpy arrays that broadcast together with ``sqrt=numpy.sqrt``; both
+    square roots are correctly rounded, so the scalar and array forms agree
+    bit for bit.
+    """
+    return p1 * ta + p2 * tb, 2.0 * sqrt(p1 * p2 * ta * tb)
 
 
 def predict_outcome(
-    prior: Sequence[float],
-    transition: TransitionMatrix,
-    lam: LambdaPair,
-    *,
-    feasibility_tol: float = TOL_EXACT,
+    prior: Sequence[float], transition: TransitionMatrix, lam: LambdaPair
 ) -> tuple[float, float]:
     """Outcome probabilities from filtration data and interference coefficients.
 
     Evaluates, in fixed order,
     ``q_j = p1*t1j + p2*t2j + 2*sqrt(p1*p2*t1j*t2j)*lambda_j`` for j = 1, 2.
 
-    Values straying outside [0, 1] by at most ``feasibility_tol`` are clipped
-    to the boundary (floating-point noise); larger excursions raise
+    Values straying outside [0, 1] by at most ``TOL_EXACT`` are clipped to
+    the boundary (floating-point noise); larger excursions raise
     :class:`OutOfRangeError`, because clamping a genuinely infeasible
     prediction would fabricate probabilities.
     """
     p = require_distribution(prior, "prior")
+    rows = transition.rows
     out = []
     for j, lam_j in enumerate(lam):
-        value = (
-            p[0] * transition.rows[0][j]
-            + p[1] * transition.rows[1][j]
-            + 2.0 * _interference_weight(p, transition, j) * lam_j
-        )
-        if value < -feasibility_tol or value > 1.0 + feasibility_tol:
+        classical, weight = interference_terms(p[0], p[1], rows[0][j], rows[1][j])
+        value = classical + weight * lam_j
+        if value < -TOL_EXACT or value > 1.0 + TOL_EXACT:
             raise OutOfRangeError(
                 f"predicted outcome probability {value} for component {j + 1} is outside "
                 f"[0, 1]; (prior, transition, lambda) triple is infeasible"
@@ -355,48 +340,26 @@ def total_probability(
     return predict_outcome(prior, transition, LambdaPair(0.0, 0.0))
 
 
-def coefficient_terms(q, p1, p2, ta, tb, sqrt=math.sqrt):
-    """Numerator and denominator of one interference coefficient.
-
-    Returns ``(q - (p1*ta + p2*tb), 2*sqrt(p1*p2*ta*tb))`` for an outcome
-    probability ``q`` and the two transition entries ``ta``, ``tb`` of its
-    column.  The arguments are Python floats, or numpy arrays that broadcast
-    together with ``sqrt=numpy.sqrt``; both square roots are correctly
-    rounded, so the scalar and array forms agree bit for bit.
-    """
-    return q - (p1 * ta + p2 * tb), 2.0 * sqrt(p1 * p2 * ta * tb)
-
-
-def lambda_from_statistics(
-    stats: ContextStatistics,
-    policy: DegeneracyPolicy = DegeneracyPolicy.ZERO_LAMBDA,
-    *,
-    tol_degenerate: float = TOL_DEGENERATE,
-) -> LambdaPair:
+def lambda_from_statistics(stats: ContextStatistics) -> LambdaPair:
     """Invert the outcome transformation for the interference coefficients.
 
     ``lambda_j = (q_j - p1*t1j - p2*t2j) / (2*sqrt(p1*p2*t1j*t2j))`` whenever
-    the denominator exceeds ``tol_degenerate``.  If numerator and denominator
-    both vanish the data carry no interference information and ``policy``
-    decides; if only the denominator vanishes no coefficient can explain the
-    data and :class:`DegenerateContextError` is raised.
+    the denominator exceeds ``TOL_DEGENERATE``.  If numerator and denominator
+    both vanish the data carry no interference information and the
+    coefficient is zero; if only the denominator vanishes no coefficient can
+    explain the data and :class:`DegenerateContextError` is raised.
     """
     p = stats.prior
     rows = stats.transition.rows
     values = []
     for j in range(2):
-        numerator, denominator = coefficient_terms(
-            stats.outcome[j], p[0], p[1], rows[0][j], rows[1][j]
-        )
-        if denominator <= tol_degenerate:
-            if abs(numerator) > tol_degenerate:
+        classical, denominator = interference_terms(p[0], p[1], rows[0][j], rows[1][j])
+        numerator = stats.outcome[j] - classical
+        if denominator <= TOL_DEGENERATE:
+            if abs(numerator) > TOL_DEGENERATE:
                 raise DegenerateContextError(
                     f"component {j + 1}: interference weight {denominator} vanishes but the "
                     f"deviation from the classical prediction is {numerator}"
-                )
-            if policy is DegeneracyPolicy.RAISE:
-                raise DegenerateContextError(
-                    f"component {j + 1}: 0/0 coefficient under RAISE policy"
                 )
             values.append(0.0)
         else:
@@ -521,9 +484,10 @@ def normalization_residual(stats: ContextStatistics, lam: LambdaPair) -> float:
     Because the outcome pair and both transition rows each sum to one, the
     two interference terms of the transformation must cancel, so for any
     self-consistent (statistics, coefficients) pair the residual is zero up
-    to rounding.
+    to rounding.  Halving the kernel's weight ``2*sqrt(...)`` is exact.
     """
-    return (
-        _interference_weight(stats.prior, stats.transition, 0) * lam.lambda1
-        + _interference_weight(stats.prior, stats.transition, 1) * lam.lambda2
-    )
+    p = stats.prior
+    rows = stats.transition.rows
+    _, weight1 = interference_terms(p[0], p[1], rows[0][0], rows[1][0])
+    _, weight2 = interference_terms(p[0], p[1], rows[0][1], rows[1][1])
+    return 0.5 * weight1 * lam.lambda1 + 0.5 * weight2 * lam.lambda2

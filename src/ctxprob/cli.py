@@ -22,7 +22,13 @@ import sys
 import numpy as np
 
 from ._validation import TOL_EXACT
-from .calculus import EPS_CLASS_DEFAULT, LambdaPair, TransitionMatrix, check_double_stochastic
+from .calculus import (
+    EPS_CLASS_DEFAULT,
+    LambdaPair,
+    TransitionMatrix,
+    check_double_stochastic,
+    interference_terms,
+)
 from .errors import (
     CtxprobError,
     DegenerateContextError,
@@ -270,8 +276,9 @@ def _sweep_models(args: argparse.Namespace) -> tuple[list[str], list[tuple[list,
             raise ValidationError("synthetic sweep needs --lambda1 grid")
         prior = tuple(_parse_float_list(args.prior, "prior", 2))
         transition = _parse_transition(args.transition)
-        weight1 = math.sqrt(prior[0] * prior[1] * transition.rows[0][0] * transition.rows[1][0])
-        weight2 = math.sqrt(prior[0] * prior[1] * transition.rows[0][1] * transition.rows[1][1])
+        rows = transition.rows
+        _, weight1 = interference_terms(*prior, rows[0][0], rows[1][0])
+        _, weight2 = interference_terms(*prior, rows[0][1], rows[1][1])
         if weight2 <= 0.0:
             raise DegenerateContextError(
                 "second interference weight vanishes; no balanced companion exists"

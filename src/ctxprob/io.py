@@ -148,11 +148,14 @@ def model_from_dict(payload: dict) -> Model:
         transition = payload["transition"]
         if not isinstance(transition, list) or len(transition) != 2:
             raise ValidationError("synthetic model transition must be a 2x2 matrix")
-        return SyntheticModel(
-            prior=tuple(payload["prior"]),
-            transition=TransitionMatrix((tuple(transition[0]), tuple(transition[1]))),
-            target_lambda=LambdaPair(*payload["lambda"]),
-        )
+        try:
+            return SyntheticModel(
+                prior=tuple(payload["prior"]),
+                transition=TransitionMatrix((tuple(transition[0]), tuple(transition[1]))),
+                target_lambda=LambdaPair(*payload["lambda"]),
+            )
+        except TypeError as exc:
+            raise ValidationError(f"malformed synthetic model: {exc}") from exc
     raise ValidationError(f"unknown model family {family!r}")
 
 
@@ -244,16 +247,10 @@ class ExperimentFile:
     counts: CountsRecord | None = None
     model: Model | None = None
     note: str | None = None
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         if (self.exact is None) == (self.counts is None):
             raise ValidationError("experiment file needs exactly one of 'exact' or 'counts'")
-        if self.format_version != FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported format_version {self.format_version}; this build reads "
-                f"version {FORMAT_VERSION}"
-            )
         observables = tuple(self.observables)
         if len(observables) != 2 or not all(
             isinstance(o, DichotomicObservable) for o in observables
@@ -263,7 +260,7 @@ class ExperimentFile:
 
     def to_dict(self) -> dict:
         payload: dict[str, Any] = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "observables": [
                 {"name": o.name, "values": list(o.value_labels)} for o in self.observables
             ],

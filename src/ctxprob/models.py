@@ -35,6 +35,7 @@ from .calculus import (
     ContextStatistics,
     LambdaPair,
     TransitionMatrix,
+    interference_terms,
     predict_outcome,
 )
 from .errors import (
@@ -261,8 +262,7 @@ def _random_synthetic(rng, hyperbolic: bool) -> SyntheticModel:
         q = float(rng.uniform(0.6, 0.95)) if hyperbolic else float(rng.uniform(0.15, 0.85))
         prior = (p1, 1.0 - p1)
         transition = TransitionMatrix(((q, 1.0 - q), (1.0 - q, q)))
-        classical_q1 = p1 * q + (1.0 - p1) * (1.0 - q)
-        weight = 2.0 * math.sqrt(p1 * (1.0 - p1) * q * (1.0 - q))
+        classical_q1, weight = interference_terms(*prior, q, 1.0 - q)
         lo = -classical_q1 / weight
         hi = (1.0 - classical_q1) / weight
         if hyperbolic:

@@ -40,12 +40,11 @@ from ._rng import (
 from ._validation import TOL_DEGENERATE, require_positive_int, require_seed
 from .calculus import (
     ContextStatistics,
-    DegeneracyPolicy,
     LambdaPair,
     TheoryClass,
     TransitionMatrix,
     classify_theory,
-    coefficient_terms,
+    interference_terms,
     lambda_from_statistics,
 )
 from .errors import (
@@ -75,6 +74,9 @@ BOOTSTRAP_BLOCK = 1024
 
 #: Names the bootstrap stream layout in reports; changes with the layout.
 BOOTSTRAP_STREAM = f"bootstrap-block-{BOOTSTRAP_BLOCK}"
+
+#: Coverage of the percentile-bootstrap interval of :func:`estimate_lambda`.
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class CountsRecord:
         ):
             if len(pair) != 2 or any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in pair):
                 raise ValidationError(f"{label} must be a pair of nonnegative integers")
-            if not isinstance(total, int) or total < 0:
+            if isinstance(total, bool) or not isinstance(total, int) or total < 0:
                 raise ValidationError(f"ensemble size for {label} must be a nonnegative integer")
             if pair[0] + pair[1] != total:
                 raise ValidationError(
@@ -322,14 +324,14 @@ def _invert_replicates(frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     q1, p1, t11, t21 = frequencies.T
     p1 = p1[:, None]
-    numerator, denominator = coefficient_terms(
-        np.stack((q1, 1.0 - q1), axis=1),
+    classical, denominator = interference_terms(
         p1,
         1.0 - p1,
         np.stack((t11, 1.0 - t11), axis=1),
         np.stack((t21, 1.0 - t21), axis=1),
         sqrt=np.sqrt,
     )
+    numerator = np.stack((q1, 1.0 - q1), axis=1) - classical
     vanishing = denominator <= TOL_DEGENERATE
     failed = (vanishing & (np.abs(numerator) > TOL_DEGENERATE)).any(axis=1)
     coefficients = np.divide(
@@ -342,8 +344,6 @@ def estimate_lambda(
     est: EstimatedStatistics,
     replicates: int = 1000,
     seed: int = 0,
-    *,
-    confidence: float = 0.95,
 ) -> LambdaEstimate:
     """Coefficient estimate with a percentile-bootstrap confidence interval.
 
@@ -352,17 +352,15 @@ def estimate_lambda(
     binomial laws (equivalent to resampling the underlying ensembles), in
     fixed blocks of :data:`BOOTSTRAP_BLOCK` replicates per substream, and all
     replicates are re-inverted in one array pass through the kernel of
-    :func:`lambda_from_statistics`.  The CI is the percentile interval of the
-    surviving replicates, widened if needed so that it contains the point
-    estimate.  A percentile bootstrap stays meaningful near degenerate
-    statistics where error propagation through the inversion's denominator
-    does not.
+    :func:`lambda_from_statistics`.  The CI is the :data:`CONFIDENCE`
+    percentile interval of the surviving replicates, widened if needed so
+    that it contains the point estimate.  A percentile bootstrap stays
+    meaningful near degenerate statistics where error propagation through the
+    inversion's denominator does not.
     """
     require_positive_int(replicates, "replicates")
     seed = require_seed(seed)
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
-    lambda_hat = lambda_from_statistics(est.point, DegeneracyPolicy.ZERO_LAMBDA)
+    lambda_hat = lambda_from_statistics(est.point)
 
     coefficients, failed_rows = _invert_replicates(
         _bootstrap_frequencies(est, replicates, seed)
@@ -373,7 +371,7 @@ def estimate_lambda(
         raise DegenerateContextError(
             f"all {replicates} bootstrap replicates were degenerate"
         )
-    tail = 100.0 * (1.0 - confidence) / 2.0
+    tail = 100.0 * (1.0 - CONFIDENCE) / 2.0
     low = np.percentile(samples, tail, axis=0)
     high = np.percentile(samples, 100.0 - tail, axis=0)
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
@@ -386,7 +384,7 @@ def estimate_lambda(
         stderr=stderr,
         replicates=replicates,
         seed=seed,
-        confidence=confidence,
+        confidence=CONFIDENCE,
         failed_replicates=failed,
     )
 
@@ -407,7 +405,7 @@ def convergence_study(
         raise ValidationError("n_grid must be nonempty")
     require_positive_int(seeds_per_size, "seeds_per_size")
     base_seed = require_seed(base_seed)
-    truth = lambda_from_statistics(exact_statistics(model), DegeneracyPolicy.ZERO_LAMBDA)
+    truth = lambda_from_statistics(exact_statistics(model))
     rows = []
     for size_index, n in enumerate(n_grid):
         require_positive_int(n, "ensemble size")
@@ -418,7 +416,7 @@ def convergence_study(
             )
             counts = simulate_counts(model, EnsembleSizes.uniform(n), run_seed)
             est = estimate_statistics(counts)
-            lam = lambda_from_statistics(est.point, DegeneracyPolicy.ZERO_LAMBDA)
+            lam = lambda_from_statistics(est.point)
             errors[k] = (abs(lam[0] - truth[0]), abs(lam[1] - truth[1]))
         mean = errors.mean(axis=0)
         se = (

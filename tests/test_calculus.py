@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ctxprob import (
     ContextStatistics,
-    DegeneracyPolicy,
     DegenerateContextError,
     DichotomicObservable,
     LambdaPair,
@@ -148,11 +147,6 @@ class TestLambdaFromStatistics:
     def test_zero_over_zero_defaults_to_zero(self):
         stats = ContextStatistics((0.5, 0.5), IDENTITY, (0.5, 0.5))
         assert tuple(lambda_from_statistics(stats)) == (0.0, 0.0)
-
-    def test_zero_over_zero_raise_policy(self):
-        stats = ContextStatistics((0.5, 0.5), IDENTITY, (0.5, 0.5))
-        with pytest.raises(DegenerateContextError):
-            lambda_from_statistics(stats, DegeneracyPolicy.RAISE)
 
     def test_round_trip_with_predict(self):
         lam = lambda_from_statistics(E1_STATS)

@@ -75,6 +75,29 @@ class TestAnalyze:
         path.write_text("{")
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"lambda": [0.1, 0.2, 0.3]},
+            {"prior": 5},
+            {"transition": [[0.8, 0.2], 7]},
+        ],
+        ids=["three-lambdas", "scalar-prior", "scalar-row"],
+    )
+    def test_malformed_model_descriptor_is_invalid_input(self, tmp_path, capsys, model):
+        payload = json.loads(ExperimentFile(exact=E1_STATS).dumps())
+        payload["model"] = {
+            "family": "synthetic",
+            "prior": [0.5, 0.5],
+            "transition": [[0.8, 0.2], [0.2, 0.8]],
+            "lambda": [0.5, -0.5],
+            **model,
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ctxprob: invalid input: ")
+
     def test_degenerate_statistics_exit_two(self, exact_file, capsys):
         stats = ContextStatistics(
             (0.5, 0.5), TransitionMatrix(((1.0, 0.0), (0.0, 1.0))), (0.6, 0.4)

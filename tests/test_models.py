@@ -7,8 +7,6 @@ import pytest
 
 from ctxprob import (
     ContextStatistics,
-    DegeneracyPolicy,
-    DegenerateContextError,
     InfeasibleLambdaError,
     KolmogorovModel,
     LambdaPair,
@@ -105,10 +103,8 @@ class TestQubitStatistics:
     def test_aligned_bases_degenerate_to_identity(self):
         stats = qubit_statistics(QubitModel(alpha=0.7, phi=1.1, b_rotation=0.0))
         assert stats.transition.rows == ((1.0, 0.0), (0.0, 1.0))
-        # outcome equals the prior-weighted rows, so 0/0 resolves by policy
+        # outcome equals the prior-weighted rows, so 0/0 resolves to zero
         assert tuple(lambda_from_statistics(stats)) == (0.0, 0.0)
-        with pytest.raises(DegenerateContextError):
-            lambda_from_statistics(stats, DegeneracyPolicy.RAISE)
 
     def test_extremal_state_saturates_coefficients(self):
         stats = qubit_statistics(QubitModel(alpha=0.0, phi=0.0, b_rotation=math.pi / 4))

@@ -92,6 +92,19 @@ class TestSimulateCounts:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
+    def test_boolean_ensemble_size_is_rejected(self, field):
+        sizes = {"n_context": 1, "n_filtration": 1, "n_filtered": (1, 1)}
+        sizes[field] = (True, 1) if field == "n_filtered" else True
+        with pytest.raises(ValidationError, match="ensemble size"):
+            CountsRecord(
+                a_counts=(1, 0),
+                b_counts=(1, 0),
+                a_counts_given=((1, 0), (1, 0)),
+                seed=0,
+                **sizes,
+            )
+
 
 class TestEstimateStatistics:
     def test_frequencies_and_binomial_stderr(self):
