@@ -1,10 +1,12 @@
-"""Write the golden CLI corpus: inputs, expected stdout bytes and exit codes.
+"""Write the golden CLI corpus: inputs, expected output bytes and exit codes.
 
 Run from the repository root with ``PYTHONPATH=src python tests/golden/make_corpus.py``.
 It rewrites ``inputs/``, ``expected/`` and ``cases.json`` next to this file from
-the current code.  ``tests/test_golden.py`` replays every case and requires the
-same bytes and exit code, so regenerate only for a deliberate output change and
-record that change in ``CHANGES.md``.
+the current code: ``expected/<name>.out`` holds each case's stdout and, for a
+case with a nonzero exit code, ``expected/<name>.err`` its stderr.
+``tests/test_golden.py`` replays every case and requires the same bytes and exit
+code, so regenerate only for a deliberate output change and record that change
+in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ SWEEPS = {
         "--lambda1=-0.4:0.4:9", "--eps-class", "0.05",
     ],
     "sweep_synthetic_infeasible": ["--family", "synthetic", "--lambda1", "0,2"],
+    # The first infeasible point is the fourth, and component 1 fails before 2.
+    "sweep_synthetic_infeasible_late": ["--family", "synthetic", "--lambda1", "0:1.5:4"],
+    # t12 = 0: the second interference weight vanishes, so no balanced companion.
+    "sweep_synthetic_unbalanced": [
+        "--family", "synthetic", "--transition", "1,0;0.5,0.5", "--lambda1", "0,0.5",
+    ],
+    # alpha = 0 and b_rotation = 0 give 0/0 components, which resolve to zero.
+    "sweep_qubit_degenerate": [
+        "--family", "qubit", "--alpha", "0,0.7", "--phi", "0,1.2", "--b-rotation", "0,0.5",
+    ],
     "sweep_classical": ["--family", "classical", "--count", "6", "--seed", "3"],
 }
 
@@ -56,11 +68,11 @@ FLAG_CASES = {
 }
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def build() -> list[dict]:
@@ -79,7 +91,7 @@ def build() -> list[dict]:
     )
     # The counts inputs are the simulate cases' own stdout.
     for name, argv in list(cases):
-        code, out = run(argv)
+        code, out, _ = run(argv)
         assert code == 0, (name, code)
         (inputs / f"{name.split('_')[1]}_counts.json").write_text(out, encoding="utf-8")
     for stem in [f"{p}_{kind}" for p in sorted(PRESETS) for kind in ("exact", "counts")] + [
@@ -92,8 +104,10 @@ def build() -> list[dict]:
 
     manifest = []
     for name, argv in cases:
-        code, out = run(argv)
+        code, out, err = run(argv)
         (HERE / "expected" / f"{name}.out").write_bytes(out.encode("utf-8"))
+        if code != 0:
+            (HERE / "expected" / f"{name}.err").write_bytes(err.encode("utf-8"))
         manifest.append({"name": name, "argv": argv, "exit": code})
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return manifest

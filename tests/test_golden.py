@@ -1,8 +1,10 @@
-"""Golden CLI corpus: fixed invocations keep their stdout bytes and exit codes.
+"""Golden CLI corpus: fixed invocations keep their output bytes and exit codes.
 
 ``golden/cases.json`` lists each invocation; ``golden/expected/<name>.out``
-holds its stdout.  The corpus is regenerated by ``golden/make_corpus.py``
-only for a deliberate output change recorded in ``CHANGES.md``.
+holds its stdout and, for a nonzero exit code, ``golden/expected/<name>.err``
+its stderr (a successful case writes nothing to stderr).  The corpus is
+regenerated by ``golden/make_corpus.py`` only for a deliberate output change
+recorded in ``CHANGES.md``.
 """
 
 import json
@@ -20,6 +22,9 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 def test_golden_case(case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code = main(list(case["argv"]))
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    expected = GOLDEN / "expected" / case["name"]
     assert code == case["exit"]
-    assert out.encode("utf-8") == (GOLDEN / "expected" / f"{case['name']}.out").read_bytes()
+    assert captured.out.encode("utf-8") == expected.with_suffix(".out").read_bytes()
+    err = expected.with_suffix(".err").read_bytes() if code else b""
+    assert captured.err.encode("utf-8") == err
