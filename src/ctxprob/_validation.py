@@ -1,9 +1,9 @@
 """Shared input-validation helpers.
 
-All helpers raise :class:`~ctxprob.errors.ValidationError` on contract
-violations and return cleaned-up Python floats/ints otherwise.  Probabilities
-are allowed to stray outside [0, 1] by at most ``tol`` (floating-point noise
-from squared moduli and products) and are clipped back to the boundary.
+The ``require_*`` helpers raise :class:`~ctxprob.errors.ValidationError` on
+contract violations and return cleaned-up Python floats/ints otherwise.
+Probabilities may stray outside [0, 1] by at most ``tol`` (floating-point
+noise) and are clipped back, by rules that also take numpy arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +23,26 @@ TOL_DEGENERATE = 1e-12
 _MAX_SEED = 2**64
 
 
+def where(condition, x, y):
+    """``x if condition else y``: the scalar form of :func:`numpy.where`."""
+    return x if condition else y
+
+
+def out_of_range(value, tol: float):
+    """Whether a probability strays outside [0, 1] by more than ``tol``."""
+    return (value < -tol) | (value > 1.0 + tol)
+
+
+def clip_probability(value, where=where):
+    """Clip to [0, 1] as ``min(max(value, 0.0), 1.0)`` does, keeping -0.0."""
+    return where(value < 0.0, 0.0, where(value > 1.0, 1.0, value))
+
+
+def sum_residual(a, b):
+    """``|a + b - 1|``: how far a pair of probabilities is from summing to one."""
+    return abs(a + b - 1.0)
+
+
 def require_finite(x: Any, name: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(f"{name} must be a real number, got {x!r}")
@@ -35,9 +55,9 @@ def require_finite(x: Any, name: str) -> float:
 def require_probability(x: Any, name: str, *, tol: float = TOL_EXACT) -> float:
     """Validate a single probability, clipping excursions within ``tol``."""
     value = require_finite(x, name)
-    if value < -tol or value > 1.0 + tol:
+    if out_of_range(value, tol):
         raise ValidationError(f"{name} must be in [0, 1], got {value}")
-    return min(max(value, 0.0), 1.0)
+    return clip_probability(value)
 
 
 def require_distribution(
@@ -48,7 +68,7 @@ def require_distribution(
         raise ValidationError(f"{name} must have exactly two components")
     p1 = require_probability(pair[0], f"{name}[1]", tol=tol)
     p2 = require_probability(pair[1], f"{name}[2]", tol=tol)
-    if abs(p1 + p2 - 1.0) > tol:
+    if sum_residual(p1, p2) > tol:
         raise ValidationError(f"{name} must sum to 1, got {p1} + {p2} = {p1 + p2}")
     return (p1, p2)
 

@@ -37,9 +37,13 @@ from typing import Iterator, Sequence
 from ._validation import (
     TOL_DEGENERATE,
     TOL_EXACT,
+    clip_probability,
+    out_of_range,
     require_distribution,
     require_finite,
     require_probability,
+    sum_residual,
+    where,
 )
 from .errors import DegenerateContextError, OutOfRangeError, ValidationError
 
@@ -301,6 +305,22 @@ def interference_terms(p1, p2, ta, tb, sqrt=math.sqrt):
     return p1 * ta + p2 * tb, 2.0 * sqrt(p1 * p2 * ta * tb)
 
 
+def invert_column(q, p1, p2, ta, tb, sqrt=math.sqrt, where=where):
+    """``(lambda, failed, deviation, weight)`` of one outcome column: the inversion.
+
+    ``lambda = deviation / weight``, ``deviation = q - classical`` (see
+    :func:`interference_terms`).  A weight at most ``TOL_DEGENERATE`` gives
+    ``lambda = 0``, and the column fails unless the deviation vanishes too.
+    Floats, or arrays with ``sqrt=numpy.sqrt``, ``where=numpy.where``.
+    """
+    classical, weight = interference_terms(p1, p2, ta, tb, sqrt)
+    deviation = q - classical
+    vanishing = weight <= TOL_DEGENERATE
+    failed = vanishing & (abs(deviation) > TOL_DEGENERATE)
+    lam = where(vanishing, 0.0, deviation / where(vanishing, 1.0, weight))
+    return lam, failed, deviation, weight
+
+
 def predict_outcome(
     prior: Sequence[float], transition: TransitionMatrix, lam: LambdaPair
 ) -> tuple[float, float]:
@@ -320,12 +340,12 @@ def predict_outcome(
     for j, lam_j in enumerate(lam):
         classical, weight = interference_terms(p[0], p[1], rows[0][j], rows[1][j])
         value = classical + weight * lam_j
-        if value < -TOL_EXACT or value > 1.0 + TOL_EXACT:
+        if out_of_range(value, TOL_EXACT):
             raise OutOfRangeError(
                 f"predicted outcome probability {value} for component {j + 1} is outside "
                 f"[0, 1]; (prior, transition, lambda) triple is infeasible"
             )
-        out.append(min(max(value, 0.0), 1.0))
+        out.append(clip_probability(value))
     return (out[0], out[1])
 
 
@@ -347,23 +367,22 @@ def lambda_from_statistics(stats: ContextStatistics) -> LambdaPair:
     the denominator exceeds ``TOL_DEGENERATE``.  If numerator and denominator
     both vanish the data carry no interference information and the
     coefficient is zero; if only the denominator vanishes no coefficient can
-    explain the data and :class:`DegenerateContextError` is raised.
+    explain the data and :class:`DegenerateContextError` is raised.  Each
+    component goes through :func:`invert_column`.
     """
     p = stats.prior
     rows = stats.transition.rows
     values = []
     for j in range(2):
-        classical, denominator = interference_terms(p[0], p[1], rows[0][j], rows[1][j])
-        numerator = stats.outcome[j] - classical
-        if denominator <= TOL_DEGENERATE:
-            if abs(numerator) > TOL_DEGENERATE:
-                raise DegenerateContextError(
-                    f"component {j + 1}: interference weight {denominator} vanishes but the "
-                    f"deviation from the classical prediction is {numerator}"
-                )
-            values.append(0.0)
-        else:
-            values.append(numerator / denominator)
+        value, failed, deviation, weight = invert_column(
+            stats.outcome[j], p[0], p[1], rows[0][j], rows[1][j]
+        )
+        if failed:
+            raise DegenerateContextError(
+                f"component {j + 1}: interference weight {weight} vanishes but the "
+                f"deviation from the classical prediction is {deviation}"
+            )
+        values.append(value)
     return LambdaPair(values[0], values[1])
 
 
@@ -383,25 +402,36 @@ def classify_theory(lam: LambdaPair, eps_class: float = EPS_CLASS_DEFAULT) -> Th
     if eps < 0.0:
         raise ValidationError(f"eps_class must be >= 0, got {eps}")
     magnitudes = (abs(lam.lambda1), abs(lam.lambda2))
-    if max(magnitudes) <= eps:
-        return TheoryClass(TheoryKind.CLASSICAL)
-    below = [m <= 1.0 - eps for m in magnitudes]
-    above = [m >= 1.0 + eps for m in magnitudes]
-    if all(below):
-        return TheoryClass(TheoryKind.TRIGONOMETRIC)
-    if all(above):
-        return TheoryClass(TheoryKind.HYPERBOLIC)
-    if below[0] and above[1]:
-        return TheoryClass(TheoryKind.HYPER_TRIGONOMETRIC, hyper_component=2)
-    if below[1] and above[0]:
-        return TheoryClass(TheoryKind.HYPER_TRIGONOMETRIC, hyper_component=1)
+    for verdict, holds in regimes(*magnitudes, eps):
+        if holds:
+            return verdict
     near_one = tuple(j + 1 for j, m in enumerate(magnitudes) if abs(m - 1.0) < eps)
     if not near_one:
-        # Unreachable for eps > 0; guards eps == 0 edge geometry.
-        near_one = tuple(
-            j + 1 for j, m in enumerate(magnitudes) if not (below[j] or above[j])
-        )
+        # Rounding can leave |m - 1| == eps between the bands (eps 1, |lambda| 1e-20 and 3).
+        near_one = tuple(j + 1 for j, m in enumerate(magnitudes) if not any(_bands(m, eps)[1:]))
     return TheoryClass(TheoryKind.BOUNDARY, boundary_components=near_one)
+
+
+def _bands(m, eps: float):
+    """Band tests of one magnitude: ``(m <= eps, m <= 1 - eps, m >= 1 + eps)``."""
+    return m <= eps, m <= 1.0 - eps, m >= 1.0 + eps
+
+
+_REGIMES = (
+    TheoryClass(TheoryKind.CLASSICAL),
+    TheoryClass(TheoryKind.TRIGONOMETRIC),
+    TheoryClass(TheoryKind.HYPERBOLIC),
+    TheoryClass(TheoryKind.HYPER_TRIGONOMETRIC, hyper_component=2),
+    TheoryClass(TheoryKind.HYPER_TRIGONOMETRIC, hyper_component=1),
+)
+
+
+def regimes(m1, m2, eps: float):
+    """``(verdict, condition)`` pairs for magnitudes (floats or arrays), in the
+    order :func:`classify_theory` tries them; none holding means boundary."""
+    (zero1, below1, above1), (zero2, below2, above2) = _bands(m1, eps), _bands(m2, eps)
+    both = (zero1 & zero2, below1 & below2, above1 & above2)
+    return tuple(zip(_REGIMES, (*both, below1 & above2, below2 & above1)))
 
 
 RawMatrix = TransitionMatrix | Sequence[Sequence[float]]
@@ -435,8 +465,8 @@ def check_double_stochastic(matrix: RawMatrix, tol: float = TOL_EXACT) -> Balanc
             )
             for i, row in enumerate(rows)
         )
-    row_res = (abs(rows[0][0] + rows[0][1] - 1.0), abs(rows[1][0] + rows[1][1] - 1.0))
-    col_res = (abs(rows[0][0] + rows[1][0] - 1.0), abs(rows[0][1] + rows[1][1] - 1.0))
+    row_res = (sum_residual(rows[0][0], rows[0][1]), sum_residual(rows[1][0], rows[1][1]))
+    col_res = (sum_residual(rows[0][0], rows[1][0]), sum_residual(rows[0][1], rows[1][1]))
     rows_ok = all(r <= tol for r in row_res)
     cols_ok = all(c <= tol for c in col_res)
     return BalanceReport(
@@ -462,19 +492,21 @@ def phase_parametrization(lam: LambdaPair, *, trig_tol: float = 0.0) -> PhasePai
     (clamping to the endpoint), for coefficients known to be trigonometric up
     to numerical or statistical noise.
     """
-    phases = []
-    for value in lam:
-        magnitude = abs(value)
-        if magnitude <= 1.0 + trig_tol and magnitude >= 1.0:
-            value = math.copysign(1.0, value)
-            magnitude = 1.0
-        if magnitude <= 1.0:
-            phases.append(Phase(PhaseKind.TRIGONOMETRIC, math.acos(value)))
-        else:
-            phases.append(
-                Phase(PhaseKind.HYPERBOLIC, math.acosh(magnitude), sign=1 if value > 0 else -1)
-            )
-    return PhasePair(phases[0], phases[1])
+    return PhasePair(*(Phase(*phase_terms(value, trig_tol)) for value in lam))
+
+
+def phase_terms(value: float, trig_tol: float = 0.0) -> tuple[PhaseKind, float, int]:
+    """``(kind, theta, sign)`` of one coefficient's :class:`Phase`, unbuilt.
+
+    Python floats only: numpy's ``arccos``/``arccosh`` can differ in the last bit.
+    """
+    magnitude = abs(value)
+    if magnitude <= 1.0 + trig_tol and magnitude >= 1.0:
+        value = math.copysign(1.0, value)
+        magnitude = 1.0
+    if magnitude <= 1.0:
+        return PhaseKind.TRIGONOMETRIC, math.acos(value), 1
+    return PhaseKind.HYPERBOLIC, math.acosh(magnitude), 1 if value > 0 else -1
 
 
 def normalization_residual(stats: ContextStatistics, lam: LambdaPair) -> float:

@@ -48,9 +48,14 @@ from .models import (
     QubitModel,
     SyntheticModel,
     exact_statistics,
+    qubit_probabilities,
+    qubit_statistics,
     random_model,
+    synthesize_statistics,
 )
-from .report import analyze_estimated, analyze_exact, balance_to_dict, report_to_dict
+from .report import (
+    analyze_block, analyze_estimated, analyze_exact, balance_to_dict, report_to_dict
+)
 from .sampling import EnsembleSizes, estimate_statistics, simulate_counts
 
 __all__ = ["main", "entry_point", "PRESETS"]
@@ -88,6 +93,9 @@ PRESETS: dict[str, Model] = {
 
 _FAMILY_OF = {KolmogorovModel: "classical", QubitModel: "qubit", SyntheticModel: "synthetic"}
 
+#: Most points one ``sweep`` takes; checked before any point is built.
+MAX_SWEEP_POINTS = 10**6
+
 _SWEEP_FIXED_COLUMNS = [
     "p1", "p2", "p11", "p12", "p21", "p22", "p1a", "p2a",
     "lambda1", "lambda2", "theta1", "theta2", "class", "col_residual_max",
@@ -117,6 +125,13 @@ def _parse_float_list(text: str, name: str, count: int | None = None) -> list[fl
     return values
 
 
+def _check_sweep_size(points: int, what: str) -> None:
+    if points > MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"{what} has {points} points; a sweep takes at most {MAX_SWEEP_POINTS} points"
+        )
+
+
 def _parse_grid(text: str, name: str) -> list[float]:
     """Grid spec: 'a,b,c' for explicit values or 'start:stop:count' for linspace."""
     if ":" in text:
@@ -129,10 +144,12 @@ def _parse_grid(text: str, name: str) -> list[float]:
             raise ValidationError(f"cannot parse {name} grid {text!r}: {exc}") from exc
         if count < 1:
             raise ValidationError(f"{name} grid is empty")
-        return [float(x) for x in np.linspace(start, stop, count)]
+        _check_sweep_size(count, f"{name} grid")
+        return np.linspace(start, stop, count).tolist()
     values = _parse_float_list(text, name)
     if not values:
         raise ValidationError(f"{name} grid is empty")
+    _check_sweep_size(len(values), f"{name} grid")
     return values
 
 
@@ -257,20 +274,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_models(args: argparse.Namespace) -> tuple[list[str], list[tuple[list, Model]]]:
-    """Parameter column names plus (parameter values, model) per grid point."""
+def _sweep_block(args: argparse.Namespace) -> tuple:
+    """Parameter names, per-point parameter values, the unvalidated ``(N, 8)``
+    statistics block and the scalar statistics of point ``i``, for
+    :func:`analyze_block`.  Invalid models raise as building each one would."""
     if args.family == "qubit":
-        grids = [
-            _parse_grid(args.alpha, "alpha"),
-            _parse_grid(args.phi, "phi"),
-            _parse_grid(args.b_rotation, "b-rotation"),
-            _parse_grid(args.b_phase, "b-phase"),
-        ]
-        rows = [
-            (list(values), QubitModel(*values))
-            for values in itertools.product(*grids)
-        ]
-        return ["alpha", "phi", "b_rotation", "b_phase"], rows
+        names = ["alpha", "phi", "b_rotation", "b_phase"]
+        grids = [_parse_grid(getattr(args, name), name.replace("_", "-")) for name in names]
+        _check_sweep_size(math.prod(map(len, grids)), "qubit grid")
+        if not all(map(math.isfinite, itertools.chain(*grids))):
+            for values in itertools.product(*grids):
+                QubitModel(*values)
+        points = list(itertools.product(*grids))
+        block = np.array([qubit_probabilities(*point) for point in points])
+        return names, points, block, lambda i: qubit_statistics(QubitModel(*points[i]))
     if args.family == "synthetic":
         if args.lambda1 is None:
             raise ValidationError("synthetic sweep needs --lambda1 grid")
@@ -283,42 +300,39 @@ def _sweep_models(args: argparse.Namespace) -> tuple[list[str], list[tuple[list,
             raise DegenerateContextError(
                 "second interference weight vanishes; no balanced companion exists"
             )
-        rows = []
-        for lam1 in _parse_grid(args.lambda1, "lambda1"):
-            lam = LambdaPair(lam1, -weight1 * lam1 / weight2)
-            rows.append(([lam1], SyntheticModel(prior, transition, lam)))
-        return ["target_lambda1"], rows
+        lam1 = _parse_grid(args.lambda1, "lambda1")
+        with np.errstate(all="ignore"):
+            lam = np.array([lam1, -weight1 * np.array(lam1) / weight2]).T
+            # Model checks in the scalar order; then predict_outcome from the valid prior.
+            model = SyntheticModel(prior, transition, LambdaPair(*lam[0].tolist()))
+            for pair in lam[~np.isfinite(lam).all(axis=1)][:1]:
+                LambdaPair(*pair.tolist())
+            classical, weight = interference_terms(*model.prior, *np.array(rows), sqrt=np.sqrt)
+            fixed = np.tile((*model.prior, *rows[0], *rows[1]), (len(lam1), 1))
+            block = np.hstack((fixed, classical + weight * lam))
+        return ["target_lambda1"], list(zip(lam1)), block, lambda i: synthesize_statistics(
+            SyntheticModel(prior, transition, LambdaPair(*lam[i].tolist()))
+        )
     # classical: random models indexed by seed
     count = args.count
     if count is None or count < 1:
         raise ValidationError("classical sweep needs --count >= 1")
-    rows = [
-        ([args.seed + k], random_model("classical", args.seed + k)) for k in range(count)
-    ]
-    return ["model_seed"], rows
+    _check_sweep_size(count, "classical sweep")
+    seeds = range(args.seed, args.seed + count)
+    stats = [exact_statistics(random_model("classical", seed)) for seed in seeds]
+    block = np.array(
+        [(*s.prior, *s.transition.rows[0], *s.transition.rows[1], *s.outcome) for s in stats]
+    )
+    return ["model_seed"], list(zip(seeds)), block, stats.__getitem__
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    parameter_names, entries = _sweep_models(args)
+    parameter_names, parameters, block, statistics_of = _sweep_block(args)
+    rows = analyze_block(block, statistics_of, eps_class=args.eps_class, tol=args.tolerance)
     buffer = _stdio.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(parameter_names + _SWEEP_FIXED_COLUMNS)
-    for values, model in entries:
-        stats = exact_statistics(model)
-        report = analyze_exact(stats, eps_class=args.eps_class, tol=args.tolerance)
-        writer.writerow(
-            values
-            + [
-                stats.prior[0], stats.prior[1],
-                stats.transition.rows[0][0], stats.transition.rows[0][1],
-                stats.transition.rows[1][0], stats.transition.rows[1][1],
-                stats.outcome[0], stats.outcome[1],
-                report.lambda_point.lambda1, report.lambda_point.lambda2,
-                report.phases.phase1.theta, report.phases.phase2.theta,
-                report.theory_class.kind.value,
-                report.balance.max_column_residual,
-            ]
-        )
+    writer.writerows([*values, *row] for values, row in zip(parameters, rows))
     _write_output(buffer.getvalue(), args.output)
     return EXIT_OK
 

@@ -66,7 +66,9 @@ def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _require_keys(obj: dict, where: str, allowed: set, required: set | None = None) -> None:
+    """``obj`` is an object with keys from ``allowed``, all of ``required`` (default: all)."""
+    required = allowed if required is None else required
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
@@ -114,12 +116,12 @@ def model_from_dict(payload: dict) -> Model:
         raise ValidationError("model descriptor must be an object with a 'family' key")
     family = payload["family"]
     if family == "classical":
-        _require_keys(payload, {"family", "points"}, {"family", "points"}, "classical model")
+        _require_keys(payload, "classical model", {"family", "points"})
         points = payload["points"]
         if not isinstance(points, list) or not points:
             raise ValidationError("classical model needs a nonempty 'points' list")
         for p in points:
-            _require_keys(p, {"weight", "a", "b"}, {"weight", "a", "b"}, "model point")
+            _require_keys(p, "model point", {"weight", "a", "b"})
         return KolmogorovModel(
             weights=tuple(p["weight"] for p in points),
             a_values=tuple(p["a"] for p in points),
@@ -128,9 +130,9 @@ def model_from_dict(payload: dict) -> Model:
     if family == "qubit":
         _require_keys(
             payload,
+            "qubit model",
             {"family", "alpha", "phi", "b_rotation", "b_phase"},
             {"family", "alpha", "phi", "b_rotation"},
-            "qubit model",
         )
         return QubitModel(
             alpha=payload["alpha"],
@@ -139,12 +141,7 @@ def model_from_dict(payload: dict) -> Model:
             b_phase=payload.get("b_phase", 0.0),
         )
     if family == "synthetic":
-        _require_keys(
-            payload,
-            {"family", "prior", "transition", "lambda"},
-            {"family", "prior", "transition", "lambda"},
-            "synthetic model",
-        )
+        _require_keys(payload, "synthetic model", {"family", "prior", "transition", "lambda"})
         transition = payload["transition"]
         if not isinstance(transition, list) or len(transition) != 2:
             raise ValidationError("synthetic model transition must be a 2x2 matrix")
@@ -173,12 +170,7 @@ def statistics_to_dict(stats: ContextStatistics) -> dict:
 
 
 def statistics_from_dict(payload: dict) -> ContextStatistics:
-    _require_keys(
-        payload,
-        {"prior", "transition", "outcome"},
-        {"prior", "transition", "outcome"},
-        "exact statistics",
-    )
+    _require_keys(payload, "exact statistics", {"prior", "transition", "outcome"})
     transition = payload["transition"]
     if not isinstance(transition, list) or len(transition) != 2:
         raise ValidationError("transition must be a 2x2 matrix (two rows)")
@@ -209,15 +201,14 @@ def counts_to_dict(counts: CountsRecord) -> dict:
 def counts_from_dict(payload: dict, model: Model | None = None) -> CountsRecord:
     _require_keys(
         payload,
-        {"n_context", "a_counts", "n_filtration", "b_counts", "filtered", "seed"},
-        {"n_context", "a_counts", "n_filtration", "b_counts", "filtered", "seed"},
         "counts",
+        {"n_context", "a_counts", "n_filtration", "b_counts", "filtered", "seed"},
     )
     filtered = payload["filtered"]
     if not isinstance(filtered, list) or len(filtered) != 2:
         raise ValidationError("counts.filtered must list exactly two filtered contexts")
     for f in filtered:
-        _require_keys(f, {"n", "a_counts"}, {"n", "a_counts"}, "filtered context")
+        _require_keys(f, "filtered context", {"n", "a_counts"})
     try:
         return CountsRecord(
             n_context=payload["n_context"],
@@ -279,9 +270,9 @@ class ExperimentFile:
     def from_dict(cls, payload: dict) -> "ExperimentFile":
         _require_keys(
             payload,
+            "experiment file",
             {"format_version", "observables", "exact", "counts", "model", "note"},
             {"format_version", "observables"},
-            "experiment file",
         )
         if payload["format_version"] != FORMAT_VERSION:
             raise ValidationError(
@@ -292,7 +283,7 @@ class ExperimentFile:
             raise ValidationError("experiment file needs exactly two observables")
         observables = []
         for entry in raw_obs:
-            _require_keys(entry, {"name", "values"}, {"name", "values"}, "observable")
+            _require_keys(entry, "observable", {"name", "values"})
             values = entry["values"]
             if not isinstance(values, list) or len(values) != 2:
                 raise ValidationError("observable needs exactly two value labels")

@@ -30,6 +30,7 @@ from ._validation import (
     require_outcome_index,
     require_probability,
     require_seed,
+    sum_residual,
 )
 from .calculus import (
     ContextStatistics,
@@ -166,13 +167,14 @@ def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
     )
 
 
-def _b_basis(model: QubitModel) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    c = math.cos(model.b_rotation)
-    s = math.sin(model.b_rotation)
-    chi = cmath.exp(1j * model.b_phase)
-    b1 = (complex(c), chi * s)
-    b2 = (-s / chi, complex(c))
-    return (b1, b2)
+def qubit_probabilities(alpha: float, phi: float, b_rotation: float, b_phase: float) -> tuple:
+    """Unvalidated ``(p1, p2, t11, t12, t21, t22, q1, q2)`` of :func:`qubit_statistics`."""
+    psi = (complex(math.cos(alpha)), cmath.exp(1j * phi) * math.sin(alpha))
+    c, s = math.cos(b_rotation), math.sin(b_rotation)
+    chi = cmath.exp(1j * b_phase)
+    basis = ((complex(c), chi * s), (-s / chi, complex(c)))
+    prior = [abs(b[0].conjugate() * psi[0] + b[1].conjugate() * psi[1]) ** 2 for b in basis]
+    return (*prior, *[abs(z) ** 2 for b in basis for z in b], abs(psi[0]) ** 2, abs(psi[1]) ** 2)
 
 
 def qubit_statistics(model: QubitModel) -> ContextStatistics:
@@ -183,14 +185,12 @@ def qubit_statistics(model: QubitModel) -> ContextStatistics:
     completeness of both bases, and the implied coefficients are
     trigonometric.
     """
-    psi = (complex(math.cos(model.alpha)), cmath.exp(1j * model.phi) * math.sin(model.alpha))
-    b1, b2 = _b_basis(model)
-    prior = tuple(
-        abs(b[0].conjugate() * psi[0] + b[1].conjugate() * psi[1]) ** 2 for b in (b1, b2)
+    p1, p2, t11, t12, t21, t22, q1, q2 = qubit_probabilities(
+        model.alpha, model.phi, model.b_rotation, model.b_phase
     )
-    rows = tuple((abs(b[0]) ** 2, abs(b[1]) ** 2) for b in (b1, b2))
-    outcome = (abs(psi[0]) ** 2, abs(psi[1]) ** 2)
-    return ContextStatistics(prior=prior, transition=TransitionMatrix(rows), outcome=outcome)
+    return ContextStatistics(
+        prior=(p1, p2), transition=TransitionMatrix(((t11, t12), (t21, t22))), outcome=(q1, q2)
+    )
 
 
 def synthesize_statistics(model: SyntheticModel) -> ContextStatistics:
@@ -207,7 +207,7 @@ def synthesize_statistics(model: SyntheticModel) -> ContextStatistics:
         outcome = predict_outcome(model.prior, model.transition, model.target_lambda)
     except OutOfRangeError as exc:
         raise InfeasibleLambdaError(str(exc)) from exc
-    if abs(outcome[0] + outcome[1] - 1.0) > TOL_EXACT:
+    if sum_residual(outcome[0], outcome[1]) > TOL_EXACT:
         raise InfeasibleLambdaError(
             f"target coefficients {tuple(model.target_lambda)} break outcome "
             f"normalization: predictions sum to {outcome[0] + outcome[1]}"

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Iterator
 
-from ._validation import TOL_EXACT
+import numpy as np
+
+from ._validation import TOL_EXACT, clip_probability, out_of_range, sum_residual
 from .amplitudes import AmplitudePair, born_residual, lift_to_amplitudes
 from .calculus import (
     EPS_CLASS_DEFAULT,
@@ -24,10 +27,13 @@ from .calculus import (
     TheoryClass,
     TheoryKind,
     check_double_stochastic,
+    invert_column,
     lambda_from_statistics,
     classify_theory,
     normalization_residual,
     phase_parametrization,
+    phase_terms,
+    regimes,
 )
 from .sampling import BOOTSTRAP_STREAM, EstimatedStatistics, LambdaEstimate, estimate_lambda
 
@@ -104,6 +110,45 @@ def analyze_exact(
     lam = lambda_from_statistics(stats)
     verdict = classify_theory(lam, eps_class)
     return _assemble(stats, lam, None, verdict, eps_class, tol)
+
+
+def analyze_block(
+    block: np.ndarray,
+    statistics_of: Callable[[int], ContextStatistics],
+    *,
+    eps_class: float = EPS_CLASS_DEFAULT,
+    tol: float = TOL_EXACT,
+) -> Iterator[list]:
+    """:func:`analyze_exact` of every row of an ``(N, 8)`` block, in one array pass.
+
+    Rows ``(p1, p2, t11, t12, t21, t22, q1, q2)`` come unvalidated, and
+    ``statistics_of(i)`` builds row ``i`` the scalar way.  Each result row holds
+    the valid probabilities, the coefficients, phase angles, verdict kind and
+    largest column residual.  Row 0 and the first failing row are replayed
+    through :func:`analyze_exact`, which raises the scalar path's errors.
+    """
+    bad = out_of_range(block, TOL_EXACT).any(axis=1)
+    block = clip_probability(block, where=np.where)
+    bad |= ~(sum_residual(block[:, 0::2], block[:, 1::2]) <= TOL_EXACT).all(axis=1)
+    p1, p2, ta, tb, q = block[:, 0:1], block[:, 1:2], block[:, 2:4], block[:, 4:6], block[:, 6:8]
+    lam, failed, _, _ = invert_column(q, p1, p2, ta, tb, sqrt=np.sqrt, where=np.where)
+    bad |= failed.any(axis=1)
+    for row in (0, *np.flatnonzero(bad)[:1].tolist()):
+        analyze_exact(statistics_of(row), eps_class=eps_class, tol=tol)
+    if bad.any():
+        raise RuntimeError(f"row {bad.argmax()} fails an array check but no scalar check")
+
+    eps = float(eps_class)
+    verdicts, conditions = zip(*regimes(*np.abs(lam).T, eps))
+    kinds = np.select(conditions, [v.kind.value for v in verdicts], TheoryKind.BOUNDARY.value)
+    trig_tol = np.where(np.isin(kinds, [kind.value for kind in _LIFTABLE]), eps, 0.0)
+    residual = sum_residual(ta, tb).max(axis=1)
+    return (
+        [*probabilities, l1, l2, phase_terms(l1, trig)[1], phase_terms(l2, trig)[1], kind, res]
+        for probabilities, (l1, l2), trig, kind, res in zip(
+            block.tolist(), lam.tolist(), trig_tol.tolist(), kinds.tolist(), residual.tolist()
+        )
+    )
 
 
 def analyze_estimated(

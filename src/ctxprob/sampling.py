@@ -37,14 +37,14 @@ from ._rng import (
     ROLE_STUDY,
     substream,
 )
-from ._validation import TOL_DEGENERATE, require_positive_int, require_seed
+from ._validation import require_positive_int, require_seed
 from .calculus import (
     ContextStatistics,
     LambdaPair,
     TheoryClass,
     TransitionMatrix,
     classify_theory,
-    interference_terms,
+    invert_column,
     lambda_from_statistics,
 )
 from .errors import (
@@ -314,32 +314,6 @@ def _bootstrap_frequencies(
     return np.concatenate(blocks)[:replicates] / n
 
 
-def _invert_replicates(frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both coefficients of every row of ``(q1, p1, t11, t21)`` frequencies.
-
-    Returns an ``(R, 2)`` coefficient array and an ``(R,)`` mask of failed
-    rows: those where a denominator vanishes against a nonzero deviation, the
-    rows on which :func:`lambda_from_statistics` raises.  0/0 components
-    resolve to zero.
-    """
-    q1, p1, t11, t21 = frequencies.T
-    p1 = p1[:, None]
-    classical, denominator = interference_terms(
-        p1,
-        1.0 - p1,
-        np.stack((t11, 1.0 - t11), axis=1),
-        np.stack((t21, 1.0 - t21), axis=1),
-        sqrt=np.sqrt,
-    )
-    numerator = np.stack((q1, 1.0 - q1), axis=1) - classical
-    vanishing = denominator <= TOL_DEGENERATE
-    failed = (vanishing & (np.abs(numerator) > TOL_DEGENERATE)).any(axis=1)
-    coefficients = np.divide(
-        numerator, denominator, out=np.zeros_like(numerator), where=~vanishing
-    )
-    return coefficients, failed
-
-
 def estimate_lambda(
     est: EstimatedStatistics,
     replicates: int = 1000,
@@ -351,8 +325,8 @@ def estimate_lambda(
     bootstrap replicate redraws all four tallies from their estimated
     binomial laws (equivalent to resampling the underlying ensembles), in
     fixed blocks of :data:`BOOTSTRAP_BLOCK` replicates per substream, and all
-    replicates are re-inverted in one array pass through the kernel of
-    :func:`lambda_from_statistics`.  The CI is the :data:`CONFIDENCE`
+    replicates are re-inverted in one array pass through ``invert_column``,
+    the rule of :func:`lambda_from_statistics`.  The CI is the :data:`CONFIDENCE`
     percentile interval of the surviving replicates, widened if needed so
     that it contains the point estimate.  A percentile bootstrap stays
     meaningful near degenerate statistics where error propagation through the
@@ -362,9 +336,13 @@ def estimate_lambda(
     seed = require_seed(seed)
     lambda_hat = lambda_from_statistics(est.point)
 
-    coefficients, failed_rows = _invert_replicates(
-        _bootstrap_frequencies(est, replicates, seed)
+    # (q, p, ta, tb) of both columns: each first-outcome frequency with its complement
+    frequencies = _bootstrap_frequencies(est, replicates, seed)
+    q, p, ta, tb = np.stack((frequencies, 1.0 - frequencies), axis=2).transpose(1, 0, 2)
+    coefficients, failed_columns, _, _ = invert_column(
+        q, p[:, :1], p[:, 1:], ta, tb, sqrt=np.sqrt, where=np.where
     )
+    failed_rows = failed_columns.any(axis=1)
     samples = coefficients[~failed_rows]
     failed = int(failed_rows.sum())
     if not len(samples):

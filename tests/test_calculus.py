@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from ctxprob import (
     predict_outcome,
     total_probability,
 )
+from ctxprob.calculus import invert_column
 
 HALF = TransitionMatrix(((0.5, 0.5), (0.5, 0.5)))
 E2_T = TransitionMatrix(((0.2, 0.8), (0.6, 0.4)))
@@ -185,6 +187,49 @@ def expected_kind(l1, l2, eps):
     if (m1 <= 1 - eps) != (m2 <= 1 - eps) and (m1 >= 1 + eps or m2 >= 1 + eps):
         return TheoryKind.HYPER_TRIGONOMETRIC
     return TheoryKind.BOUNDARY
+
+
+FREQUENCY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+class TestInvertColumn:
+    """``invert_column`` is the one inversion rule: ``lambda_from_statistics``
+    applies it to floats, the bootstrap and ``sweep`` to arrays."""
+
+    @given(st.lists(st.tuples(FREQUENCY, FREQUENCY, FREQUENCY, FREQUENCY), min_size=1,
+                    max_size=10))
+    @settings(max_examples=500)
+    def test_rows_agree_with_scalar_inversion(self, rows):
+        # (q1, p1, t11, t21) rows with their complements, as the bootstrap passes them
+        q1, p1, t11, t21 = np.array(rows).T
+        p1 = p1[:, None]
+        coefficients, failed, _, _ = invert_column(
+            np.stack((q1, 1.0 - q1), axis=1),
+            p1,
+            1.0 - p1,
+            np.stack((t11, 1.0 - t11), axis=1),
+            np.stack((t21, 1.0 - t21), axis=1),
+            sqrt=np.sqrt,
+            where=np.where,
+        )
+        for (q1, p1, t11, t21), row, row_failed in zip(rows, coefficients, failed.any(axis=1)):
+            stats = ContextStatistics(
+                (p1, 1.0 - p1),
+                TransitionMatrix(((t11, 1.0 - t11), (t21, 1.0 - t21))),
+                (q1, 1.0 - q1),
+            )
+            try:
+                lam = lambda_from_statistics(stats)
+            except DegenerateContextError:
+                assert row_failed
+            else:
+                assert not row_failed
+                assert row.tobytes() == np.array(tuple(lam)).tobytes()
+
+    def test_scalar_form_reports_its_terms(self):
+        assert invert_column(0.75, 0.5, 0.5, 0.5, 0.5) == (0.5, False, 0.25, 0.5)
+        assert invert_column(0.5, 1.0, 0.0, 0.5, 0.5) == (0.0, False, 0.0, 0.0)
+        assert invert_column(0.75, 1.0, 0.0, 0.5, 0.5) == (0.0, True, 0.25, 0.0)
 
 
 class TestClassifyTheory:

@@ -238,6 +238,32 @@ class TestSweep:
         assert main(["sweep", "--family", "qubit", "--alpha", "0:1:0"]) == 1
         assert main(["sweep", "--family", "synthetic"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "qubit", "--alpha", "0:1:1000000000000"],
+            ["--family", "qubit", "--alpha", "0:1:1000", "--phi", "0:1:1000",
+             "--b-rotation", "0:1:1000"],
+            ["--family", "synthetic", "--lambda1", "0:1:1000000000000"],
+            ["--family", "classical", "--count", "1000000000000"],
+        ],
+    )
+    def test_oversized_sweep_is_refused_before_it_is_built(self, argv, capsys):
+        # None of these point sets would fit in memory: the count is checked first.
+        assert main(["sweep", *argv]) == 1
+        assert "a sweep takes at most 1000000 points" in capsys.readouterr().err
+
+    def test_point_cap_admits_exactly_its_size(self, monkeypatch, capsys):
+        monkeypatch.setattr(ctxprob.cli, "MAX_SWEEP_POINTS", 6)
+        qubit = ["sweep", "--family", "qubit"]
+        assert main([*qubit, "--alpha", "0:1:3", "--phi", "0,1"]) == 0
+        assert main([*qubit, "--alpha", "0:1:7"]) == 1
+        assert main([*qubit, "--alpha", "0,1,2,3,4,5,6"]) == 1
+        assert main([*qubit, "--alpha", "0:1:3", "--phi", "0,1", "--b-phase", "0,1"]) == 1
+        assert main(["sweep", "--family", "synthetic", "--lambda1", "0:1:7"]) == 1
+        assert main(["sweep", "--family", "classical", "--count", "6"]) == 0
+        assert main(["sweep", "--family", "classical", "--count", "7"]) == 1
+
 
 class TestReconstruct:
     def test_e1_lift(self, exact_file, capsys):

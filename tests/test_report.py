@@ -1,0 +1,124 @@
+"""Columnar analysis: ``analyze_block`` equals ``analyze_exact`` row by row."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctxprob import ContextStatistics, CtxprobError, TransitionMatrix, analyze_exact
+from ctxprob.calculus import interference_terms
+from ctxprob.report import analyze_block
+
+# Probabilities with both signed zeros, both ends and values just outside
+# [0, 1] that the tolerance clips.
+PROBABILITY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -5e-10, 1.0 + 5e-10]),
+    st.floats(0.0, 1.0),
+    *[st.floats(0.05, 0.95)] * 4,
+)
+# Coefficients the outcome is built from: 0 and the band edges at the
+# default band, then anything.
+TARGET = st.one_of(
+    st.sampled_from([0.0, 1e-6, -1e-6, 1.0, -1.0, 1.0 - 1e-6, 1.0 + 1e-6, 0.5, 1.25]),
+    st.floats(-3.0, 3.0),
+)
+# Band half-widths: overlapping bands from 0.5 on, and wider than 1.
+EPS = st.one_of(
+    st.sampled_from([0.0, 1e-6, 0.05, 0.3, 0.5, 0.6, 1.0, 1.5, 2.5]),
+    st.floats(0.0, 0.2),
+    st.floats(0.0, 3.0),
+)
+
+
+@st.composite
+def rows(draw):
+    """One ``(p1, p2, t11, t12, t21, t22, q1, q2)`` row, mostly valid."""
+    p1, t11, t21 = draw(PROBABILITY), draw(PROBABILITY), draw(PROBABILITY)
+    if draw(st.integers(0, 3)):
+        # q1 from a target coefficient, cut to [0, 1]; the classical value
+        # when the weight vanishes (0/0)
+        classical, weight = interference_terms(abs(p1), abs(1.0 - p1), abs(t11), abs(t21))
+        q1 = min(max(classical + weight * draw(TARGET), 0.0), 1.0)
+    else:
+        q1 = draw(PROBABILITY)
+    row = [p1, 1.0 - p1, t11, 1.0 - t11, t21, 1.0 - t21, q1, 1.0 - q1]
+    if draw(st.integers(0, 9)) == 0:  # a value or a pair the scalar checks reject
+        row[draw(st.integers(0, 7))] += draw(st.sampled_from([2e-9, -0.1, 0.3, math.inf]))
+    return row
+
+
+def statistics(row):
+    p1, p2, t11, t12, t21, t22, q1, q2 = row
+    return ContextStatistics((p1, p2), TransitionMatrix(((t11, t12), (t21, t22))), (q1, q2))
+
+
+def bits(values):
+    return [value.hex() if isinstance(value, float) else value for value in values]
+
+
+@given(
+    block=st.lists(rows(), min_size=1, max_size=3),
+    eps=EPS,
+    edge=st.sampled_from([None, "zero", "below-one", "above-one"]),
+    tol=st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+@settings(max_examples=600, deadline=None)
+def test_rows_equal_analyze_exact(block, eps, edge, tol):
+    expected, error = [], None
+    for row in block:
+        try:
+            report = analyze_exact(statistics(row), eps_class=eps, tol=tol)
+        except CtxprobError as exc:
+            error = exc
+            break
+        if edge is not None and not expected:
+            # Put the band edge on row 0's first coefficient, then analyze again.
+            magnitude = abs(report.lambda_point.lambda1)
+            eps = {"zero": magnitude, "below-one": 1.0 - magnitude,
+                   "above-one": magnitude - 1.0}[edge]
+            eps = max(eps, 0.0)
+            report = analyze_exact(statistics(row), eps_class=eps, tol=tol)
+        expected.append(
+            [
+                *report.stats.prior, *report.stats.transition.rows[0],
+                *report.stats.transition.rows[1], *report.stats.outcome,
+                *report.lambda_point, *(phase.theta for phase in report.phases),
+                report.theory_class.kind.value, report.balance.max_column_residual,
+            ]
+        )
+
+    def statistics_of(i):
+        return statistics(block[i])
+
+    if error is not None:
+        with pytest.raises(type(error)) as raised:
+            analyze_block(np.array(block), statistics_of, eps_class=eps, tol=tol)
+        assert str(raised.value) == str(error)
+    else:
+        got = list(analyze_block(np.array(block), statistics_of, eps_class=eps, tol=tol))
+        assert [bits(row) for row in got] == [bits(row) for row in expected]
+
+
+@pytest.mark.parametrize(
+    ("eps", "tol", "message"),
+    [
+        (-1.0, 1e-9, "eps_class must be >= 0"),
+        (math.nan, 1e-9, "eps_class must be finite"),
+        (1e-6, -1.0, "tolerance must be >= 0"),
+    ],
+)
+def test_flags_are_checked_as_analyze_exact_checks_them(eps, tol, message):
+    row = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25]
+    with pytest.raises(CtxprobError, match=message):
+        analyze_block(np.array([row, row]), lambda i: statistics(row), eps_class=eps, tol=tol)
+
+
+def test_first_failing_row_raises_before_later_rows():
+    good = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25]
+    degenerate = [1.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25]
+    unnormalized = [0.5, 0.6, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25]
+    block = [good, degenerate, unnormalized]
+    with pytest.raises(CtxprobError, match="component 1: interference weight 0.0 vanishes"):
+        analyze_block(np.array(block), lambda i: statistics(block[i]))

@@ -4,12 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ctxprob.sampling
 from ctxprob import (
-    ContextStatistics,
     CountsRecord,
     DegenerateContextError,
     EmptyEnsembleError,
@@ -25,11 +22,10 @@ from ctxprob import (
     convergence_study,
     estimate_lambda,
     estimate_statistics,
-    lambda_from_statistics,
     simulate_counts,
 )
 from ctxprob._rng import ROLE_BOOTSTRAP_BLOCK
-from ctxprob.sampling import BOOTSTRAP_BLOCK, _bootstrap_frequencies, _invert_replicates
+from ctxprob.sampling import BOOTSTRAP_BLOCK, _bootstrap_frequencies
 
 E1_MODEL = QubitModel(alpha=math.pi / 6, phi=math.pi / 2, b_rotation=math.pi / 4)
 E2_MODEL = KolmogorovModel(
@@ -204,41 +200,31 @@ class TestEstimateLambda:
         assert result.classification.kind is TheoryKind.HYPERBOLIC
 
 
-FREQUENCY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
-
-
 class TestBootstrapKernel:
-    @given(st.lists(st.tuples(FREQUENCY, FREQUENCY, FREQUENCY, FREQUENCY), min_size=1,
-                    max_size=10))
-    @settings(max_examples=500)
-    def test_rows_agree_with_scalar_inversion(self, rows):
-        coefficients, failed = _invert_replicates(np.array(rows))
-        for (q1, p1, t11, t21), row, row_failed in zip(rows, coefficients, failed):
-            stats = ContextStatistics(
-                (p1, 1.0 - p1),
-                TransitionMatrix(((t11, 1.0 - t11), (t21, 1.0 - t21))),
-                (q1, 1.0 - q1),
-            )
-            try:
-                lam = lambda_from_statistics(stats)
-            except DegenerateContextError:
-                assert row_failed
-            else:
-                assert not row_failed
-                assert row.tobytes() == np.array(tuple(lam)).tobytes()
+    """Block layout of the bootstrap draws.  The inversion of the replicates is
+    the shared column inversion, tested in ``test_calculus.TestInvertColumn``."""
 
     def test_block_count(self, monkeypatch):
         est = estimate_statistics(simulate_counts(E1_MODEL, 1000, seed=4))
         calls = []
         substream = ctxprob.sampling.substream
+        invert_column = ctxprob.sampling.invert_column
+        inversions = []
 
         def counted(*path):
             calls.append(path)
             return substream(*path)
 
+        def counted_inversion(*args, **kwargs):
+            inversions.append(args[0].shape)
+            return invert_column(*args, **kwargs)
+
         monkeypatch.setattr(ctxprob.sampling, "substream", counted)
+        monkeypatch.setattr(ctxprob.sampling, "invert_column", counted_inversion)
         estimate_lambda(est, replicates=BOOTSTRAP_BLOCK, seed=9)
         assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0)]
+        # every replicate goes through one call of the shared column inversion
+        assert inversions == [(BOOTSTRAP_BLOCK, 2)]
         calls.clear()
         estimate_lambda(est, replicates=BOOTSTRAP_BLOCK + 1, seed=9)
         assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0), (9, ROLE_BOOTSTRAP_BLOCK, 1)]
