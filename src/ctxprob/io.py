@@ -67,7 +67,7 @@ def canonical_dumps(payload: Any) -> str:
 
 
 def _require_keys(obj: dict, where: str, allowed: set, required: set | None = None) -> None:
-    """``obj`` is an object with keys from ``allowed``, all of ``required`` (default: all)."""
+    """Require an object whose keys lie in ``allowed`` and include ``required`` (default: all)."""
     required = allowed if required is None else required
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object")

@@ -336,11 +336,11 @@ def estimate_lambda(
     seed = require_seed(seed)
     lambda_hat = lambda_from_statistics(est.point)
 
-    # (q, p, ta, tb) of both columns: each first-outcome frequency with its complement
-    frequencies = _bootstrap_frequencies(est, replicates, seed)
-    q, p, ta, tb = np.stack((frequencies, 1.0 - frequencies), axis=2).transpose(1, 0, 2)
+    # Both columns at once: each first-outcome frequency next to its complement.
+    q1, p1, t11, t21 = _bootstrap_frequencies(est, replicates, seed).T[:, :, None]
+    q, ta, tb = (np.hstack((x, 1.0 - x)) for x in (q1, t11, t21))
     coefficients, failed_columns, _, _ = invert_column(
-        q, p[:, :1], p[:, 1:], ta, tb, sqrt=np.sqrt, where=np.where
+        q, p1, 1.0 - p1, ta, tb, sqrt=np.sqrt, where=np.where
     )
     failed_rows = failed_columns.any(axis=1)
     samples = coefficients[~failed_rows]
