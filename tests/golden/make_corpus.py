@@ -19,7 +19,9 @@ import shutil
 import sys
 from pathlib import Path
 
-from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix, exact_statistics
+from ctxprob import (
+    ContextStatistics, CountsRecord, ExperimentFile, TransitionMatrix, exact_statistics
+)
 from ctxprob.cli import PRESETS, main
 
 HERE = Path(__file__).resolve().parent
@@ -27,6 +29,17 @@ HERE = Path(__file__).resolve().parent
 # Prior (1, 0) with a nonzero deviation: the inversion has no coefficient (exit 2).
 DEGENERATE = ContextStatistics(
     (1.0, 0.0), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.75, 0.25)
+)
+
+# Counts files with no model.  A-on-filtered-1 is empty: no frequencies (exit 2).
+EMPTY_COUNTS = CountsRecord(
+    n_context=10, a_counts=(4, 6), n_filtration=10, b_counts=(3, 7),
+    n_filtered=(0, 10), a_counts_given=((0, 0), (5, 5)), seed=1,
+)
+# Small ensembles: many bootstrap replicates are degenerate (failed_replicates).
+SPARSE_COUNTS = CountsRecord(
+    n_context=20, a_counts=(12, 8), n_filtration=6, b_counts=(1, 5),
+    n_filtered=(20, 20), a_counts_given=((15, 5), (9, 11)), seed=5,
 )
 
 SWEEPS = {
@@ -100,6 +113,12 @@ def build() -> list[dict]:
         for command in ("analyze", "reconstruct", "balance"):
             cases.append((f"{command}_{stem}", [command, f"inputs/{stem}.json"]))
     cases.extend(FLAG_CASES.items())
+    for stem, counts in (("empty_counts", EMPTY_COUNTS), ("sparse_counts", SPARSE_COUNTS)):
+        (inputs / f"{stem}.json").write_text(
+            ExperimentFile(counts=counts).dumps(), encoding="utf-8"
+        )
+        for command in ("analyze", "balance"):
+            cases.append((f"{command}_{stem}", [command, f"inputs/{stem}.json"]))
     cases.extend((name, ["sweep", *argv]) for name, argv in SWEEPS.items())
 
     manifest = []
