@@ -59,9 +59,7 @@ from .sampling import (
     ConvergenceRow,
     CountsRecord,
     EnsembleSizes,
-    EstimatedStatistics,
     LambdaEstimate,
-    StatisticsStderr,
     convergence_study,
     estimate_lambda,
     estimate_statistics,
@@ -113,8 +111,6 @@ __all__ = [
     # sampling
     "EnsembleSizes",
     "CountsRecord",
-    "StatisticsStderr",
-    "EstimatedStatistics",
     "LambdaEstimate",
     "ConvergenceRow",
     "simulate_counts",

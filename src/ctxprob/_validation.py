@@ -73,11 +73,11 @@ def require_distribution(
     return (p1, p2)
 
 
-def require_positive_int(n: Any, name: str, *, minimum: int = 1) -> int:
+def require_positive_int(n: Any, name: str) -> int:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValidationError(f"{name} must be an integer, got {n!r}")
-    if n < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {n}")
+    if n < 1:
+        raise ValidationError(f"{name} must be >= 1, got {n}")
     return n
 
 

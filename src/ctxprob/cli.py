@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from ._validation import TOL_EXACT
+from ._validation import TOL_EXACT, require_distribution
 from .calculus import (
     EPS_CLASS_DEFAULT,
     LambdaPair,
@@ -211,7 +211,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         counts = experiment.counts
         report = analyze_estimated(
-            estimate_statistics(counts),
+            counts,
             replicates=args.bootstrap_replicates,
             seed=args.seed if args.seed is not None else counts.seed,
             eps_class=args.eps_class,
@@ -291,8 +291,9 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
     if args.family == "synthetic":
         if args.lambda1 is None:
             raise ValidationError("synthetic sweep needs --lambda1 grid")
-        prior = tuple(_parse_float_list(args.prior, "prior", 2))
+        prior = _parse_float_list(args.prior, "prior", 2)
         transition = _parse_transition(args.transition)
+        prior = require_distribution(prior, "prior")  # before the weights take its sqrt
         rows = transition.rows
         _, weight1 = interference_terms(*prior, rows[0][0], rows[1][0])
         _, weight2 = interference_terms(*prior, rows[0][1], rows[1][1])
@@ -303,12 +304,12 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         lam1 = _parse_grid(args.lambda1, "lambda1")
         with np.errstate(all="ignore"):
             lam = np.array([lam1, -weight1 * np.array(lam1) / weight2]).T
-            # Model checks in the scalar order; then predict_outcome from the valid prior.
-            model = SyntheticModel(prior, transition, LambdaPair(*lam[0].tolist()))
+            # Model checks in the scalar order; then predict_outcome for every point.
+            SyntheticModel(prior, transition, LambdaPair(*lam[0].tolist()))
             for pair in lam[~np.isfinite(lam).all(axis=1)][:1]:
                 LambdaPair(*pair.tolist())
-            classical, weight = interference_terms(*model.prior, *np.array(rows), sqrt=np.sqrt)
-            fixed = np.tile((*model.prior, *rows[0], *rows[1]), (len(lam1), 1))
+            classical, weight = interference_terms(*prior, *np.array(rows), sqrt=np.sqrt)
+            fixed = np.tile((*prior, *rows[0], *rows[1]), (len(lam1), 1))
             block = np.hstack((fixed, classical + weight * lam))
         return ["target_lambda1"], list(zip(lam1)), block, lambda i: synthesize_statistics(
             SyntheticModel(prior, transition, LambdaPair(*lam[i].tolist()))
@@ -362,7 +363,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     if experiment.exact is not None:
         transition = experiment.exact.transition
     else:
-        transition = estimate_statistics(experiment.counts).point.transition
+        transition = estimate_statistics(experiment.counts).transition
     report = check_double_stochastic(transition, args.tolerance)
     _write_output(canonical_dumps(balance_to_dict(report)), args.output)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""File formats: experiment JSON, analysis-report JSON, sweep CSV.
+"""Experiment-file JSON and its canonical serialization.
 
 Experiment files (schema version 1) carry either exact statistics or raw
 counts for one (context, A, B) triple, plus an optional model descriptor
@@ -198,7 +198,7 @@ def counts_to_dict(counts: CountsRecord) -> dict:
     }
 
 
-def counts_from_dict(payload: dict, model: Model | None = None) -> CountsRecord:
+def counts_from_dict(payload: dict) -> CountsRecord:
     _require_keys(
         payload,
         "counts",
@@ -218,7 +218,6 @@ def counts_from_dict(payload: dict, model: Model | None = None) -> CountsRecord:
             n_filtered=(filtered[0]["n"], filtered[1]["n"]),
             a_counts_given=(tuple(filtered[0]["a_counts"]), tuple(filtered[1]["a_counts"])),
             seed=payload["seed"],
-            model=model,
         )
     except TypeError as exc:
         raise ValidationError(f"malformed counts: {exc}") from exc
@@ -290,9 +289,7 @@ class ExperimentFile:
             observables.append(DichotomicObservable(entry["name"], (values[0], values[1])))
         model = model_from_dict(payload["model"]) if "model" in payload else None
         exact = statistics_from_dict(payload["exact"]) if "exact" in payload else None
-        counts = (
-            counts_from_dict(payload["counts"], model=model) if "counts" in payload else None
-        )
+        counts = counts_from_dict(payload["counts"]) if "counts" in payload else None
         note = payload.get("note")
         if note is not None and not isinstance(note, str):
             raise ValidationError("note must be a string")

@@ -35,7 +35,10 @@ from .calculus import (
     phase_terms,
     regimes,
 )
-from .sampling import BOOTSTRAP_STREAM, EstimatedStatistics, LambdaEstimate, estimate_lambda
+from .sampling import (
+    BOOTSTRAP_STREAM, CONFIDENCE, CountsRecord, LambdaEstimate, estimate_lambda,
+    estimate_statistics,
+)
 
 __all__ = ["AnalysisReport", "analyze_exact", "analyze_estimated", "report_to_dict"]
 
@@ -152,23 +155,25 @@ def analyze_block(
 
 
 def analyze_estimated(
-    est: EstimatedStatistics,
+    counts: CountsRecord,
     *,
     replicates: int = 1000,
     seed: int = 0,
     eps_class: float | None = None,
     tol: float = TOL_EXACT,
 ) -> AnalysisReport:
-    """Analyze frequency estimates; uncertainty comes from the bootstrap.
+    """Analyze the frequency estimates of ``counts``; uncertainty comes from the bootstrap.
 
-    The classification band defaults to the bootstrap CI half-width (noise
-    decides what counts as "near zero" or "near one"); pass ``eps_class`` to
-    override it.
+    The classification band defaults to the larger bootstrap CI half-width,
+    so noise decides what counts as "near zero" or "near one": a coefficient
+    statistically indistinguishable from zero reads classical, and one
+    straddling magnitude one reads boundary.  Pass ``eps_class`` to override
+    the band.
     """
-    estimate = estimate_lambda(est, replicates=replicates, seed=seed)
+    estimate = estimate_lambda(counts, replicates=replicates, seed=seed)
     eps = max(estimate.half_widths()) if eps_class is None else eps_class
     verdict = classify_theory(estimate.lambda_hat, eps)
-    return _assemble(est.point, estimate.lambda_hat, estimate, verdict, eps, tol)
+    return _assemble(estimate_statistics(counts), estimate.lambda_hat, estimate, verdict, eps, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             stderr=list(est.stderr),
             replicates=est.replicates,
             seed=est.seed,
-            confidence=est.confidence,
+            confidence=CONFIDENCE,
             failed_replicates=est.failed_replicates,
             stream=BOOTSTRAP_STREAM,
         )

@@ -15,16 +15,15 @@ in fixed blocks of :data:`BOOTSTRAP_BLOCK`, block ``b`` from the substream
 ``(seed, bootstrap-block, b)``.  All results are therefore deterministic
 functions of their inputs, independent of evaluation order or parallelism.
 
-Estimation is plain frequency counting with binomial standard errors; the
-interference coefficients inherit uncertainty through the inversion formula,
-quantified by a percentile bootstrap over the recorded tallies.
+Estimation is plain frequency counting (:func:`estimate_statistics`); the
+interference coefficients inherit the uncertainty of the tallies through the
+inversion formula, quantified by a percentile bootstrap that redraws them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +40,7 @@ from ._validation import require_positive_int, require_seed
 from .calculus import (
     ContextStatistics,
     LambdaPair,
-    TheoryClass,
     TransitionMatrix,
-    classify_theory,
     invert_column,
     lambda_from_statistics,
 )
@@ -58,8 +55,6 @@ from .models import Model, exact_statistics
 __all__ = [
     "EnsembleSizes",
     "CountsRecord",
-    "StatisticsStderr",
-    "EstimatedStatistics",
     "LambdaEstimate",
     "ConvergenceRow",
     "simulate_counts",
@@ -113,7 +108,6 @@ class CountsRecord:
     n_filtered: tuple[int, int]
     a_counts_given: tuple[tuple[int, int], tuple[int, int]]
     seed: int
-    model: Model | None = None
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
@@ -142,33 +136,13 @@ class CountsRecord:
 
 
 @dataclass(frozen=True)
-class StatisticsStderr:
-    """Binomial standard error of every estimated probability."""
-
-    prior: tuple[float, float]
-    transition: tuple[tuple[float, float], tuple[float, float]]
-    outcome: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class EstimatedStatistics:
-    """Frequency estimate of context statistics with per-probability errors."""
-
-    point: ContextStatistics
-    stderr: StatisticsStderr
-    counts: CountsRecord
-
-
-@dataclass(frozen=True)
 class LambdaEstimate:
     """Point estimate of the interference coefficients with bootstrap CI.
 
-    ``classification`` uses the larger CI half-width as the class band, so a
-    coefficient statistically indistinguishable from zero reads classical and
-    one straddling magnitude one reads boundary rather than forcing a
-    verdict.  ``failed_replicates`` counts bootstrap draws whose resampled
-    statistics were degenerate; they are excluded from the percentiles but
-    never silently dropped from the report.
+    The interval has coverage :data:`CONFIDENCE`.  ``failed_replicates``
+    counts bootstrap draws whose resampled statistics were degenerate; they
+    are excluded from the percentiles but never silently dropped from the
+    report.
     """
 
     lambda_hat: LambdaPair
@@ -177,7 +151,6 @@ class LambdaEstimate:
     stderr: tuple[float, float]
     replicates: int
     seed: int
-    confidence: float
     failed_replicates: int
 
     def half_widths(self) -> tuple[float, float]:
@@ -185,10 +158,6 @@ class LambdaEstimate:
             (self.ci_high[0] - self.ci_low[0]) / 2.0,
             (self.ci_high[1] - self.ci_low[1]) / 2.0,
         )
-
-    @cached_property
-    def classification(self) -> TheoryClass:
-        return classify_theory(self.lambda_hat, max(self.half_widths()))
 
 
 @dataclass(frozen=True)
@@ -244,16 +213,11 @@ def simulate_counts(
         n_filtered=sizes.a_on_filtered,
         a_counts_given=a_given,
         seed=seed,
-        model=model,
     )
 
 
-def _stderr(p_hat: float, n: int) -> float:
-    return math.sqrt(p_hat * (1.0 - p_hat) / n)
-
-
-def estimate_statistics(counts: CountsRecord) -> EstimatedStatistics:
-    """Relative-frequency estimates with binomial standard errors.
+def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
+    """Relative-frequency estimates of the context statistics.
 
     Frequencies within one experiment sum to one by construction, so the
     estimated transition matrix is row stochastic exactly; column sums are
@@ -275,38 +239,22 @@ def estimate_statistics(counts: CountsRecord) -> EstimatedStatistics:
         for i in range(2)
     )
     outcome = (counts.a_counts[0] / counts.n_context, counts.a_counts[1] / counts.n_context)
-    point = ContextStatistics(prior=prior, transition=TransitionMatrix(rows), outcome=outcome)
-    stderr = StatisticsStderr(
-        prior=(_stderr(prior[0], counts.n_filtration), _stderr(prior[1], counts.n_filtration)),
-        transition=tuple(
-            (_stderr(rows[i][0], counts.n_filtered[i]), _stderr(rows[i][1], counts.n_filtered[i]))
-            for i in range(2)
-        ),
-        outcome=(_stderr(outcome[0], counts.n_context), _stderr(outcome[1], counts.n_context)),
-    )
-    return EstimatedStatistics(point=point, stderr=stderr, counts=counts)
+    return ContextStatistics(prior=prior, transition=TransitionMatrix(rows), outcome=outcome)
 
 
-def _bootstrap_frequencies(
-    est: EstimatedStatistics, replicates: int, seed: int
-) -> np.ndarray:
+def _bootstrap_frequencies(counts: CountsRecord, replicates: int, seed: int) -> np.ndarray:
     """First-outcome frequencies ``(q1, p1, t11, t21)`` of each replicate.
 
     Returns an ``(replicates, 4)`` array.  Each row redraws the four tallies
-    from their estimated binomial laws.  Whole blocks of
-    :data:`BOOTSTRAP_BLOCK` rows are drawn, block ``b`` from the substream
+    from their estimated binomial laws, ``Binomial(n, k / n)``.  Whole blocks
+    of :data:`BOOTSTRAP_BLOCK` rows are drawn, block ``b`` from the substream
     ``(seed, bootstrap-block, b)``, and the last block is cut to length.
     """
-    counts = est.counts
-    n = np.array(
-        (counts.n_context, counts.n_filtration, counts.n_filtered[0], counts.n_filtered[1])
-    )
-    p_hat = (
-        est.point.outcome[0],
-        est.point.prior[0],
-        est.point.transition.rows[0][0],
-        est.point.transition.rows[1][0],
-    )
+    given = counts.a_counts_given
+    firsts = (counts.a_counts[0], counts.b_counts[0], given[0][0], given[1][0])
+    sizes = (counts.n_context, counts.n_filtration, *counts.n_filtered)
+    p_hat = [k / size for k, size in zip(firsts, sizes)]
+    n = np.array(sizes)
     blocks = [
         substream(seed, ROLE_BOOTSTRAP_BLOCK, b).binomial(n, p_hat, size=(BOOTSTRAP_BLOCK, 4))
         for b in range(-(-replicates // BOOTSTRAP_BLOCK))
@@ -315,13 +263,14 @@ def _bootstrap_frequencies(
 
 
 def estimate_lambda(
-    est: EstimatedStatistics,
+    counts: CountsRecord,
     replicates: int = 1000,
     seed: int = 0,
 ) -> LambdaEstimate:
     """Coefficient estimate with a percentile-bootstrap confidence interval.
 
-    The point estimate inverts the frequency statistics directly.  Each
+    The point estimate inverts the frequency statistics of
+    :func:`estimate_statistics` directly.  Each
     bootstrap replicate redraws all four tallies from their estimated
     binomial laws (equivalent to resampling the underlying ensembles), in
     fixed blocks of :data:`BOOTSTRAP_BLOCK` replicates per substream, and all
@@ -332,12 +281,13 @@ def estimate_lambda(
     meaningful near degenerate statistics where error propagation through the
     inversion's denominator does not.
     """
+    stats = estimate_statistics(counts)
     require_positive_int(replicates, "replicates")
     seed = require_seed(seed)
-    lambda_hat = lambda_from_statistics(est.point)
+    lambda_hat = lambda_from_statistics(stats)
 
     # Both columns at once: each first-outcome frequency next to its complement.
-    q1, p1, t11, t21 = _bootstrap_frequencies(est, replicates, seed).T[:, :, None]
+    q1, p1, t11, t21 = _bootstrap_frequencies(counts, replicates, seed).T[:, :, None]
     q, ta, tb = (np.hstack((x, 1.0 - x)) for x in (q1, t11, t21))
     coefficients, failed_columns, _, _ = invert_column(
         q, p1, 1.0 - p1, ta, tb, sqrt=np.sqrt, where=np.where
@@ -362,7 +312,6 @@ def estimate_lambda(
         stderr=stderr,
         replicates=replicates,
         seed=seed,
-        confidence=CONFIDENCE,
         failed_replicates=failed,
     )
 
@@ -393,8 +342,7 @@ def convergence_study(
                 substream(base_seed, ROLE_STUDY, size_index, k).integers(0, 2**63)
             )
             counts = simulate_counts(model, EnsembleSizes.uniform(n), run_seed)
-            est = estimate_statistics(counts)
-            lam = lambda_from_statistics(est.point)
+            lam = lambda_from_statistics(estimate_statistics(counts))
             errors[k] = (abs(lam[0] - truth[0]), abs(lam[1] - truth[1]))
         mean = errors.mean(axis=0)
         se = (

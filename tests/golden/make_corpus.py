@@ -68,6 +68,20 @@ SWEEPS = {
         "--family", "qubit", "--alpha", "0,0.7", "--phi", "0,1.2", "--b-rotation", "0,0.5",
     ],
     "sweep_classical": ["--family", "classical", "--count", "6", "--seed", "3"],
+    # A prior within the tolerance of (0, 1) is clipped to it: no companion (exit 2).
+    "sweep_synthetic_prior_clipped": [
+        "--family", "synthetic", "--prior=-1e-10,1.0000000001", "--lambda1", "0",
+    ],
+    "sweep_synthetic_prior_invalid": [
+        "--family", "synthetic", "--prior=-0.5,1.5", "--lambda1", "0",
+    ],
+    # The prior is checked before the grid and before the companion weights.
+    "sweep_synthetic_prior_before_grid": [
+        "--family", "synthetic", "--prior", "1.5,1.5", "--lambda1", "abc",
+    ],
+    "sweep_synthetic_prior_unnormalized": [
+        "--family", "synthetic", "--prior", "0.5,0", "--lambda1", "0",
+    ],
 }
 
 FLAG_CASES = {

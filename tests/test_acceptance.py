@@ -21,7 +21,6 @@ from ctxprob import (
     classify_theory,
     convergence_study,
     estimate_lambda,
-    estimate_statistics,
     lambda_from_statistics,
     lift_to_amplitudes,
     phase_parametrization,
@@ -208,8 +207,7 @@ def test_sampling_consistency():
     hits = 0
     se_hits = 0
     for seed in range(runs):
-        est = estimate_statistics(simulate_counts(E1_MODEL, 10**6, seed))
-        result = estimate_lambda(est, replicates=200, seed=seed)
+        result = estimate_lambda(simulate_counts(E1_MODEL, 10**6, seed), replicates=200, seed=seed)
         if abs(result.lambda_hat.lambda1 - 0.5) <= 0.01:
             hits += 1
         if (
@@ -240,8 +238,7 @@ def test_bootstrap_coverage():
     covered = 0
     for rep in range(replications):
         seed = 1000 + rep
-        est = estimate_statistics(simulate_counts(E1_MODEL, 10**4, seed))
-        result = estimate_lambda(est, replicates=1000, seed=seed)
+        result = estimate_lambda(simulate_counts(E1_MODEL, 10**4, seed), replicates=1000, seed=seed)
         if result.ci_low[0] <= 0.5 <= result.ci_high[0]:
             covered += 1
     fraction = covered / replications

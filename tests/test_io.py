@@ -79,7 +79,7 @@ class TestExperimentFile:
         original = ExperimentFile(counts=counts, model=model)
         loaded = ExperimentFile.loads(original.dumps())
         assert loaded == original
-        assert loaded.counts.model == model
+        assert loaded.model == model
 
     def test_serialization_is_byte_stable(self):
         record = ExperimentFile(exact=E1_STATS)

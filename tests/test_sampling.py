@@ -19,6 +19,7 @@ from ctxprob import (
     TransitionMatrix,
     ValidationError,
     ZeroFiltrationError,
+    analyze_estimated,
     convergence_study,
     estimate_lambda,
     estimate_statistics,
@@ -103,7 +104,7 @@ class TestSimulateCounts:
 
 
 class TestEstimateStatistics:
-    def test_frequencies_and_binomial_stderr(self):
+    def test_frequencies(self):
         counts = CountsRecord(
             n_context=1000,
             a_counts=(480, 520),
@@ -113,21 +114,17 @@ class TestEstimateStatistics:
             a_counts_given=((200, 800), (600, 400)),
             seed=0,
         )
-        est = estimate_statistics(counts)
-        assert est.point.prior == (0.3, 0.7)
-        assert est.stderr.prior[0] == pytest.approx(math.sqrt(0.3 * 0.7 / 1000), abs=1e-15)
-        assert est.stderr.prior[0] == pytest.approx(0.0145, abs=2e-4)
+        assert estimate_statistics(counts).prior == (0.3, 0.7)
 
     def test_exactly_proportional_tallies_reproduce_e2(self):
-        est = estimate_statistics(e2_proportional_counts())
-        assert est.point.prior == (0.3, 0.7)
-        assert est.point.transition.rows == ((0.2, 0.8), (0.6, 0.4))
-        assert est.point.outcome == (0.48, 0.52)
+        stats = estimate_statistics(e2_proportional_counts())
+        assert stats.prior == (0.3, 0.7)
+        assert stats.transition.rows == ((0.2, 0.8), (0.6, 0.4))
+        assert stats.outcome == (0.48, 0.52)
 
     def test_rows_are_exactly_stochastic_by_construction(self):
         counts = simulate_counts(E1_MODEL, 997, seed=11)
-        est = estimate_statistics(counts)
-        for row in est.point.transition.rows:
+        for row in estimate_statistics(counts).transition.rows:
             assert row[0] + row[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_ensemble(self):
@@ -146,24 +143,23 @@ class TestEstimateStatistics:
 
 class TestEstimateLambda:
     def test_exact_e2_frequencies_give_zero_with_covering_interval(self):
-        est = estimate_statistics(e2_proportional_counts())
-        result = estimate_lambda(est, replicates=400, seed=5)
+        result = estimate_lambda(e2_proportional_counts(), replicates=400, seed=5)
         assert tuple(result.lambda_hat) == (0.0, 0.0)
         assert result.ci_low[0] <= 0.0 <= result.ci_high[0]
         assert result.ci_low[1] <= 0.0 <= result.ci_high[1]
 
     def test_bootstrap_is_deterministic(self):
-        est = estimate_statistics(simulate_counts(E1_MODEL, 10**4, seed=21))
-        first = estimate_lambda(est, replicates=300, seed=9)
-        second = estimate_lambda(est, replicates=300, seed=9)
+        counts = simulate_counts(E1_MODEL, 10**4, seed=21)
+        first = estimate_lambda(counts, replicates=300, seed=9)
+        second = estimate_lambda(counts, replicates=300, seed=9)
         assert first == second
-        third = estimate_lambda(est, replicates=300, seed=10)
+        third = estimate_lambda(counts, replicates=300, seed=10)
         assert third.ci_low != first.ci_low
 
     def test_interval_contains_point_estimate(self):
         for seed in range(10):
-            est = estimate_statistics(simulate_counts(E1_MODEL, 500, seed=seed))
-            result = estimate_lambda(est, replicates=200, seed=seed)
+            result = estimate_lambda(simulate_counts(E1_MODEL, 500, seed=seed), replicates=200,
+                                     seed=seed)
             for j in range(2):
                 assert result.ci_low[j] <= result.lambda_hat[j] <= result.ci_high[j]
 
@@ -174,16 +170,16 @@ class TestEstimateLambda:
             target_lambda=LambdaPair(0.0, 0.0),
         )
         counts = simulate_counts(model, 1000, seed=2)
-        est = estimate_statistics(counts)
         with pytest.raises(DegenerateContextError):
-            estimate_lambda(est, replicates=50, seed=0)
+            estimate_lambda(counts, replicates=50, seed=0)
 
     def test_e1_estimate_brackets_truth_at_large_n(self):
-        est = estimate_statistics(simulate_counts(E1_MODEL, 10**6, seed=123))
-        result = estimate_lambda(est, replicates=500, seed=7)
+        counts = simulate_counts(E1_MODEL, 10**6, seed=123)
+        report = analyze_estimated(counts, replicates=500, seed=7)
+        result = report.lambda_estimate
         assert result.lambda_hat.lambda1 == pytest.approx(0.5, abs=0.01)
         assert result.ci_low[0] <= 0.5 <= result.ci_high[0]
-        assert result.classification.kind is TheoryKind.TRIGONOMETRIC
+        assert report.theory_class.kind is TheoryKind.TRIGONOMETRIC
         assert result.failed_replicates == 0
 
     def test_e3_estimate_classifies_hyperbolic(self):
@@ -195,9 +191,9 @@ class TestEstimateLambda:
         )
         counts = simulate_counts(model, 10**6, seed=17)
         assert counts.a_counts == (10**6, 0)
-        result = estimate_lambda(estimate_statistics(counts), replicates=400, seed=3)
-        assert result.lambda_hat.lambda1 == pytest.approx(1.25, abs=0.01)
-        assert result.classification.kind is TheoryKind.HYPERBOLIC
+        report = analyze_estimated(counts, replicates=400, seed=3)
+        assert report.lambda_estimate.lambda_hat.lambda1 == pytest.approx(1.25, abs=0.01)
+        assert report.theory_class.kind is TheoryKind.HYPERBOLIC
 
 
 class TestBootstrapKernel:
@@ -205,7 +201,7 @@ class TestBootstrapKernel:
     the shared column inversion, tested in ``test_calculus.TestInvertColumn``."""
 
     def test_block_count(self, monkeypatch):
-        est = estimate_statistics(simulate_counts(E1_MODEL, 1000, seed=4))
+        counts = simulate_counts(E1_MODEL, 1000, seed=4)
         calls = []
         substream = ctxprob.sampling.substream
         invert_column = ctxprob.sampling.invert_column
@@ -221,19 +217,19 @@ class TestBootstrapKernel:
 
         monkeypatch.setattr(ctxprob.sampling, "substream", counted)
         monkeypatch.setattr(ctxprob.sampling, "invert_column", counted_inversion)
-        estimate_lambda(est, replicates=BOOTSTRAP_BLOCK, seed=9)
+        estimate_lambda(counts, replicates=BOOTSTRAP_BLOCK, seed=9)
         assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0)]
         # every replicate goes through one call of the shared column inversion
         assert inversions == [(BOOTSTRAP_BLOCK, 2)]
         calls.clear()
-        estimate_lambda(est, replicates=BOOTSTRAP_BLOCK + 1, seed=9)
+        estimate_lambda(counts, replicates=BOOTSTRAP_BLOCK + 1, seed=9)
         assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0), (9, ROLE_BOOTSTRAP_BLOCK, 1)]
 
     def test_fewer_replicates_draw_a_prefix(self):
-        est = estimate_statistics(simulate_counts(E1_MODEL, 1000, seed=4))
+        counts = simulate_counts(E1_MODEL, 1000, seed=4)
         for replicates in (1, 1000, BOOTSTRAP_BLOCK, 2000):
-            prefix = _bootstrap_frequencies(est, replicates, seed=9)
-            longer = _bootstrap_frequencies(est, replicates + 500, seed=9)
+            prefix = _bootstrap_frequencies(counts, replicates, seed=9)
+            longer = _bootstrap_frequencies(counts, replicates + 500, seed=9)
             assert prefix.shape == (replicates, 4)
             assert np.array_equal(prefix, longer[:replicates])
 
