@@ -3,7 +3,9 @@
 Run from the repository root with ``PYTHONPATH=src python tests/golden/make_corpus.py``.
 It rewrites ``inputs/``, ``expected/`` and ``cases.json`` next to this file from
 the current code: ``expected/<name>.out`` holds each case's stdout and, for a
-case with a nonzero exit code, ``expected/<name>.err`` its stderr.
+case with a nonzero exit code, ``expected/<name>.err`` its stderr.  argparse
+wraps help text to the terminal width, so ``COLUMNS`` is pinned to 80 here and
+in ``tests/test_golden.py``.
 ``tests/test_golden.py`` replays every case and requires the same bytes and exit
 code, so regenerate only for a deliberate output change and record that change
 in ``CHANGES.md``.
@@ -94,6 +96,21 @@ FLAG_CASES = {
     "balance_e2_counts_tol": ["balance", "inputs/e2_counts.json", "--tolerance", "0.3"],
 }
 
+# Help goes to stdout with exit 0; usage errors go to stderr with exit 1.
+USAGE_CASES = {
+    "help_long": ["--help"],
+    "help_short": ["-h"],
+    **{f"help_{command}": [command, "--help"]
+       for command in ("analyze", "simulate", "sweep", "reconstruct", "balance")},
+    "usage_no_arguments": [],
+    "usage_unknown_command": ["bogus"],
+    "usage_balance_no_input": ["balance"],
+    "usage_balance_unknown_flag": ["balance", "inputs/e1_exact.json", "--bogus"],
+    "usage_analyze_bad_eps_class": ["analyze", "inputs/e1_exact.json", "--eps-class", "abc"],
+    "usage_sweep_bad_family": ["sweep", "--family", "nope"],
+    "usage_flag_before_command": ["-x", "balance", "inputs/e1_exact.json"],
+}
+
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -134,6 +151,7 @@ def build() -> list[dict]:
         for command in ("analyze", "balance"):
             cases.append((f"{command}_{stem}", [command, f"inputs/{stem}.json"]))
     cases.extend((name, ["sweep", *argv]) for name, argv in SWEEPS.items())
+    cases.extend(USAGE_CASES.items())
 
     manifest = []
     for name, argv in cases:
@@ -148,5 +166,6 @@ def build() -> list[dict]:
 
 if __name__ == "__main__":
     os.chdir(HERE)  # case argv name inputs relative to this directory
+    os.environ["COLUMNS"] = "80"
     for case in build():
         print(case["exit"], case["name"], file=sys.stderr)

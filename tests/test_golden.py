@@ -4,7 +4,8 @@
 holds its stdout and, for a nonzero exit code, ``golden/expected/<name>.err``
 its stderr (a successful case writes nothing to stderr).  The corpus is
 regenerated by ``golden/make_corpus.py`` only for a deliberate output change
-recorded in ``CHANGES.md``.
+recorded in ``CHANGES.md``.  ``COLUMNS`` is pinned as in ``make_corpus.py``,
+because argparse wraps help text to the terminal width.
 """
 
 import json
@@ -21,6 +22,7 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_golden_case(case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(list(case["argv"]))
     captured = capsys.readouterr()
     expected = GOLDEN / "expected" / case["name"]
