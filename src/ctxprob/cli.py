@@ -196,6 +196,8 @@ def _load_experiment(path: str) -> ExperimentFile:
             return ExperimentFile.loads(handle.read())
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +384,7 @@ _EPS_CLASS = dict(type=float, default=EPS_CLASS_DEFAULT,
 _OUTPUT = dict(default=None, help="output path (default stdout)")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="ctxprob", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    analyze = subparsers.add_parser(
-        "analyze", help="full report for an experiment file (exact or counts)")
+def _analyze_flags(analyze: _Parser) -> None:
     analyze.add_argument("input", help="experiment JSON file")
     analyze.add_argument("--tolerance", **_TOLERANCE)
     analyze.add_argument("--eps-class", type=float, default=None,
@@ -399,10 +395,9 @@ def build_parser() -> _Parser:
     analyze.add_argument("--seed", type=int, default=None,
                          help="bootstrap seed for counts input (default: the file's seed)")
     analyze.add_argument("--output", **_OUTPUT)
-    analyze.set_defaults(handler=_cmd_analyze)
 
-    simulate = subparsers.add_parser(
-        "simulate", help="simulate the three experiments against a model")
+
+def _simulate_flags(simulate: _Parser) -> None:
     simulate.add_argument("--model", choices=["qubit", "classical", "synthetic"],
                           default=None)
     simulate.add_argument("--preset", default=None,
@@ -437,10 +432,9 @@ def build_parser() -> _Parser:
     simulate.add_argument("--seed", type=int, default=0,
                           help="simulation seed (default 0)")
     simulate.add_argument("--output", **_OUTPUT)
-    simulate.set_defaults(handler=_cmd_simulate)
 
-    sweep = subparsers.add_parser(
-        "sweep", help="classify exact statistics over a model parameter grid (CSV)")
+
+def _sweep_flags(sweep: _Parser) -> None:
     sweep.add_argument("--family", choices=["qubit", "synthetic", "classical"],
                        required=True)
     sweep.add_argument("--alpha", default="0.0",
@@ -463,23 +457,63 @@ def build_parser() -> _Parser:
     sweep.add_argument("--seed", type=int, default=0,
                        help="classical: seed of the first random model (default 0)")
     sweep.add_argument("--output", **_OUTPUT)
-    sweep.set_defaults(handler=_cmd_sweep)
 
-    reconstruct = subparsers.add_parser(
-        "reconstruct", help="amplitude lift of an exact-statistics file")
+
+def _reconstruct_flags(reconstruct: _Parser) -> None:
     reconstruct.add_argument("input", help="experiment JSON file with exact statistics")
     reconstruct.add_argument("--eps-class", **_EPS_CLASS)
     reconstruct.add_argument("--output", **_OUTPUT)
-    reconstruct.set_defaults(handler=_cmd_reconstruct)
 
-    balance = subparsers.add_parser(
-        "balance", help="stochasticity and statistical-balance checks only")
+
+def _balance_flags(balance: _Parser) -> None:
     balance.add_argument("input", help="experiment JSON file")
     balance.add_argument("--tolerance", **_TOLERANCE)
     balance.add_argument("--output", **_OUTPUT)
-    balance.set_defaults(handler=_cmd_balance)
 
+
+#: Every subcommand, in usage order: name -> (help, flag declarations, handler).
+_COMMANDS = {
+    "analyze": ("full report for an experiment file (exact or counts)",
+                _analyze_flags, _cmd_analyze),
+    "simulate": ("simulate the three experiments against a model",
+                 _simulate_flags, _cmd_simulate),
+    "sweep": ("classify exact statistics over a model parameter grid (CSV)",
+              _sweep_flags, _cmd_sweep),
+    "reconstruct": ("amplitude lift of an exact-statistics file",
+                    _reconstruct_flags, _cmd_reconstruct),
+    "balance": ("stochasticity and statistical-balance checks only",
+                _balance_flags, _cmd_balance),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser with every subcommand, or with ``command``'s alone.
+
+    A subcommand's help, usage and errors do not depend on its siblings; only
+    the top-level usage and errors name them all.
+    """
+    parser = _Parser(prog="ctxprob", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, handler) in _COMMANDS.items():
+        if command is None or name == command:
+            subparser = subparsers.add_parser(name, help=help_text)
+            add_flags(subparser)
+            subparser.set_defaults(handler=handler)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the parser of the subcommand ``argv`` starts with.
+
+    Any other ``argv``, and one that leaves arguments over, goes to the full
+    parser, whose usage and errors name every subcommand.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 # Flags whose values may start with a minus sign ("-1.25:1.25:11",
@@ -511,10 +545,9 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
-    parser = build_parser()
     argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

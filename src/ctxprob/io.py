@@ -310,4 +310,6 @@ class ExperimentFile:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValidationError(f"JSON nested too deeply: {exc}") from exc
         return cls.from_dict(payload)

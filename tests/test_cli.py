@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,7 +14,13 @@ import pytest
 
 import ctxprob
 from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix
-from ctxprob.cli import main
+from ctxprob.cli import _attach_signed_values, build_parser, main
+
+GOLDEN_CASES = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "cases.json").read_text(encoding="utf-8")
+)
+COMMANDS = ["analyze", "simulate", "sweep", "reconstruct", "balance"]
+COMMAND_CASES = [case for case in GOLDEN_CASES if case["argv"][:1] in [[c] for c in COMMANDS]]
 
 E1_STATS = ContextStatistics(
     (0.5, 0.5), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.75, 0.25)
@@ -379,6 +388,63 @@ class TestUsageErrors:
         }.get(command, [exact_file(E1_STATS)])
         assert main([command, *leading, flag, "1"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "reconstruct", "balance"])
+class TestUnreadableInput:
+    def test_bytes_that_are_not_utf8(self, command, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ctxprob: invalid input: ")
+
+    def test_json_nested_beyond_the_recursion_limit(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ctxprob: invalid input: ")
+
+
+def _outcome(parser, argv):
+    """What ``parser.parse_known_args(argv)`` returns or exits with, and prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_known_args(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParser:
+    def test_a_subcommand_call_builds_only_its_own_parser(self, exact_file, monkeypatch,
+                                                          capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["balance", exact_file(E1_STATS)]) == 0
+        assert len(built) == 2  # the top level and ``balance``; six with every subcommand
+
+    @pytest.mark.parametrize("argv", [case["argv"] for case in COMMAND_CASES],
+                             ids=[case["name"] for case in COMMAND_CASES])
+    def test_one_subcommand_parses_as_the_full_parser(self, argv):
+        argv = _attach_signed_values(argv)
+        assert _outcome(build_parser(argv[0]), argv) == _outcome(build_parser(), argv)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_does_not_depend_on_its_siblings(self, command):
+        (alone,) = _subparsers(build_parser(command)).values()
+        assert alone.format_help() == _subparsers(build_parser())[command].format_help()
 
 
 @pytest.mark.parametrize("module", ["ctxprob", "ctxprob.cli"])
