@@ -20,7 +20,7 @@ GOLDEN_CASES = json.loads(
     (Path(__file__).resolve().parent / "golden" / "cases.json").read_text(encoding="utf-8")
 )
 COMMANDS = ["analyze", "simulate", "sweep", "reconstruct", "balance"]
-COMMAND_CASES = [case for case in GOLDEN_CASES if case["argv"][:1] in [[c] for c in COMMANDS]]
+COMMAND_CASES = [case for case in GOLDEN_CASES if case["argv"] and case["argv"][0] in COMMANDS]
 
 E1_STATS = ContextStatistics(
     (0.5, 0.5), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.75, 0.25)
