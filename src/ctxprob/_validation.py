@@ -60,15 +60,13 @@ def require_probability(x: Any, name: str, *, tol: float = TOL_EXACT) -> float:
     return clip_probability(value)
 
 
-def require_distribution(
-    pair: Sequence[Any], name: str, *, tol: float = TOL_EXACT
-) -> tuple[float, float]:
-    """Validate a two-outcome probability distribution (sums to 1)."""
+def require_distribution(pair: Sequence[Any], name: str) -> tuple[float, float]:
+    """Validate a two-outcome probability distribution (sums to 1 within ``TOL_EXACT``)."""
     if len(pair) != 2:
         raise ValidationError(f"{name} must have exactly two components")
-    p1 = require_probability(pair[0], f"{name}[1]", tol=tol)
-    p2 = require_probability(pair[1], f"{name}[2]", tol=tol)
-    if sum_residual(p1, p2) > tol:
+    p1 = require_probability(pair[0], f"{name}[1]")
+    p2 = require_probability(pair[1], f"{name}[2]")
+    if sum_residual(p1, p2) > TOL_EXACT:
         raise ValidationError(f"{name} must sum to 1, got {p1} + {p2} = {p1 + p2}")
     return (p1, p2)
 

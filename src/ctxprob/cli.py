@@ -29,18 +29,7 @@ from .calculus import (
     check_double_stochastic,
     interference_terms,
 )
-from .errors import (
-    CtxprobError,
-    DegenerateContextError,
-    EmptyEnsembleError,
-    GenerationExhaustedError,
-    InfeasibleLambdaError,
-    NonTrigonometricError,
-    NotBalancedError,
-    OutOfRangeError,
-    ValidationError,
-    ZeroFiltrationError,
-)
+from .errors import CtxprobError, DegenerateContextError, NonTrigonometricError, ValidationError
 from .io import ExperimentFile, canonical_dumps
 from .models import (
     KolmogorovModel,
@@ -62,21 +51,6 @@ __all__ = ["main", "entry_point", "PRESETS"]
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_DEGENERATE = 2
-EXIT_INFEASIBLE = 3
-
-_DEGENERATE_ERRORS = (
-    DegenerateContextError,
-    ZeroFiltrationError,
-    EmptyEnsembleError,
-    GenerationExhaustedError,
-)
-_INFEASIBLE_ERRORS = (
-    OutOfRangeError,
-    InfeasibleLambdaError,
-    NonTrigonometricError,
-    NotBalancedError,
-)
 
 #: Named reference instances usable as ``simulate --preset <name>``.
 PRESETS: dict[str, Model] = {
@@ -331,7 +305,7 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     parameter_names, parameters, block, statistics_of = _sweep_block(args)
-    rows = analyze_block(block, statistics_of, eps_class=args.eps_class, tol=args.tolerance)
+    rows = analyze_block(block, statistics_of, eps_class=args.eps_class)
     buffer = _stdio.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(parameter_names + _SWEEP_FIXED_COLUMNS)
@@ -452,7 +426,6 @@ def _sweep_flags(sweep: _Parser) -> None:
                             "balanced companion")
     sweep.add_argument("--count", type=int, default=None,
                        help="classical: number of random models")
-    sweep.add_argument("--tolerance", **_TOLERANCE)
     sweep.add_argument("--eps-class", **_EPS_CLASS)
     sweep.add_argument("--seed", type=int, default=0,
                        help="classical: seed of the first random model (default 0)")
@@ -552,18 +525,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"ctxprob: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except _DEGENERATE_ERRORS as exc:
-        print(f"ctxprob: degenerate statistics: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"ctxprob: infeasible data: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CtxprobError as exc:  # future error classes default to invalid input
-        print(f"ctxprob: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except CtxprobError as exc:
+        print(f"ctxprob: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"ctxprob: i/o error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -273,10 +273,9 @@ class ExperimentFile:
             {"format_version", "observables", "exact", "counts", "model", "note"},
             {"format_version", "observables"},
         )
-        if payload["format_version"] != FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported format_version {payload['format_version']!r}"
-            )
+        version = payload["format_version"]
+        if isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
+            raise ValidationError(f"unsupported format_version {version!r}")
         raw_obs = payload["observables"]
         if not isinstance(raw_obs, list) or len(raw_obs) != 2:
             raise ValidationError("experiment file needs exactly two observables")

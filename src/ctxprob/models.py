@@ -51,7 +51,6 @@ __all__ = [
     "KolmogorovModel",
     "QubitModel",
     "SyntheticModel",
-    "Model",
     "ModelKind",
     "classical_statistics",
     "qubit_statistics",

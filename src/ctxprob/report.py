@@ -120,7 +120,6 @@ def analyze_block(
     statistics_of: Callable[[int], ContextStatistics],
     *,
     eps_class: float = EPS_CLASS_DEFAULT,
-    tol: float = TOL_EXACT,
 ) -> Iterator[list]:
     """:func:`analyze_exact` of every row of an ``(N, 8)`` block, in one array pass.
 
@@ -137,7 +136,7 @@ def analyze_block(
     lam, failed, _, _ = invert_column(q, p1, p2, ta, tb, sqrt=np.sqrt, where=np.where)
     bad |= failed.any(axis=1)
     for row in (0, *np.flatnonzero(bad)[:1].tolist()):
-        analyze_exact(statistics_of(row), eps_class=eps_class, tol=tol)
+        analyze_exact(statistics_of(row), eps_class=eps_class)
     if bad.any():
         raise RuntimeError(f"row {bad.argmax()} fails an array check but no scalar check")
 

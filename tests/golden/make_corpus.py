@@ -51,7 +51,7 @@ SWEEPS = {
     ],
     "sweep_qubit_flags": [
         "--family", "qubit", "--alpha", "0.2:1.2:3", "--phi", "0.5",
-        "--eps-class", "0.01", "--tolerance", "1e-3",
+        "--eps-class", "0.01",
     ],
     "sweep_synthetic": ["--family", "synthetic", "--lambda1=-1.25:1.25:11"],
     "sweep_synthetic_flags": [

@@ -373,6 +373,7 @@ class TestUsageErrors:
         ("simulate", "--tolerance"),
         ("simulate", "--eps-class"),
         ("simulate", "--bootstrap-replicates"),
+        ("sweep", "--tolerance"),
         ("sweep", "--bootstrap-replicates"),
         ("reconstruct", "--tolerance"),
         ("reconstruct", "--bootstrap-replicates"),
@@ -388,6 +389,44 @@ class TestUsageErrors:
         }.get(command, [exact_file(E1_STATS)])
         assert main([command, *leading, flag, "1"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class _UnlabelledError(ctxprob.CtxprobError):
+    """A subclass that sets neither attribute: it inherits the base's."""
+
+
+#: README's exit codes and stderr labels, one row per error class.
+EXIT_STATUSES = {
+    ctxprob.CtxprobError: (1, "error"),
+    ctxprob.ValidationError: (1, "invalid input"),
+    ctxprob.DegenerateContextError: (2, "degenerate statistics"),
+    ctxprob.ZeroFiltrationError: (2, "degenerate statistics"),
+    ctxprob.EmptyEnsembleError: (2, "degenerate statistics"),
+    ctxprob.GenerationExhaustedError: (2, "degenerate statistics"),
+    ctxprob.OutOfRangeError: (3, "infeasible data"),
+    ctxprob.InfeasibleLambdaError: (3, "infeasible data"),
+    ctxprob.NonTrigonometricError: (3, "infeasible data"),
+    ctxprob.NotBalancedError: (3, "infeasible data"),
+    _UnlabelledError: (1, "error"),
+}
+
+
+def test_the_table_names_every_error_class():
+    names = {cls.__name__ for cls in EXIT_STATUSES}
+    assert names == {*ctxprob.errors.__all__, "_UnlabelledError"}
+
+
+@pytest.mark.parametrize("error", list(EXIT_STATUSES), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_status(error, exact_file, monkeypatch, capsys):
+    def handler(args):
+        raise error("boom")
+
+    help_text, add_flags, _ = ctxprob.cli._COMMANDS["balance"]
+    monkeypatch.setitem(ctxprob.cli._COMMANDS, "balance", (help_text, add_flags, handler))
+    code, label = EXIT_STATUSES[error]
+    assert main(["balance", exact_file(E1_STATS)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"ctxprob: {label}: boom\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "reconstruct", "balance"])

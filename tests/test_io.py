@@ -100,6 +100,13 @@ class TestExperimentFile:
         with pytest.raises(ValidationError):
             ExperimentFile.from_dict(payload)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_one_must_be_the_integer(self, version):
+        payload = json.loads(ExperimentFile(exact=E1_STATS).dumps())
+        payload["format_version"] = version
+        with pytest.raises(ValidationError, match=f"unsupported format_version {version!r}$"):
+            ExperimentFile.from_dict(payload)
+
     def test_rejects_unknown_top_level_keys(self):
         payload = json.loads(ExperimentFile(exact=E1_STATS).dumps())
         payload["comment"] = "?"
