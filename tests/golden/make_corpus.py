@@ -70,6 +70,13 @@ SWEEPS = {
         "--family", "qubit", "--alpha", "0,0.7", "--phi", "0,1.2", "--b-rotation", "0,0.5",
     ],
     "sweep_classical": ["--family", "classical", "--count", "6", "--seed", "3"],
+    # 400 models: the batch reaches 16-point models.
+    "sweep_classical_batch": ["--family", "classical", "--count", "400", "--seed", "2024"],
+    "sweep_classical_bad_seed": ["--family", "classical", "--count", "2", "--seed=-1"],
+    # Seeds 2^64 - 2 and 2^64 - 1 are drawn before the third seed, 2^64, is refused.
+    "sweep_classical_seed_overflow": [
+        "--family", "classical", "--seed", "18446744073709551614", "--count", "3",
+    ],
     # A prior within the tolerance of (0, 1) is clipped to it: no companion (exit 2).
     "sweep_synthetic_prior_clipped": [
         "--family", "synthetic", "--prior=-1e-10,1.0000000001", "--lambda1", "0",
