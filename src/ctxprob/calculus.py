@@ -94,7 +94,7 @@ class DichotomicObservable:
         labels = tuple(self.value_labels)
         if len(labels) != 2 or not all(isinstance(v, str) and v for v in labels):
             raise ValidationError(
-                f"observable {self.name!r} needs exactly two nonempty labels"
+                f"observable {self.name!r} labels must be two nonempty strings, got {labels!r}"
             )
         if labels[0] == labels[1]:
             raise ValidationError(

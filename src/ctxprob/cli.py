@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from ._rng import ROLE_MODEL, substream
 from ._validation import TOL_EXACT, require_distribution
 from .calculus import (
     EPS_CLASS_DEFAULT,
@@ -36,6 +37,8 @@ from .models import (
     Model,
     QubitModel,
     SyntheticModel,
+    classical_probabilities,
+    draw_classical,
     exact_statistics,
     qubit_probabilities,
     qubit_statistics,
@@ -290,17 +293,23 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         return ["target_lambda1"], list(zip(lam1)), block, lambda i: synthesize_statistics(
             SyntheticModel(prior, transition, LambdaPair(*lam[i].tolist()))
         )
-    # classical: random models indexed by seed
+    # classical: random models indexed by seed, each drawn as random_model draws it
     count = args.count
     if count is None or count < 1:
         raise ValidationError("classical sweep needs --count >= 1")
     _check_sweep_size(count, "classical sweep")
     seeds = range(args.seed, args.seed + count)
-    stats = [exact_statistics(random_model("classical", seed)) for seed in seeds]
-    block = np.array(
-        [(*s.prior, *s.transition.rows[0], *s.transition.rows[1], *s.outcome) for s in stats]
+    rows = []
+    for seed in seeds:
+        weights, a_values, b_values = draw_classical(substream(seed, ROLE_MODEL))
+        if not (min(weights) >= 0.0 and max(weights) <= 1.0
+                and abs(sum(weights) - 1.0) <= TOL_EXACT):
+            # KolmogorovModel raises, or clips the weights it keeps.
+            weights = KolmogorovModel(*map(tuple, (weights, a_values, b_values))).weights
+        rows.append(classical_probabilities(weights, a_values, b_values))
+    return ["model_seed"], list(zip(seeds)), np.array(rows), lambda i: exact_statistics(
+        random_model("classical", seeds[i])
     )
-    return ["model_seed"], list(zip(seeds)), block, stats.__getitem__
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -136,18 +136,17 @@ class ModelKind(str, Enum):
     SYNTHETIC_HYPERBOLIC = "synthetic-hyperbolic"
 
 
-def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
-    """Exact statistics of a finite classical model by brute-force conditioning.
+def _statistics_of(p1, p2, t11, t12, t21, t22, q1, q2) -> ContextStatistics:
+    """Validated statistics of one ``(p1, p2, t11, t12, t21, t22, q1, q2)`` row."""
+    return ContextStatistics((p1, p2), TransitionMatrix(((t11, t12), (t21, t22))), (q1, q2))
 
-    Prior = marginal law of B; transition rows = conditional laws of A given
-    each B-outcome; outcome = marginal law of A.  Raises
-    :class:`ZeroFiltrationError` when a B-outcome has zero total weight, since
-    the corresponding filtered ensemble cannot be prepared.
-    """
+
+def classical_probabilities(weights, a_values, b_values) -> tuple:
+    """Unvalidated ``(p1, p2, t11, t12, t21, t22, q1, q2)`` of :func:`classical_statistics`."""
     b_weight = [0.0, 0.0]
     joint = [[0.0, 0.0], [0.0, 0.0]]  # [b][a]
     a_weight = [0.0, 0.0]
-    for w, a, b in zip(model.weights, model.a_values, model.b_values):
+    for w, a, b in zip(weights, a_values, b_values):
         b_weight[b] += w
         joint[b][a] += w
         a_weight[a] += w
@@ -156,14 +155,18 @@ def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
         raise ZeroFiltrationError(
             f"B-outcome {empty + 1} has zero probability; filtration impossible"
         )
-    rows = tuple(
-        (joint[b][0] / b_weight[b], joint[b][1] / b_weight[b]) for b in range(2)
-    )
-    return ContextStatistics(
-        prior=(b_weight[0], b_weight[1]),
-        transition=TransitionMatrix(rows),
-        outcome=(a_weight[0], a_weight[1]),
-    )
+    return (*b_weight, *(joint[b][a] / b_weight[b] for b in (0, 1) for a in (0, 1)), *a_weight)
+
+
+def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
+    """Exact statistics of a finite classical model by brute-force conditioning.
+
+    Prior = marginal law of B; transition rows = conditional laws of A given
+    each B-outcome; outcome = marginal law of A.  Raises
+    :class:`ZeroFiltrationError` when a B-outcome has zero total weight, since
+    the corresponding filtered ensemble cannot be prepared.
+    """
+    return _statistics_of(*classical_probabilities(model.weights, model.a_values, model.b_values))
 
 
 def qubit_probabilities(alpha: float, phi: float, b_rotation: float, b_phase: float) -> tuple:
@@ -184,11 +187,8 @@ def qubit_statistics(model: QubitModel) -> ContextStatistics:
     completeness of both bases, and the implied coefficients are
     trigonometric.
     """
-    p1, p2, t11, t12, t21, t22, q1, q2 = qubit_probabilities(
-        model.alpha, model.phi, model.b_rotation, model.b_phase
-    )
-    return ContextStatistics(
-        prior=(p1, p2), transition=TransitionMatrix(((t11, t12), (t21, t22))), outcome=(q1, q2)
+    return _statistics_of(
+        *qubit_probabilities(model.alpha, model.phi, model.b_rotation, model.b_phase)
     )
 
 
@@ -230,17 +230,18 @@ def exact_statistics(model: Model) -> ContextStatistics:
 # ---------------------------------------------------------------------------
 
 
-def _random_classical(rng) -> KolmogorovModel:
+def draw_classical(rng) -> tuple[list[float], list[int], list[int]]:
+    """Unvalidated ``(weights, a_values, b_values)`` of a random classical model."""
     n = int(rng.integers(2, _MAX_POINTS + 1))
     # Strictly positive weights and a forced point in each filtration keep
     # every draw valid without rejection.
     raw = rng.random(n) + 1e-3
-    weights = tuple(float(w) for w in raw / raw.sum())
-    a_values = tuple(int(a) for a in rng.integers(0, 2, size=n))
-    b_values = [int(b) for b in rng.integers(0, 2, size=n)]
+    weights = (raw / raw.sum()).tolist()
+    a_values = rng.integers(0, 2, size=n).tolist()
+    b_values = rng.integers(0, 2, size=n).tolist()
     b_values[0] = 0
     b_values[1] = 1
-    return KolmogorovModel(weights=weights, a_values=a_values, b_values=tuple(b_values))
+    return weights, a_values, b_values
 
 
 def _random_qubit(rng) -> QubitModel:
@@ -295,7 +296,7 @@ def random_model(kind: ModelKind | str, seed: int) -> Model:
     kind = ModelKind(kind)
     rng = substream(require_seed(seed), ROLE_MODEL)
     if kind is ModelKind.CLASSICAL:
-        return _random_classical(rng)
+        return KolmogorovModel(*map(tuple, draw_classical(rng)))
     if kind is ModelKind.QUBIT:
         return _random_qubit(rng)
     return _random_synthetic(rng, hyperbolic=kind is ModelKind.SYNTHETIC_HYPERBOLIC)

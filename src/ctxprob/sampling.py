@@ -300,8 +300,7 @@ def estimate_lambda(
             f"all {replicates} bootstrap replicates were degenerate"
         )
     tail = 100.0 * (1.0 - CONFIDENCE) / 2.0
-    low = np.percentile(samples, tail, axis=0)
-    high = np.percentile(samples, 100.0 - tail, axis=0)
+    low, high = np.percentile(samples, (tail, 100.0 - tail), axis=0)
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
     ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
     stderr = tuple(float(s) for s in samples.std(axis=0, ddof=1)) if len(samples) > 1 else (0.0, 0.0)

@@ -10,11 +10,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxprob
-from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix
-from ctxprob.cli import _attach_signed_values, build_parser, main
+from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix, exact_statistics
+from ctxprob._validation import clip_probability
+from ctxprob.cli import _attach_signed_values, _sweep_block, build_parser, main
+from ctxprob.models import random_model
 
 GOLDEN_CASES = json.loads(
     (Path(__file__).resolve().parent / "golden" / "cases.json").read_text(encoding="utf-8")
@@ -243,6 +248,32 @@ class TestSweep:
         assert len(lines) == 6
         assert all(line.split(",")[-2] == "classical" for line in lines[1:])
 
+    @given(first=st.integers(0, 2**64 - 50), count=st.integers(1, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_classical_block_rows_are_the_models_statistics(self, first, count):
+        # The block is unvalidated: compare it clipped, as analyze_block reads it.
+        args = argparse.Namespace(family="classical", count=count, seed=first)
+        _, parameters, block, _ = _sweep_block(args)
+        block = clip_probability(block, where=np.where)
+        for (seed,), row in zip(parameters, block.tolist(), strict=True):
+            stats = exact_statistics(random_model("classical", seed))
+            expected = [*stats.prior, *stats.transition.rows[0], *stats.transition.rows[1],
+                        *stats.outcome]
+            assert list(map(float.hex, row)) == list(map(float.hex, expected))
+
+    def test_classical_sweep_builds_at_most_two_models(self, monkeypatch, capsys):
+        # Row 0 and the first failing row are replayed; no other model is built.
+        calls = []
+
+        def counted(kind, seed):
+            calls.append(seed)
+            return random_model(kind, seed)
+
+        monkeypatch.setattr(ctxprob.cli, "random_model", counted)
+        assert main(["sweep", "--family", "classical", "--count", "400", "--seed", "9"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 401
+        assert calls == [9]
+
     def test_empty_grid_exit_one(self, capsys):
         assert main(["sweep", "--family", "qubit", "--alpha", "0:1:0"]) == 1
         assert main(["sweep", "--family", "synthetic"]) == 1
@@ -335,6 +366,17 @@ class TestBalance:
         )
         assert code == 0
         assert payload["is_double_stochastic"] is True
+
+    def test_labels_that_are_not_strings_are_named(self, tmp_path, capsys):
+        payload = json.loads(ExperimentFile(exact=E1_STATS).dumps())
+        payload["observables"][0]["values"] = [0, 1]
+        path = tmp_path / "numeric_labels.json"
+        path.write_text(json.dumps(payload))
+        assert main(["balance", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "ctxprob: invalid input: observable 'A' labels must be two nonempty strings, "
+            "got (0, 1)\n"
+        )
 
 
 class TestUsageErrors:

@@ -25,6 +25,7 @@ from ctxprob import (
     random_model,
     synthesize_statistics,
 )
+from ctxprob.models import classical_probabilities
 
 E2_MODEL = KolmogorovModel(
     weights=(0.06, 0.24, 0.42, 0.28), a_values=(0, 1, 0, 1), b_values=(0, 0, 1, 1)
@@ -58,6 +59,16 @@ class TestClassicalStatistics:
         model = KolmogorovModel(weights=(1.0, 0.0), a_values=(0, 1), b_values=(0, 1))
         with pytest.raises(ZeroFiltrationError):
             classical_statistics(model)
+
+    def test_probabilities_raise_the_statistics_error(self):
+        model = KolmogorovModel(weights=(0.5, 0.5), a_values=(0, 1), b_values=(0, 0))
+        with pytest.raises(ZeroFiltrationError) as helper:
+            classical_probabilities(model.weights, model.a_values, model.b_values)
+        with pytest.raises(ZeroFiltrationError) as statistics:
+            classical_statistics(model)
+        assert str(helper.value) == str(statistics.value) == (
+            "B-outcome 2 has zero probability; filtration impossible"
+        )
 
     def test_deterministic_coupling(self):
         model = KolmogorovModel(weights=(0.5, 0.5), a_values=(0, 1), b_values=(0, 1))
