@@ -10,9 +10,9 @@ experiments, each on its own freshly prepared ensemble:
 Samples are never shared between experiments; probabilities belong to their
 preparation, so reusing one ensemble for two contexts would smuggle in a
 joint distribution the statistics do not define.  Every random draw comes
-from a substream derived from ``(seed, role)``; bootstrap replicates are drawn
-in fixed blocks of :data:`BOOTSTRAP_BLOCK`, block ``b`` from the substream
-``(seed, bootstrap-block, b)``.  All results are therefore deterministic
+from a substream derived from ``(seed, role)``; the bootstrap redraws the tally
+of experiment ``j`` for every replicate from the one substream
+``(seed, bootstrap-experiment, j)``.  All results are therefore deterministic
 functions of their inputs, independent of evaluation order or parallelism.
 
 Estimation is plain frequency counting (:func:`estimate_statistics`); the
@@ -32,7 +32,7 @@ from ._rng import (
     ROLE_A_ON_FILTERED_1,
     ROLE_A_ON_FILTERED_2,
     ROLE_B_ON_CONTEXT,
-    ROLE_BOOTSTRAP_BLOCK,
+    ROLE_BOOTSTRAP_EXPERIMENT,
     ROLE_STUDY,
     substream,
 )
@@ -63,12 +63,11 @@ __all__ = [
     "convergence_study",
 ]
 
-#: Bootstrap replicates per random substream.  Fixed, so that the draws for
-#: ``R`` replicates are the first ``R`` rows of the draws for any larger ``R``.
-BOOTSTRAP_BLOCK = 1024
-
 #: Names the bootstrap stream layout in reports; changes with the layout.
-BOOTSTRAP_STREAM = f"bootstrap-block-{BOOTSTRAP_BLOCK}"
+BOOTSTRAP_STREAM = "bootstrap-experiment"
+
+#: Most replicates one bootstrap draws; the arrays of 10^6 peak near 172 MB.
+MAX_BOOTSTRAP_REPLICATES = 10**6
 
 #: Coverage of the percentile-bootstrap interval of :func:`estimate_lambda`.
 CONFIDENCE = 0.95
@@ -245,21 +244,20 @@ def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
 def _bootstrap_frequencies(counts: CountsRecord, replicates: int, seed: int) -> np.ndarray:
     """First-outcome frequencies ``(q1, p1, t11, t21)`` of each replicate.
 
-    Returns an ``(replicates, 4)`` array.  Each row redraws the four tallies
-    from their estimated binomial laws, ``Binomial(n, k / n)``.  Whole blocks
-    of :data:`BOOTSTRAP_BLOCK` rows are drawn, block ``b`` from the substream
-    ``(seed, bootstrap-block, b)``, and the last block is cut to length.
+    Returns a ``(4, replicates)`` array.  Row ``j`` redraws the tally of
+    experiment ``j`` from its estimated binomial law ``Binomial(n, k / n)``,
+    every replicate in one call on the substream ``(seed, bootstrap-experiment,
+    j)``, so the draws for ``R`` replicates are the first ``R`` of those for
+    any larger ``R``.  One call per ``(n, p)`` also lets numpy's binomial
+    sampler set itself up once, not once per draw.
     """
     given = counts.a_counts_given
     firsts = (counts.a_counts[0], counts.b_counts[0], given[0][0], given[1][0])
     sizes = (counts.n_context, counts.n_filtration, *counts.n_filtered)
-    p_hat = [k / size for k, size in zip(firsts, sizes)]
-    n = np.array(sizes)
-    blocks = [
-        substream(seed, ROLE_BOOTSTRAP_BLOCK, b).binomial(n, p_hat, size=(BOOTSTRAP_BLOCK, 4))
-        for b in range(-(-replicates // BOOTSTRAP_BLOCK))
-    ]
-    return np.concatenate(blocks)[:replicates] / n
+    return np.stack([
+        substream(seed, ROLE_BOOTSTRAP_EXPERIMENT, j).binomial(n, k / n, size=replicates) / n
+        for j, (k, n) in enumerate(zip(firsts, sizes))
+    ])
 
 
 def estimate_lambda(
@@ -272,38 +270,44 @@ def estimate_lambda(
     The point estimate inverts the frequency statistics of
     :func:`estimate_statistics` directly.  Each
     bootstrap replicate redraws all four tallies from their estimated
-    binomial laws (equivalent to resampling the underlying ensembles), in
-    fixed blocks of :data:`BOOTSTRAP_BLOCK` replicates per substream, and all
-    replicates are re-inverted in one array pass through ``invert_column``,
-    the rule of :func:`lambda_from_statistics`.  The CI is the :data:`CONFIDENCE`
-    percentile interval of the surviving replicates, widened if needed so
-    that it contains the point estimate.  A percentile bootstrap stays
-    meaningful near degenerate statistics where error propagation through the
-    inversion's denominator does not.
+    binomial laws (equivalent to resampling the underlying ensembles), one
+    substream per experiment, and all replicates are re-inverted in one array
+    pass through ``invert_column``, the rule of :func:`lambda_from_statistics`.
+    At most :data:`MAX_BOOTSTRAP_REPLICATES` are drawn.  The CI is the
+    :data:`CONFIDENCE` percentile interval of the surviving replicates,
+    widened if needed so that it contains the point estimate.  A percentile
+    bootstrap stays meaningful near degenerate statistics where error
+    propagation through the inversion's denominator does not.
     """
     stats = estimate_statistics(counts)
     require_positive_int(replicates, "replicates")
+    if replicates > MAX_BOOTSTRAP_REPLICATES:
+        raise ValidationError(
+            f"replicates is {replicates}; a bootstrap takes at most "
+            f"{MAX_BOOTSTRAP_REPLICATES} replicates"
+        )
     seed = require_seed(seed)
     lambda_hat = lambda_from_statistics(stats)
 
-    # Both columns at once: each first-outcome frequency next to its complement.
-    q1, p1, t11, t21 = _bootstrap_frequencies(counts, replicates, seed).T[:, :, None]
-    q, ta, tb = (np.hstack((x, 1.0 - x)) for x in (q1, t11, t21))
-    coefficients, failed_columns, _, _ = invert_column(
+    # Both outcome columns at once: row j of q, ta, tb is outcome j + 1 of every replicate.
+    q1, p1, t11, t21 = _bootstrap_frequencies(counts, replicates, seed)
+    q, ta, tb = (np.stack((x, 1.0 - x)) for x in (q1, t11, t21))
+    samples, failed_columns, _, _ = invert_column(
         q, p1, 1.0 - p1, ta, tb, sqrt=np.sqrt, where=np.where
     )
-    failed_rows = failed_columns.any(axis=1)
-    samples = coefficients[~failed_rows]
-    failed = int(failed_rows.sum())
-    if not len(samples):
+    degenerate = failed_columns.any(axis=0)
+    failed = int(degenerate.sum())
+    if failed == replicates:
         raise DegenerateContextError(
             f"all {replicates} bootstrap replicates were degenerate"
         )
+    if failed:
+        samples = samples[:, ~degenerate]
     tail = 100.0 * (1.0 - CONFIDENCE) / 2.0
-    low, high = np.percentile(samples, (tail, 100.0 - tail), axis=0)
+    low, high = np.percentile(samples, (tail, 100.0 - tail), axis=1)
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
     ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
-    stderr = tuple(float(s) for s in samples.std(axis=0, ddof=1)) if len(samples) > 1 else (0.0, 0.0)
+    stderr = tuple(float(s) for s in samples.std(axis=1, ddof=1)) if samples.shape[1] > 1 else (0.0, 0.0)
     return LambdaEstimate(
         lambda_hat=lambda_hat,
         ci_low=ci_low,

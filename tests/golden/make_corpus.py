@@ -3,7 +3,10 @@
 Run from the repository root with ``PYTHONPATH=src python tests/golden/make_corpus.py``.
 It rewrites ``inputs/``, ``expected/`` and ``cases.json`` next to this file from
 the current code: ``expected/<name>.out`` holds each case's stdout and, for a
-case with a nonzero exit code, ``expected/<name>.err`` its stderr.  argparse
+case with a nonzero exit code, ``expected/<name>.err`` its stderr.  With
+``--check`` it builds the corpus in a temporary directory instead, writes
+nothing here, lists each file that a rewrite would change, add or remove, and
+exits 1 if there is one.  argparse
 wraps help text to the terminal width, so ``COLUMNS`` is pinned to 80 here and
 in ``tests/test_golden.py``.
 ``tests/test_golden.py`` replays every case and requires the same bytes and exit
@@ -13,12 +16,15 @@ in ``CHANGES.md``.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import filecmp
 import io
 import json
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from ctxprob import (
@@ -99,6 +105,9 @@ FLAG_CASES = {
     "analyze_e2_counts_flags": ["analyze", "inputs/e2_counts.json",
                                 "--bootstrap-replicates", "200", "--seed", "11"],
     "analyze_e3_counts_eps": ["analyze", "inputs/e3_counts.json", "--eps-class", "0.05"],
+    # Neither the default replicate count nor a multiple of a former block size.
+    "analyze_e1_counts_few": ["analyze", "inputs/e1_counts.json",
+                              "--bootstrap-replicates", "7", "--seed", "11"],
     "reconstruct_e1_exact_eps": ["reconstruct", "inputs/e1_exact.json", "--eps-class", "0.3"],
     "balance_e2_counts_tol": ["balance", "inputs/e2_counts.json", "--tolerance", "0.3"],
 }
@@ -126,12 +135,13 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def build() -> list[dict]:
+def build(root: Path) -> list[dict]:
+    """Write the corpus under ``root``, the working directory of every case."""
     for sub in ("inputs", "expected"):
-        shutil.rmtree(HERE / sub, ignore_errors=True)
-        (HERE / sub).mkdir()
+        shutil.rmtree(root / sub, ignore_errors=True)
+        (root / sub).mkdir()
     cases: list[tuple[str, list[str]]] = []
-    inputs = HERE / "inputs"
+    inputs = root / "inputs"
     for name, model in sorted(PRESETS.items()):
         exact = ExperimentFile(exact=exact_statistics(model), model=model)
         (inputs / f"{name}_exact.json").write_text(exact.dumps(), encoding="utf-8")
@@ -163,16 +173,46 @@ def build() -> list[dict]:
     manifest = []
     for name, argv in cases:
         code, out, err = run(argv)
-        (HERE / "expected" / f"{name}.out").write_bytes(out.encode("utf-8"))
+        (root / "expected" / f"{name}.out").write_bytes(out.encode("utf-8"))
         if code != 0:
-            (HERE / "expected" / f"{name}.err").write_bytes(err.encode("utf-8"))
+            (root / "expected" / f"{name}.err").write_bytes(err.encode("utf-8"))
         manifest.append({"name": name, "argv": argv, "exit": code})
-    (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    (root / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return manifest
 
 
+def changed_files(root: Path) -> list[str]:
+    """Corpus files, relative to this directory, that differ from those under ``root``."""
+    def files(base: Path) -> set[str]:
+        return {str(path.relative_to(base)) for sub in ("inputs", "expected")
+                for path in (base / sub).iterdir()} | {"cases.json"}
+
+    ours, theirs = files(HERE), files(root)
+    return sorted(name for name in ours | theirs if name not in ours or name not in theirs
+                  or not filecmp.cmp(HERE / name, root / name, shallow=False))
+
+
+def check() -> int:
+    """Print each file a rewrite would change, add or remove; 1 if there is one."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        os.chdir(root)
+        build(root)
+        changed = changed_files(root)
+        os.chdir(HERE)
+    for name in changed:
+        print(name)
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    os.chdir(HERE)  # case argv name inputs relative to this directory
+    parser = argparse.ArgumentParser(description="Write the golden CLI corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list the files a rewrite would change")
+    check_only = parser.parse_args().check
     os.environ["COLUMNS"] = "80"
-    for case in build():
+    if check_only:
+        sys.exit(check())
+    os.chdir(HERE)  # case argv name inputs relative to this directory
+    for case in build(HERE):
         print(case["exit"], case["name"], file=sys.stderr)

@@ -139,6 +139,28 @@ class TestAnalyze:
         assert code == 0
         assert report["theory_class"]["kind"] == "classical"
 
+    def test_oversized_bootstrap_is_refused_before_any_draw(self, tmp_path, monkeypatch,
+                                                            capsys):
+        out = str(tmp_path / "run.json")
+        assert main(["simulate", "--preset", "e1", "--n", "100", "--seed", "7",
+                     "--output", out]) == 0
+
+        def no_draws(*path):
+            raise AssertionError(f"substream {path} made for a refused bootstrap")
+
+        monkeypatch.setattr(ctxprob.sampling, "substream", no_draws)
+        assert main(["analyze", out, "--bootstrap-replicates", "1000001"]) == 1
+        assert "a bootstrap takes at most 1000000 replicates" in capsys.readouterr().err
+
+    def test_replicate_cap_admits_exactly_its_size(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "run.json")
+        assert main(["simulate", "--preset", "e1", "--n", "100", "--seed", "7",
+                     "--output", out]) == 0
+        monkeypatch.setattr(ctxprob.sampling, "MAX_BOOTSTRAP_REPLICATES", 5)
+        code, report = run_json(capsys, ["analyze", out, "--bootstrap-replicates", "5"])
+        assert code == 0 and report["lambda"]["replicates"] == 5
+        assert main(["analyze", out, "--bootstrap-replicates", "6"]) == 1
+
     def test_analyze_output_is_reproducible(self, tmp_path, exact_file, capsys):
         source = exact_file(E1_STATS)
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")

@@ -25,8 +25,7 @@ from ctxprob import (
     estimate_statistics,
     simulate_counts,
 )
-from ctxprob._rng import ROLE_BOOTSTRAP_BLOCK
-from ctxprob.sampling import BOOTSTRAP_BLOCK, _bootstrap_frequencies
+from ctxprob.sampling import _bootstrap_frequencies
 
 E1_MODEL = QubitModel(alpha=math.pi / 6, phi=math.pi / 2, b_rotation=math.pi / 4)
 E2_MODEL = KolmogorovModel(
@@ -197,10 +196,10 @@ class TestEstimateLambda:
 
 
 class TestBootstrapKernel:
-    """Block layout of the bootstrap draws.  The inversion of the replicates is
+    """Stream layout of the bootstrap draws.  The inversion of the replicates is
     the shared column inversion, tested in ``test_calculus.TestInvertColumn``."""
 
-    def test_block_count(self, monkeypatch):
+    def test_one_substream_per_experiment(self, monkeypatch):
         counts = simulate_counts(E1_MODEL, 1000, seed=4)
         calls = []
         substream = ctxprob.sampling.substream
@@ -217,21 +216,25 @@ class TestBootstrapKernel:
 
         monkeypatch.setattr(ctxprob.sampling, "substream", counted)
         monkeypatch.setattr(ctxprob.sampling, "invert_column", counted_inversion)
-        estimate_lambda(counts, replicates=BOOTSTRAP_BLOCK, seed=9)
-        assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0)]
-        # every replicate goes through one call of the shared column inversion
-        assert inversions == [(BOOTSTRAP_BLOCK, 2)]
-        calls.clear()
-        estimate_lambda(counts, replicates=BOOTSTRAP_BLOCK + 1, seed=9)
-        assert calls == [(9, ROLE_BOOTSTRAP_BLOCK, 0), (9, ROLE_BOOTSTRAP_BLOCK, 1)]
+        for replicates in (1, 1024, 1025, 10**4):
+            calls.clear()
+            inversions.clear()
+            estimate_lambda(counts, replicates=replicates, seed=9)
+            # (seed, ROLE_BOOTSTRAP_EXPERIMENT = 8, experiment)
+            assert calls == [(9, 8, j) for j in range(4)]
+            # every replicate goes through one call of the shared column inversion
+            assert inversions == [(2, replicates)]
 
     def test_fewer_replicates_draw_a_prefix(self):
-        counts = simulate_counts(E1_MODEL, 1000, seed=4)
-        for replicates in (1, 1000, BOOTSTRAP_BLOCK, 2000):
-            prefix = _bootstrap_frequencies(counts, replicates, seed=9)
-            longer = _bootstrap_frequencies(counts, replicates + 500, seed=9)
-            assert prefix.shape == (replicates, 4)
-            assert np.array_equal(prefix, longer[:replicates])
+        # numpy draws Binomial(n, p) by inversion when n*min(p, 1-p) <= 30, as for
+        # every tally at n = 40, and by BTPE above it, as for every tally at 10^4.
+        for n in (40, 10**4):
+            counts = simulate_counts(E1_MODEL, n, seed=4)
+            for replicates in (1, 1000, 1024, 2000):
+                prefix = _bootstrap_frequencies(counts, replicates, seed=9)
+                longer = _bootstrap_frequencies(counts, replicates + 500, seed=9)
+                assert prefix.shape == (4, replicates)
+                assert np.array_equal(prefix, longer[:, :replicates])
 
 
 class TestConvergenceStudy:
