@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from ._rng import ROLE_MODEL, substream
 from ._validation import TOL_EXACT, require_distribution
 from .calculus import (
     EPS_CLASS_DEFAULT,
@@ -31,17 +30,16 @@ from .calculus import (
     interference_terms,
 )
 from .errors import CtxprobError, DegenerateContextError, NonTrigonometricError, ValidationError
-from .io import ExperimentFile, canonical_dumps
+from .io import ExperimentFile, canonical_dumps, model_to_dict
 from .models import (
     KolmogorovModel,
     Model,
     QubitModel,
     SyntheticModel,
-    classical_probabilities,
-    draw_classical,
     exact_statistics,
     qubit_probabilities,
     qubit_statistics,
+    random_classical_rows,
     random_model,
     synthesize_statistics,
 )
@@ -67,8 +65,6 @@ PRESETS: dict[str, Model] = {
         target_lambda=LambdaPair(1.25, -1.25),
     ),
 }
-
-_FAMILY_OF = {KolmogorovModel: "classical", QubitModel: "qubit", SyntheticModel: "synthetic"}
 
 #: Most points one ``sweep`` takes; checked before any point is built.
 MAX_SWEEP_POINTS = 10**6
@@ -205,10 +201,10 @@ def _simulate_model(args: argparse.Namespace) -> Model:
         if args.preset not in PRESETS:
             raise ValidationError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
         model = PRESETS[args.preset]
-        if args.model is not None and args.model != _FAMILY_OF[type(model)]:
+        family = model_to_dict(model)["family"]
+        if args.model is not None and args.model != family:
             raise ValidationError(
-                f"preset {args.preset!r} belongs to family {_FAMILY_OF[type(model)]!r}, "
-                f"not {args.model!r}"
+                f"preset {args.preset!r} belongs to family {family!r}, not {args.model!r}"
             )
         return model
     if args.model is None:
@@ -273,22 +269,20 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         prior = _parse_float_list(args.prior, "prior", 2)
         transition = _parse_transition(args.transition)
         prior = require_distribution(prior, "prior")  # before the weights take its sqrt
-        rows = transition.rows
-        _, weight1 = interference_terms(*prior, rows[0][0], rows[1][0])
-        _, weight2 = interference_terms(*prior, rows[0][1], rows[1][1])
-        if weight2 <= 0.0:
+        rows = np.array(transition.rows)
+        classical, weight = interference_terms(*prior, *rows, sqrt=np.sqrt)
+        if weight[1] <= 0.0:
             raise DegenerateContextError(
                 "second interference weight vanishes; no balanced companion exists"
             )
         lam1 = _parse_grid(args.lambda1, "lambda1")
         with np.errstate(all="ignore"):
-            lam = np.array([lam1, -weight1 * np.array(lam1) / weight2]).T
+            lam = np.array([lam1, -weight[0] * np.array(lam1) / weight[1]]).T
             # Model checks in the scalar order; then predict_outcome for every point.
             SyntheticModel(prior, transition, LambdaPair(*lam[0].tolist()))
             for pair in lam[~np.isfinite(lam).all(axis=1)][:1]:
                 LambdaPair(*pair.tolist())
-            classical, weight = interference_terms(*prior, *np.array(rows), sqrt=np.sqrt)
-            fixed = np.tile((*prior, *rows[0], *rows[1]), (len(lam1), 1))
+            fixed = np.tile((*prior, *rows.ravel()), (len(lam1), 1))
             block = np.hstack((fixed, classical + weight * lam))
         return ["target_lambda1"], list(zip(lam1)), block, lambda i: synthesize_statistics(
             SyntheticModel(prior, transition, LambdaPair(*lam[i].tolist()))
@@ -299,15 +293,8 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         raise ValidationError("classical sweep needs --count >= 1")
     _check_sweep_size(count, "classical sweep")
     seeds = range(args.seed, args.seed + count)
-    rows = []
-    for seed in seeds:
-        weights, a_values, b_values = draw_classical(substream(seed, ROLE_MODEL))
-        if not (min(weights) >= 0.0 and max(weights) <= 1.0
-                and abs(sum(weights) - 1.0) <= TOL_EXACT):
-            # KolmogorovModel raises, or clips the weights it keeps.
-            weights = KolmogorovModel(*map(tuple, (weights, a_values, b_values))).weights
-        rows.append(classical_probabilities(weights, a_values, b_values))
-    return ["model_seed"], list(zip(seeds)), np.array(rows), lambda i: exact_statistics(
+    block = np.array(random_classical_rows(seeds))
+    return ["model_seed"], list(zip(seeds)), block, lambda i: exact_statistics(
         random_model("classical", seeds[i])
     )
 

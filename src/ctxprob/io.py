@@ -94,18 +94,11 @@ def model_to_dict(model: Model) -> dict:
             ],
         }
     if isinstance(model, QubitModel):
-        return {
-            "family": "qubit",
-            "alpha": model.alpha,
-            "phi": model.phi,
-            "b_rotation": model.b_rotation,
-            "b_phase": model.b_phase,
-        }
+        return {"family": "qubit", **vars(model)}
     if isinstance(model, SyntheticModel):
         return {
             "family": "synthetic",
-            "prior": list(model.prior),
-            "transition": [list(row) for row in model.transition.rows],
+            **_prior_transition_to_dict(model),
             "lambda": list(model.target_lambda),
         }
     raise ValidationError(f"unknown model type {type(model).__name__}")
@@ -134,25 +127,13 @@ def model_from_dict(payload: dict) -> Model:
             {"family", "alpha", "phi", "b_rotation", "b_phase"},
             {"family", "alpha", "phi", "b_rotation"},
         )
-        return QubitModel(
-            alpha=payload["alpha"],
-            phi=payload["phi"],
-            b_rotation=payload["b_rotation"],
-            b_phase=payload.get("b_phase", 0.0),
-        )
+        return QubitModel(**{key: payload[key] for key in payload if key != "family"})
     if family == "synthetic":
-        _require_keys(payload, "synthetic model", {"family", "prior", "transition", "lambda"})
-        transition = payload["transition"]
-        if not isinstance(transition, list) or len(transition) != 2:
-            raise ValidationError("synthetic model transition must be a 2x2 matrix")
-        try:
-            return SyntheticModel(
-                prior=tuple(payload["prior"]),
-                transition=TransitionMatrix((tuple(transition[0]), tuple(transition[1]))),
-                target_lambda=LambdaPair(*payload["lambda"]),
-            )
-        except TypeError as exc:
-            raise ValidationError(f"malformed synthetic model: {exc}") from exc
+        return _prior_transition_from_dict(
+            payload, "synthetic model", {"family", "prior", "transition", "lambda"},
+            "synthetic model transition must be a 2x2 matrix",
+            lambda prior, matrix: SyntheticModel(prior, matrix, LambdaPair(*payload["lambda"])),
+        )
     raise ValidationError(f"unknown model family {family!r}")
 
 
@@ -161,27 +142,33 @@ def model_from_dict(payload: dict) -> Model:
 # ---------------------------------------------------------------------------
 
 
+def _prior_transition_to_dict(record: ContextStatistics | SyntheticModel) -> dict:
+    """The ``prior`` + ``transition`` pair of exact statistics and of synthetic models."""
+    return {"prior": list(record.prior), "transition": [list(r) for r in record.transition.rows]}
+
+
+def _prior_transition_from_dict(payload, where: str, keys: set, shape_error: str, build):
+    """``build(prior, transition)`` of a ``where`` object with exactly ``keys``."""
+    _require_keys(payload, where, keys)
+    rows = payload["transition"]
+    if not isinstance(rows, list) or len(rows) != 2:
+        raise ValidationError(shape_error)
+    try:
+        return build(tuple(payload["prior"]), TransitionMatrix((tuple(rows[0]), tuple(rows[1]))))
+    except TypeError as exc:
+        raise ValidationError(f"malformed {where}: {exc}") from exc
+
+
 def statistics_to_dict(stats: ContextStatistics) -> dict:
-    return {
-        "prior": list(stats.prior),
-        "transition": [list(row) for row in stats.transition.rows],
-        "outcome": list(stats.outcome),
-    }
+    return {**_prior_transition_to_dict(stats), "outcome": list(stats.outcome)}
 
 
 def statistics_from_dict(payload: dict) -> ContextStatistics:
-    _require_keys(payload, "exact statistics", {"prior", "transition", "outcome"})
-    transition = payload["transition"]
-    if not isinstance(transition, list) or len(transition) != 2:
-        raise ValidationError("transition must be a 2x2 matrix (two rows)")
-    try:
-        return ContextStatistics(
-            prior=tuple(payload["prior"]),
-            transition=TransitionMatrix((tuple(transition[0]), tuple(transition[1]))),
-            outcome=tuple(payload["outcome"]),
-        )
-    except TypeError as exc:
-        raise ValidationError(f"malformed exact statistics: {exc}") from exc
+    return _prior_transition_from_dict(
+        payload, "exact statistics", {"prior", "transition", "outcome"},
+        "transition must be a 2x2 matrix (two rows)",
+        lambda prior, matrix: ContextStatistics(prior, matrix, tuple(payload["outcome"])),
+    )
 
 
 def counts_to_dict(counts: CountsRecord) -> dict:

@@ -244,6 +244,11 @@ def draw_classical(rng) -> tuple[list[float], list[int], list[int]]:
     return weights, a_values, b_values
 
 
+def random_classical_rows(seeds) -> list[tuple]:
+    """:func:`classical_probabilities` of ``random_model("classical", s)`` for each seed ``s``."""
+    return [classical_probabilities(*draw_classical(substream(s, ROLE_MODEL))) for s in seeds]
+
+
 def _random_qubit(rng) -> QubitModel:
     return QubitModel(
         alpha=float(rng.uniform(0.0, math.pi / 2)),

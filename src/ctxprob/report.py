@@ -197,13 +197,7 @@ def _class_to_dict(verdict: TheoryClass) -> dict:
 
 
 def balance_to_dict(balance: BalanceReport) -> dict:
-    return {
-        "row_residuals": list(balance.row_residuals),
-        "column_residuals": list(balance.column_residuals),
-        "is_stochastic": balance.is_stochastic,
-        "is_double_stochastic": balance.is_double_stochastic,
-        "tolerance": balance.tolerance,
-    }
+    return dict(vars(balance))
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
