@@ -66,6 +66,19 @@ PRESETS: dict[str, Model] = {
     ),
 }
 
+#: Each model family's flags (argparse ``dest``) and their defaults, for ``simulate``
+#: and for ``sweep``.  The flags default to nothing, so a flag of another family shows.
+_SIMULATE_FAMILIES = {
+    "qubit": {"alpha": None, "phi": 0.0, "b_rotation": math.pi / 4, "b_phase": 0.0},
+    "classical": {"points": None},
+    "synthetic": {"prior": "0.5,0.5", "transition": "0.8,0.2;0.2,0.8", "target_lambda": None},
+}
+_SWEEP_FAMILIES = {
+    "qubit": {"alpha": "0.0", "phi": "0.0", "b_rotation": repr(math.pi / 4), "b_phase": "0.0"},
+    "synthetic": {"prior": "0.5,0.5", "transition": "0.8,0.2;0.2,0.8", "lambda1": None},
+    "classical": {"count": None, "seed": 0},
+}
+
 #: Most points one ``sweep`` takes; checked before any point is built.
 MAX_SWEEP_POINTS = 10**6
 
@@ -155,6 +168,15 @@ def _parse_points(text: str) -> KolmogorovModel:
     )
 
 
+def _family_flags(args: argparse.Namespace, families: dict, family: str | None) -> None:
+    """Default ``family``'s absent flags; any flag of another family is an error."""
+    own = families.get(family, {})
+    if any(name in vars(args) for flags in families.values() for name in flags.keys() - own):
+        raise ValidationError("model flags do not match the chosen family")
+    for name, default in own.items():
+        vars(args).setdefault(name, default)
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -206,9 +228,11 @@ def _simulate_model(args: argparse.Namespace) -> Model:
             raise ValidationError(
                 f"preset {args.preset!r} belongs to family {family!r}, not {args.model!r}"
             )
+        _family_flags(args, _SIMULATE_FAMILIES, None)  # a preset takes no model flag
         return model
     if args.model is None:
         raise ValidationError("simulate needs --model or --preset")
+    _family_flags(args, _SIMULATE_FAMILIES, args.model)
     if args.model == "qubit":
         if args.alpha is None:
             raise ValidationError("qubit model needs --alpha")
@@ -222,8 +246,6 @@ def _simulate_model(args: argparse.Namespace) -> Model:
         if args.points is None:
             raise ValidationError("classical model needs --points 'weight:a:b,...'")
         return _parse_points(args.points)
-    if args.points is not None or args.alpha is not None:
-        raise ValidationError("model flags do not match the chosen family")
     if args.target_lambda is None:
         raise ValidationError("synthetic model needs --lambda 'l1,l2'")
     return SyntheticModel(
@@ -253,6 +275,7 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
     """Parameter names, per-point parameter values, the unvalidated ``(N, 8)``
     statistics block and the scalar statistics of point ``i``, for
     :func:`analyze_block`.  Invalid models raise as building each one would."""
+    _family_flags(args, _SWEEP_FAMILIES, args.family)
     if args.family == "qubit":
         names = ["alpha", "phi", "b_rotation", "b_phase"]
         grids = [_parse_grid(getattr(args, name), name.replace("_", "-")) for name in names]
@@ -368,25 +391,24 @@ def _analyze_flags(analyze: _Parser) -> None:
 
 
 def _simulate_flags(simulate: _Parser) -> None:
-    simulate.add_argument("--model", choices=["qubit", "classical", "synthetic"],
-                          default=None)
+    simulate.add_argument("--model", choices=list(_SIMULATE_FAMILIES), default=None)
     simulate.add_argument("--preset", default=None,
                           help="named reference instance: " + ", ".join(sorted(PRESETS)))
-    simulate.add_argument("--alpha", type=float, default=None,
+    simulate.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
                           help="qubit state mixing angle (radians)")
-    simulate.add_argument("--phi", type=float, default=0.0,
+    simulate.add_argument("--phi", type=float, default=argparse.SUPPRESS,
                           help="qubit state relative phase (radians)")
-    simulate.add_argument("--b-rotation", type=float, default=math.pi / 4,
+    simulate.add_argument("--b-rotation", type=float, default=argparse.SUPPRESS,
                           help="B-basis rotation angle (radians)")
-    simulate.add_argument("--b-phase", type=float, default=0.0,
+    simulate.add_argument("--b-phase", type=float, default=argparse.SUPPRESS,
                           help="B-basis relative phase (radians)")
-    simulate.add_argument("--points", default=None,
+    simulate.add_argument("--points", default=argparse.SUPPRESS,
                           help="classical model points 'weight:a:b,...' (a, b in {0,1})")
-    simulate.add_argument("--prior", default="0.5,0.5",
+    simulate.add_argument("--prior", default=argparse.SUPPRESS,
                           help="synthetic filtration probabilities 'p1,p2'")
-    simulate.add_argument("--transition", default="0.8,0.2;0.2,0.8",
+    simulate.add_argument("--transition", default=argparse.SUPPRESS,
                           help="synthetic transition matrix 't11,t12;t21,t22'")
-    simulate.add_argument("--lambda", dest="target_lambda", default=None,
+    simulate.add_argument("--lambda", dest="target_lambda", default=argparse.SUPPRESS,
                           help="synthetic target coefficients 'l1,l2'")
     simulate.add_argument("--n", type=int, default=10000,
                           help="ensemble size for every experiment (default 10000)")
@@ -405,25 +427,24 @@ def _simulate_flags(simulate: _Parser) -> None:
 
 
 def _sweep_flags(sweep: _Parser) -> None:
-    sweep.add_argument("--family", choices=["qubit", "synthetic", "classical"],
-                       required=True)
-    sweep.add_argument("--alpha", default="0.0",
+    sweep.add_argument("--family", choices=list(_SWEEP_FAMILIES), required=True)
+    sweep.add_argument("--alpha", default=argparse.SUPPRESS,
                        help="qubit alpha grid: 'a,b,c' or 'start:stop:count'")
-    sweep.add_argument("--phi", default="0.0", help="qubit phi grid")
-    sweep.add_argument("--b-rotation", default=repr(math.pi / 4),
+    sweep.add_argument("--phi", default=argparse.SUPPRESS, help="qubit phi grid")
+    sweep.add_argument("--b-rotation", default=argparse.SUPPRESS,
                        help="qubit B-rotation grid")
-    sweep.add_argument("--b-phase", default="0.0", help="qubit B-phase grid")
-    sweep.add_argument("--prior", default="0.5,0.5",
+    sweep.add_argument("--b-phase", default=argparse.SUPPRESS, help="qubit B-phase grid")
+    sweep.add_argument("--prior", default=argparse.SUPPRESS,
                        help="synthetic filtration probabilities (fixed)")
-    sweep.add_argument("--transition", default="0.8,0.2;0.2,0.8",
+    sweep.add_argument("--transition", default=argparse.SUPPRESS,
                        help="synthetic transition matrix (fixed)")
-    sweep.add_argument("--lambda1", default=None,
+    sweep.add_argument("--lambda1", default=argparse.SUPPRESS,
                        help="synthetic first-coefficient grid; the second is the "
                             "balanced companion")
-    sweep.add_argument("--count", type=int, default=None,
+    sweep.add_argument("--count", type=int, default=argparse.SUPPRESS,
                        help="classical: number of random models")
     sweep.add_argument("--eps-class", **_EPS_CLASS)
-    sweep.add_argument("--seed", type=int, default=0,
+    sweep.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                        help="classical: seed of the first random model (default 0)")
     sweep.add_argument("--output", **_OUTPUT)
 

@@ -127,6 +127,17 @@ USAGE_CASES = {
     "usage_flag_before_command": ["-x", "balance", "inputs/e1_exact.json"],
 }
 
+# A flag of another model family, or any model flag with a preset, exits 1.
+FOREIGN_FLAG_CASES = {
+    "foreign_simulate_preset_alpha": ["simulate", "--preset", "e1", "--alpha", "0.9"],
+    "foreign_simulate_qubit_points": ["simulate", "--model", "qubit", "--points", "1:0:0"],
+    "foreign_sweep_qubit_count_lambda1": ["sweep", "--family", "qubit", "--count", "5",
+                                          "--lambda1", "0,1"],
+    "foreign_sweep_qubit_seed": ["sweep", "--family", "qubit", "--seed", "3"],
+    "foreign_sweep_classical_alpha": ["sweep", "--family", "classical", "--alpha", "0:1:3"],
+}
+
+
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -169,6 +180,7 @@ def build(root: Path) -> list[dict]:
             cases.append((f"{command}_{stem}", [command, f"inputs/{stem}.json"]))
     cases.extend((name, ["sweep", *argv]) for name, argv in SWEEPS.items())
     cases.extend(USAGE_CASES.items())
+    cases.extend(FOREIGN_FLAG_CASES.items())
 
     manifest = []
     for name, argv in cases:
