@@ -6,9 +6,18 @@ its stderr (a successful case writes nothing to stderr).  The corpus is
 regenerated by ``golden/make_corpus.py`` only for a deliberate output change
 recorded in ``CHANGES.md``.  ``COLUMNS`` is pinned as in ``make_corpus.py``,
 because argparse wraps help text to the terminal width.
+
+The corpus writer must still write the committed corpus, and
+``golden/differential.py`` must find no difference between this tree and a
+copy of it, but must find one planted byte.
 """
 
+import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +25,7 @@ import pytest
 from ctxprob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
@@ -30,3 +40,41 @@ def test_golden_case(case, capsys, monkeypatch):
     assert captured.out.encode("utf-8") == expected.with_suffix(".out").read_bytes()
     err = expected.with_suffix(".err").read_bytes() if code else b""
     assert captured.err.encode("utf-8") == err
+
+
+def test_corpus_writer_writes_the_committed_corpus():
+    # The committed inputs are what today's ExperimentFile.dumps writes.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, str(GOLDEN / "make_corpus.py"), "--check"],
+                            env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "")
+
+
+@pytest.fixture
+def differential(monkeypatch):
+    """``differential.py`` as a module; it puts ``src`` and ``bench`` on ``sys.path``."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("differential", GOLDEN / "differential.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def base_tree(tmp_path):
+    """A copy of this tree's ``src/ctxprob``."""
+    shutil.copytree(SRC / "ctxprob", tmp_path / "src" / "ctxprob",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
+
+
+def test_differential_check_of_the_same_tree_finds_nothing(differential, base_tree, capsys):
+    assert differential.main(["--base", str(base_tree), "--cases", "24", "--seed", "3"]) == 0
+    assert ": 0 differences;" in capsys.readouterr().out
+
+
+def test_differential_check_finds_a_planted_byte(differential, base_tree, capsys):
+    io_py = base_tree / "src" / "ctxprob" / "io.py"
+    io_py.write_text(io_py.read_text().replace("indent=2", "indent=3"))
+    assert differential.main(["--base", str(base_tree), "--cases", "24", "--seed", "3"]) == 1
+    assert ": 0 differences;" not in capsys.readouterr().out

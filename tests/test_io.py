@@ -18,11 +18,15 @@ from ctxprob import (
     canonical_dumps,
     simulate_counts,
 )
-from ctxprob.io import model_from_dict, model_to_dict
+from ctxprob.io import model_from_dict, model_to_dict, statistics_from_dict, statistics_to_dict
 
 E1_STATS = ContextStatistics(
     (0.5, 0.5), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.75, 0.25)
 )
+E3_MODEL = {
+    "family": "synthetic", "prior": [0.5, 0.5], "transition": [[0.8, 0.2], [0.2, 0.8]],
+    "lambda": [1.25, -1.25],
+}
 
 
 class TestCanonicalJson:
@@ -65,6 +69,28 @@ class TestModelDescriptors:
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(ValidationError):
             model_from_dict({"family": "qubit", "alpha": 0.1, "phi": 0, "b_rotation": 0, "spin": 2})
+
+    def test_qubit_without_b_phase_reads_zero(self):
+        model = model_from_dict({"family": "qubit", "alpha": 0.1, "phi": 0.2, "b_rotation": 0.3})
+        assert model == QubitModel(0.1, 0.2, 0.3) and model.b_phase == 0.0
+
+
+# Exact statistics and the synthetic model share one prior + transition reader,
+# and each keeps its own messages.
+@pytest.mark.parametrize("read, payload, message", [
+    (statistics_from_dict, {**statistics_to_dict(E1_STATS), "transition": [[0.5, 0.5]]},
+     "transition must be a 2x2 matrix (two rows)"),
+    (statistics_from_dict, {**statistics_to_dict(E1_STATS), "outcome": 5},
+     "malformed exact statistics: 'int' object is not iterable"),
+    (model_from_dict, {**E3_MODEL, "transition": "x"},
+     "synthetic model transition must be a 2x2 matrix"),
+    (model_from_dict, {**E3_MODEL, "prior": 5},
+     "malformed synthetic model: 'int' object is not iterable"),
+], ids=["exact-shape", "exact-value", "synthetic-shape", "synthetic-value"])
+def test_malformed_prior_transition_messages(read, payload, message):
+    with pytest.raises(ValidationError) as info:
+        read(payload)
+    assert str(info.value) == message
 
 
 class TestExperimentFile:

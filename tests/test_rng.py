@@ -1,4 +1,7 @@
-"""Stream role tags: each names one stream, and retired tags stay unused."""
+"""Stream role tags: each names one stream, and retired tags stay unused.
+
+Only ``models`` and ``sampling`` derive streams; every other module asks them.
+"""
 
 import ast
 from pathlib import Path
@@ -25,3 +28,14 @@ def test_no_module_uses_a_retired_role():
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
         assert not names & {*RETIRED, "*"}, path.name
+
+
+def test_only_models_and_sampling_import_streams():
+    importers = set()
+    for path in Path(ctxprob.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and "_rng" in (
+                node.module, *(alias.name for alias in node.names)
+            ):
+                importers.add(path.stem)
+    assert importers == {"models", "sampling"}
