@@ -246,7 +246,7 @@ def work(src: str, cases: str, results: str) -> None:
 def _run(src: Path, work_dir: Path, cases: Path, results: Path) -> list[list]:
     code = ("import sys; src, here, cases, results = sys.argv[1:]; sys.path[:0] = [src, here]; "
             "import differential; differential.work(src, cases, results)")
-    env = {**os.environ, "COLUMNS": "80", "PYTHONHASHSEED": "0"}
+    env = {**os.environ, "COLUMNS": "80"}
     env.pop("PYTHONPATH", None)
     subprocess.run([sys.executable, "-c", code, str(src), str(HERE), str(cases), str(results)],
                    cwd=work_dir, env=env, check=True)
