@@ -75,6 +75,11 @@ SWEEPS = {
     "sweep_qubit_degenerate": [
         "--family", "qubit", "--alpha", "0,0.7", "--phi", "0,1.2", "--b-rotation", "0,0.5",
     ],
+    # -0.0 and 0.0 both print, in the same columns.
+    "sweep_qubit_signed_zero": [
+        "--family", "qubit", "--alpha", "-0.0,0.0,0.5", "--phi", "0.0,-0.0",
+        "--b-rotation", "-0.0,0.3",
+    ],
     "sweep_classical": ["--family", "classical", "--count", "6", "--seed", "3"],
     # 400 models: the batch reaches 16-point models.
     "sweep_classical_batch": ["--family", "classical", "--count", "400", "--seed", "2024"],
