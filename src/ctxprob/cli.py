@@ -12,12 +12,11 @@ for fixed inputs and seeds).  Angles are radians.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stdio
 import itertools
 import math
 import re
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -81,6 +80,9 @@ _SWEEP_FAMILIES = {
 
 #: Most points one ``sweep`` takes; checked before any point is built.
 MAX_SWEEP_POINTS = 10**6
+
+#: Rows the sweep CSV is formatted in at a time; one chunk's text is held at once.
+SWEEP_CHUNK_ROWS = 4096
 
 _SWEEP_FIXED_COLUMNS = [
     "p1", "p2", "p11", "p12", "p21", "p22", "p1a", "p2a",
@@ -177,12 +179,13 @@ def _family_flags(args: argparse.Namespace, families: dict, family: str | None) 
         vars(args).setdefault(name, default)
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(texts: Iterable[str], path: str | None) -> None:
+    """Write ``texts`` in turn to ``path``, or to stdout if it is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(texts)
 
 
 def _load_experiment(path: str) -> ExperimentFile:
@@ -214,7 +217,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             eps_class=args.eps_class,
             tol=args.tolerance,
         )
-    _write_output(canonical_dumps(report_to_dict(report)), args.output)
+    _write_output([canonical_dumps(report_to_dict(report))], args.output)
     return EXIT_OK
 
 
@@ -267,7 +270,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     counts = simulate_counts(model, sizes, args.seed)
     experiment = ExperimentFile(counts=counts, model=model, note=args.note)
-    _write_output(experiment.dumps(), args.output)
+    _write_output([experiment.dumps()], args.output)
     return EXIT_OK
 
 
@@ -322,14 +325,30 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
     )
 
 
+def _column_text(column: tuple) -> list[str]:
+    """Each value's CSV field, as ``csv`` writes it: ``repr`` of a float, ``str`` of
+    anything else.  A column of floats ``repr``s each bit pattern once, so -0.0 and
+    0.0 stay apart."""
+    if set(map(type, column)) != {float}:
+        return list(map(str, column))
+    bits, inverse = np.unique(np.array(column).view(np.uint64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()
+
+
+def _csv_chunks(header: list[str], rows: Iterator[list]) -> Iterator[str]:
+    """CSV text of ``header`` and ``rows``, ``SWEEP_CHUNK_ROWS`` rows at a time.  No
+    field needs quoting: the fields are numbers, class names and column names."""
+    yield ",".join(header) + "\n"
+    while chunk := list(itertools.islice(rows, SWEEP_CHUNK_ROWS)):
+        columns = map(_column_text, zip(*chunk))
+        yield "".join([",".join(fields) + "\n" for fields in zip(*columns)])
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     parameter_names, parameters, block, statistics_of = _sweep_block(args)
     rows = analyze_block(block, statistics_of, eps_class=args.eps_class)
-    buffer = _stdio.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(parameter_names + _SWEEP_FIXED_COLUMNS)
-    writer.writerows([*values, *row] for values, row in zip(parameters, rows))
-    _write_output(buffer.getvalue(), args.output)
+    table = ([*values, *row] for values, row in zip(parameters, rows))
+    _write_output(_csv_chunks(parameter_names + _SWEEP_FIXED_COLUMNS, table), args.output)
     return EXIT_OK
 
 
@@ -349,7 +368,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         "amplitudes": full["amplitudes"],
         "born_residual": full["born_residual"],
     }
-    _write_output(canonical_dumps(payload), args.output)
+    _write_output([canonical_dumps(payload)], args.output)
     return EXIT_OK
 
 
@@ -360,7 +379,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     else:
         transition = estimate_statistics(experiment.counts).transition
     report = check_double_stochastic(transition, args.tolerance)
-    _write_output(canonical_dumps(balance_to_dict(report)), args.output)
+    _write_output([canonical_dumps(balance_to_dict(report))], args.output)
     return EXIT_OK
 
 

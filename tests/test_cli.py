@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 import ctxprob
 from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix, exact_statistics
 from ctxprob._validation import clip_probability
-from ctxprob.cli import _attach_signed_values, _sweep_block, build_parser, main
+from ctxprob.cli import _attach_signed_values, _csv_chunks, _sweep_block, build_parser, main
 from ctxprob.models import random_model
 
 GOLDEN_CASES = json.loads(
@@ -325,6 +327,67 @@ class TestSweep:
         assert main(["sweep", "--family", "synthetic", "--lambda1", "0:1:7"]) == 1
         assert main(["sweep", "--family", "classical", "--count", "6"]) == 0
         assert main(["sweep", "--family", "classical", "--count", "7"]) == 1
+
+    def test_a_failing_last_point_writes_no_output(self, tmp_path, capsys):
+        # lambda1 = 1.5, the last point of the line, is infeasible.
+        argv = ["sweep", "--family", "synthetic", "--lambda1", "0:1.5:4", "--output"]
+        absent, present = tmp_path / "absent.csv", tmp_path / "present.csv"
+        present.write_bytes(b"earlier,bytes\n")
+        assert main([*argv, str(absent)]) == 3
+        assert main([*argv, str(present)]) == 3
+        assert not absent.exists()
+        assert present.read_bytes() == b"earlier,bytes\n"
+        assert capsys.readouterr().out == ""
+
+
+# Floats whose repr changes form (1e-05, 0.0001, 1e16, 9999999999999998.0), both
+# zeros, subnormals, extremes and their neighbours one ulp away.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1e-05, 0.0001, 1e16, 9999999999999998.0, 0.1, 1.0, -1.0, math.pi]
+_EDGE_FLOATS += [math.nextafter(x, s) for x in _EDGE_FLOATS for s in (-math.inf, math.inf)]
+_CLASS_NAMES = ["classical", "trigonometric", "hyperbolic", "boundary"]
+_FIELDS = {
+    "float": st.sampled_from(_EDGE_FLOATS) | st.floats(),
+    "int": st.integers(-(2**65), 2**65),
+    "class": st.sampled_from(_CLASS_NAMES),
+}
+_FIELDS["mixed"] = st.one_of(*_FIELDS.values())
+
+
+def _csv_module_text(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+class TestSweepWriter:
+    @given(
+        data=st.data(),
+        kinds=st.lists(st.sampled_from(sorted(_FIELDS)), min_size=1, max_size=6),
+        count=st.integers(0, 12),
+        chunk=st.integers(1, 13),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_text_is_what_the_csv_module_writes(self, data, kinds, count, chunk):
+        rows = [[data.draw(_FIELDS[kind]) for kind in kinds] for _ in range(count)]
+        header = [f"c{i}" for i in range(len(kinds))]
+        with mock.patch.object(ctxprob.cli, "SWEEP_CHUNK_ROWS", chunk):
+            text = "".join(_csv_chunks(header, iter(rows)))
+        assert text == _csv_module_text(header, rows)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 12, 13])
+    def test_chunk_size_does_not_change_the_bytes(self, chunk, monkeypatch, capsys):
+        # The grid has N = 12 points.
+        argv = ["sweep", "--family", "qubit", "--alpha", "-0.0,0.0,0.5", "--phi", "0.0,-0.0",
+                "--b-rotation", "-0.0,0.3"]
+        assert main(argv) == 0
+        unpatched = capsys.readouterr().out
+        assert len(unpatched.splitlines()) == 13
+        monkeypatch.setattr(ctxprob.cli, "SWEEP_CHUNK_ROWS", chunk)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unpatched
 
 
 class TestReconstruct:
