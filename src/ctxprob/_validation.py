@@ -22,6 +22,9 @@ TOL_DEGENERATE = 1e-12
 
 _MAX_SEED = 2**64
 
+#: Largest ensemble size: numpy's binomial draw takes a C long.
+MAX_ENSEMBLE_SIZE = 2**63 - 1
+
 
 def where(condition, x, y):
     """``x if condition else y``: the scalar form of :func:`numpy.where`."""
@@ -76,6 +79,13 @@ def require_positive_int(n: Any, name: str) -> int:
         raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"{name} must be >= 1, got {n}")
+    return n
+
+
+def require_ensemble_size(n: int, name: str) -> int:
+    """Bound an integer ensemble size at :data:`MAX_ENSEMBLE_SIZE`."""
+    if n > MAX_ENSEMBLE_SIZE:
+        raise ValidationError(f"{name} must be at most 2^63 - 1, got {n}")
     return n
 
 

@@ -36,7 +36,7 @@ from ._rng import (
     ROLE_STUDY,
     substream,
 )
-from ._validation import require_positive_int, require_seed
+from ._validation import require_ensemble_size, require_positive_int, require_seed
 from .calculus import (
     ContextStatistics,
     LambdaPair,
@@ -82,13 +82,14 @@ class EnsembleSizes:
     a_on_filtered: tuple[int, int]
 
     def __post_init__(self) -> None:
-        require_positive_int(self.a_on_context, "a_on_context")
-        require_positive_int(self.b_on_context, "b_on_context")
+        for name in ("a_on_context", "b_on_context"):
+            require_ensemble_size(require_positive_int(getattr(self, name), name), name)
         filtered = tuple(self.a_on_filtered)
         if len(filtered) != 2:
             raise ValidationError("a_on_filtered needs one size per filtered context")
         for i, n in enumerate(filtered):
-            require_positive_int(n, f"a_on_filtered[{i + 1}]")
+            name = f"a_on_filtered[{i + 1}]"
+            require_ensemble_size(require_positive_int(n, name), name)
         object.__setattr__(self, "a_on_filtered", filtered)
 
     @classmethod
@@ -128,6 +129,7 @@ class CountsRecord:
                 raise ValidationError(f"{label} must be a pair of nonnegative integers")
             if isinstance(total, bool) or not isinstance(total, int) or total < 0:
                 raise ValidationError(f"ensemble size for {label} must be a nonnegative integer")
+            require_ensemble_size(total, f"ensemble size for {label}")
             if pair[0] + pair[1] != total:
                 raise ValidationError(
                     f"{label} must sum to its ensemble size {total}, got {pair}"

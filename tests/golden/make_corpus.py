@@ -28,7 +28,8 @@ import tempfile
 from pathlib import Path
 
 from ctxprob import (
-    ContextStatistics, CountsRecord, ExperimentFile, TransitionMatrix, exact_statistics
+    ContextStatistics, CountsRecord, ExperimentFile, TransitionMatrix, canonical_dumps,
+    exact_statistics,
 )
 from ctxprob.cli import PRESETS, main
 
@@ -142,6 +143,22 @@ FOREIGN_FLAG_CASES = {
     "foreign_sweep_classical_alpha": ["sweep", "--family", "classical", "--alpha", "0:1:3"],
 }
 
+# Ensemble sizes are bounded at 2^63 - 1, where numpy's binomial draw stops.
+ENSEMBLE_BOUND_CASES = {
+    "simulate_max_n": ["simulate", "--model", "qubit", "--alpha", "1",
+                       "--n", str(2**63 - 1)],
+    "simulate_huge_n": ["simulate", "--model", "qubit", "--alpha", "1", "--n", str(2**64)],
+    "analyze_huge_counts": ["analyze", "inputs/huge_counts.json"],
+    "balance_huge_counts": ["balance", "inputs/huge_counts.json"],
+}
+
+
+def huge_counts_text() -> str:
+    """SPARSE_COUNTS with 2^64 draws of A on the context (2^63 of each outcome),
+    which no CountsRecord takes."""
+    payload = json.loads(ExperimentFile(counts=SPARSE_COUNTS).dumps())
+    payload["counts"].update(n_context=2**64, a_counts=[2**63, 2**63])
+    return canonical_dumps(payload)
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -183,6 +200,8 @@ def build(root: Path) -> list[dict]:
         )
         for command in ("analyze", "balance"):
             cases.append((f"{command}_{stem}", [command, f"inputs/{stem}.json"]))
+    (inputs / "huge_counts.json").write_text(huge_counts_text(), encoding="utf-8")
+    cases.extend(ENSEMBLE_BOUND_CASES.items())
     cases.extend((name, ["sweep", *argv]) for name, argv in SWEEPS.items())
     cases.extend(USAGE_CASES.items())
     cases.extend(FOREIGN_FLAG_CASES.items())

@@ -101,6 +101,37 @@ class TestSimulateCounts:
                 **sizes,
             )
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_sizes_are_bounded_at_a_c_long(self, position):
+        # numpy's binomial draw takes a C long: 2^63 - 1 is drawn, 2^63 refused.
+        sizes = [1, 1, 1, 1]
+        sizes[position] = 2**63 - 1
+        counts = simulate_counts(E1_MODEL, EnsembleSizes(*sizes[:2], tuple(sizes[2:])), 3)
+        assert 2**63 - 1 in (counts.n_context, counts.n_filtration, *counts.n_filtered)
+        sizes[position] = 2**63
+        with pytest.raises(ValidationError, match="at most 2\\^63 - 1"):
+            EnsembleSizes(*sizes[:2], tuple(sizes[2:]))
+
+    @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
+    def test_counts_ensemble_sizes_are_bounded(self, field):
+        def record(n):
+            # Ensembles of 1000, but ``field``'s first one has n draws, split in halves.
+            half = (n - n // 2, n // 2)
+            fields = {"n_context": 1000, "a_counts": (500, 500), "n_filtration": 1000,
+                      "b_counts": (500, 500), "n_filtered": (1000, 1000),
+                      "a_counts_given": ((700, 300), (300, 700))}
+            tallies = {"n_context": "a_counts", "n_filtration": "b_counts"}
+            if field == "n_filtered":
+                fields.update(n_filtered=(n, 1000), a_counts_given=(half, (300, 700)))
+            else:
+                fields.update({field: n, tallies[field]: half})
+            return CountsRecord(**fields, seed=0)
+
+        estimate = estimate_lambda(record(2**63 - 1), replicates=20, seed=1)
+        assert estimate.failed_replicates == 0
+        with pytest.raises(ValidationError, match="at most 2\\^63 - 1"):
+            record(2**63)
+
 
 class TestEstimateStatistics:
     def test_frequencies(self):
