@@ -495,20 +495,27 @@ _COMMANDS = {
 }
 
 
+def _command_parser(parser: _Parser, name: str) -> _Parser:
+    """``parser`` with subcommand ``name``'s flags and defaults."""
+    _, add_flags, handler = _COMMANDS[name]
+    add_flags(parser)
+    parser.set_defaults(command=name, handler=handler)
+    return parser
+
+
 def build_parser(command: str | None = None) -> _Parser:
-    """The CLI parser with every subcommand, or with ``command``'s alone.
+    """The CLI parser with every subcommand, or ``command``'s parser alone.
 
     A subcommand's help, usage and errors do not depend on its siblings; only
     the top-level usage and errors name them all.
     """
+    if command is not None:
+        return _command_parser(_Parser(prog=f"ctxprob {command}"), command)
     parser = _Parser(prog="ctxprob", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, handler) in _COMMANDS.items():
-        if command is None or name == command:
-            subparser = subparsers.add_parser(name, help=help_text)
-            add_flags(subparser)
-            subparser.set_defaults(handler=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(subparsers.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -519,7 +526,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser, whose usage and errors name every subcommand.
     """
     if argv and argv[0] in _COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
             return args
     return build_parser().parse_args(argv)

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 import ctxprob
 from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix, exact_statistics
 from ctxprob._validation import clip_probability
-from ctxprob.cli import _attach_signed_values, _csv_chunks, _sweep_block, build_parser, main
+from ctxprob.cli import (
+    _attach_signed_values, _csv_chunks, _parse, _sweep_block, build_parser, main
+)
 from ctxprob.models import random_model
 
 GOLDEN_CASES = json.loads(
@@ -571,12 +573,12 @@ class TestUnreadableInput:
         assert capsys.readouterr().err.startswith("ctxprob: invalid input: ")
 
 
-def _outcome(parser, argv):
-    """What ``parser.parse_known_args(argv)`` returns or exits with, and prints."""
+def _outcome(parse, argv):
+    """What ``parse(argv)`` returns or exits with, and prints."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parser.parse_known_args(argv)
+            result = parse(argv)
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -585,6 +587,44 @@ def _outcome(parser, argv):
 def _subparsers(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
+
+
+# Separators, abbreviations, repeated flags, missing values, help, stray positionals,
+# empty values and values that look like options.
+AWKWARD_ARGVS = [
+    ["balance", "--", "x.json"],
+    ["balance", "x.json", "--"],
+    ["balance", "--", "--tolerance"],
+    ["analyze", "--", "-x.json"],
+    ["balance", "x.json", "--tol", "0.1"],
+    ["analyze", "x.json", "--tol", "1e-3", "--eps", "0.1"],
+    ["sweep", "--fam", "qubit"],
+    ["sweep", "--family", "qubit", "--b-rot", "0.1,0.2"],
+    ["simulate", "--pre", "e1"],
+    ["simulate", "--pr", "e1"],
+    ["balance", "--he"],
+    ["sweep", "--he"],
+    ["balance", "x.json", "--h"],
+    ["balance", "x.json", "--tolerance", "0.1", "--tolerance", "0.2"],
+    ["simulate", "--seed", "1", "--seed", "2", "--preset", "e1"],
+    ["balance", "x.json", "--tolerance"],
+    ["sweep", "--family"],
+    ["balance"],
+    ["balance", "-h"],
+    ["reconstruct", "-h", "x.json"],
+    ["balance", "x.json", "y.json"],
+    ["sweep", "--family", "qubit", "stray"],
+    ["simulate", "balance"],
+    ["balance", "x.json", "-x"],
+    ["balance", "x.json", "--output="],
+    ["analyze", "x.json", "--output=", "--seed", "3"],
+    ["balance", "x.json", "--tolerance", "-1e-3"],
+    ["balance", "x.json", "--tolerance=-1e-3"],
+    ["analyze", "x.json", "--bootstrap-replicates", "1e3"],
+    ["simulate", "--model", "qubit", "--alpha", "-1"],
+    ["sweep", "--family", "synthetic", "--lambda1=-1:1:3"],
+    ["balance", "--output", "o.json", "x.json"],
+]
 
 
 class TestParser:
@@ -599,18 +639,25 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert main(["balance", exact_file(E1_STATS)]) == 0
-        assert len(built) == 2  # the top level and ``balance``; six with every subcommand
+        assert built == ["ctxprob balance"]  # six with every subcommand
 
     @pytest.mark.parametrize("argv", [case["argv"] for case in COMMAND_CASES],
                              ids=[case["name"] for case in COMMAND_CASES])
     def test_one_subcommand_parses_as_the_full_parser(self, argv):
         argv = _attach_signed_values(argv)
-        assert _outcome(build_parser(argv[0]), argv) == _outcome(build_parser(), argv)
+        alone = _outcome(build_parser(argv[0]).parse_known_args, argv[1:])
+        assert alone == _outcome(build_parser().parse_known_args, argv)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_subcommand_help_does_not_depend_on_its_siblings(self, command):
-        (alone,) = _subparsers(build_parser(command)).values()
-        assert alone.format_help() == _subparsers(build_parser())[command].format_help()
+        alone, full = build_parser(command), _subparsers(build_parser())[command]
+        assert alone.format_help() == full.format_help()
+        assert alone.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("argv", AWKWARD_ARGVS, ids=" ".join)
+    def test_parse_agrees_with_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("module", ["ctxprob", "ctxprob.cli"])
