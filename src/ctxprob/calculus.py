@@ -449,7 +449,7 @@ def check_double_stochastic(matrix: RawMatrix, tol: float = TOL_EXACT) -> Balanc
     failed row-sum law comes back as a residual rather than a construction
     error.
     """
-    tol = require_finite(tol, "tol")
+    tol = require_finite(tol, "tolerance")
     if tol < 0.0:
         raise ValidationError(f"tolerance must be >= 0, got {tol}")
     if isinstance(matrix, TransitionMatrix):

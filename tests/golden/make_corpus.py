@@ -116,6 +116,8 @@ FLAG_CASES = {
                               "--bootstrap-replicates", "7", "--seed", "11"],
     "reconstruct_e1_exact_eps": ["reconstruct", "inputs/e1_exact.json", "--eps-class", "0.3"],
     "balance_e2_counts_tol": ["balance", "inputs/e2_counts.json", "--tolerance", "0.3"],
+    # A non-finite tolerance is refused under the flag's own name (exit 1).
+    "balance_tolerance_nan": ["balance", "inputs/e1_exact.json", "--tolerance", "nan"],
 }
 
 # Help goes to stdout with exit 0; usage errors go to stderr with exit 1.

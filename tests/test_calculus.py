@@ -309,6 +309,11 @@ class TestBalanceChecks:
         with pytest.raises(ValidationError):
             check_double_stochastic(((1.2, -0.2), (0.5, 0.5)), 1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejected_tolerance_is_named_tolerance(self, tol):
+        with pytest.raises(ValidationError, match=r"^tolerance must be "):
+            check_double_stochastic(HALF, tol)
+
 
 # ---------------------------------------------------------------------------
 # phase parametrization

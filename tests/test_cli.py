@@ -581,7 +581,15 @@ def _outcome(parse, argv):
             result = parse(argv)
         except SystemExit as exc:
             result = ("exit", exc.code)
-    return result, out.getvalue(), err.getvalue()
+    return _plain(result), out.getvalue(), err.getvalue()
+
+
+def _plain(result):
+    """``result`` with each namespace as the repr of its sorted items, so that a
+    nan flag value equals itself."""
+    if isinstance(result, argparse.Namespace):
+        return repr(sorted(vars(result).items()))
+    return tuple(map(_plain, result)) if isinstance(result, tuple) else result
 
 
 def _subparsers(parser):
