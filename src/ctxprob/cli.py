@@ -37,10 +37,8 @@ from .models import (
     SyntheticModel,
     exact_statistics,
     qubit_probabilities,
-    qubit_statistics,
     random_classical_rows,
     random_model,
-    synthesize_statistics,
 )
 from .report import (
     analyze_block, analyze_estimated, analyze_exact, balance_to_dict, report_to_dict
@@ -275,9 +273,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_block(args: argparse.Namespace) -> tuple:
-    """Parameter names, per-point parameter values, the unvalidated ``(N, 8)``
-    statistics block and the scalar statistics of point ``i``, for
-    :func:`analyze_block`.  Invalid models raise as building each one would."""
+    """Parameter names and columns, the unvalidated ``(N, 8)`` statistics block
+    and the model of point ``i``, for :func:`analyze_block`.  Invalid models
+    raise as building each one would."""
     _family_flags(args, _SWEEP_FAMILIES, args.family)
     if args.family == "qubit":
         names = ["alpha", "phi", "b_rotation", "b_phase"]
@@ -286,9 +284,10 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         if not all(map(math.isfinite, itertools.chain(*grids))):
             for values in itertools.product(*grids):
                 QubitModel(*values)
-        points = list(itertools.product(*grids))
-        block = np.array([qubit_probabilities(*point) for point in points])
-        return names, points, block, lambda i: qubit_statistics(QubitModel(*points[i]))
+        columns = [axis.ravel() for axis in np.meshgrid(*grids, indexing="ij")]
+        values = [column.tolist() for column in columns]
+        block = np.fromiter(map(qubit_probabilities, *values), (float, 8), len(values[0]))
+        return names, columns, block, lambda i: QubitModel(*[c[i].item() for c in columns])
     if args.family == "synthetic":
         if args.lambda1 is None:
             raise ValidationError("synthetic sweep needs --lambda1 grid")
@@ -310,8 +309,8 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
                 LambdaPair(*pair.tolist())
             fixed = np.tile((*prior, *rows.ravel()), (len(lam1), 1))
             block = np.hstack((fixed, classical + weight * lam))
-        return ["target_lambda1"], list(zip(lam1)), block, lambda i: synthesize_statistics(
-            SyntheticModel(prior, transition, LambdaPair(*lam[i].tolist()))
+        return ["target_lambda1"], [lam[:, 0]], block, lambda i: SyntheticModel(
+            prior, transition, LambdaPair(*lam[i].tolist())
         )
     # classical: random models indexed by seed, each drawn as random_model draws it
     count = args.count
@@ -320,35 +319,35 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
     _check_sweep_size(count, "classical sweep")
     seeds = range(args.seed, args.seed + count)
     block = np.array(random_classical_rows(seeds))
-    return ["model_seed"], list(zip(seeds)), block, lambda i: exact_statistics(
-        random_model("classical", seeds[i])
+    return ["model_seed"], [np.array(seeds, object)], block, lambda i: random_model(
+        "classical", seeds[i]
     )
 
 
-def _column_text(column: tuple) -> list[str]:
+def _column_text(column: np.ndarray) -> list[str]:
     """Each value's CSV field, as ``csv`` writes it: ``repr`` of a float, ``str`` of
-    anything else.  A column of floats ``repr``s each bit pattern once, so -0.0 and
-    0.0 stay apart."""
-    if set(map(type, column)) != {float}:
-        return list(map(str, column))
-    bits, inverse = np.unique(np.array(column).view(np.uint64), return_inverse=True)
+    anything else (``str`` of a Python float is its ``repr``).  A float64 column
+    ``repr``s each bit pattern once, so -0.0 and 0.0 stay apart."""
+    if column.dtype != np.float64:
+        return list(map(str, column.tolist()))
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()
 
 
-def _csv_chunks(header: list[str], rows: Iterator[list]) -> Iterator[str]:
-    """CSV text of ``header`` and ``rows``, ``SWEEP_CHUNK_ROWS`` rows at a time.  No
+def _csv_chunks(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
+    """CSV text of ``header`` and ``columns``, ``SWEEP_CHUNK_ROWS`` rows at a time.  No
     field needs quoting: the fields are numbers, class names and column names."""
     yield ",".join(header) + "\n"
-    while chunk := list(itertools.islice(rows, SWEEP_CHUNK_ROWS)):
-        columns = map(_column_text, zip(*chunk))
-        yield "".join([",".join(fields) + "\n" for fields in zip(*columns)])
+    for start in range(0, len(columns[0]), SWEEP_CHUNK_ROWS):
+        texts = [_column_text(column[start : start + SWEEP_CHUNK_ROWS]) for column in columns]
+        yield "".join([",".join(fields) + "\n" for fields in zip(*texts)])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    parameter_names, parameters, block, statistics_of = _sweep_block(args)
-    rows = analyze_block(block, statistics_of, eps_class=args.eps_class)
-    table = ([*values, *row] for values, row in zip(parameters, rows))
-    _write_output(_csv_chunks(parameter_names + _SWEEP_FIXED_COLUMNS, table), args.output)
+    names, parameters, block, model_of = _sweep_block(args)
+    columns = analyze_block(block, lambda i: exact_statistics(model_of(i)),
+                            eps_class=args.eps_class)
+    _write_output(_csv_chunks(names + _SWEEP_FIXED_COLUMNS, [*parameters, *columns]), args.output)
     return EXIT_OK
 
 

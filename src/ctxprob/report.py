@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -120,14 +120,14 @@ def analyze_block(
     statistics_of: Callable[[int], ContextStatistics],
     *,
     eps_class: float = EPS_CLASS_DEFAULT,
-) -> Iterator[list]:
+) -> list[np.ndarray]:
     """:func:`analyze_exact` of every row of an ``(N, 8)`` block, in one array pass.
 
     Rows ``(p1, p2, t11, t12, t21, t22, q1, q2)`` come unvalidated, and
-    ``statistics_of(i)`` builds row ``i`` the scalar way.  Each result row holds
-    the valid probabilities, the coefficients, phase angles, verdict kind and
-    largest column residual.  Row 0 and the first failing row are replayed
-    through :func:`analyze_exact`, which raises the scalar path's errors.
+    ``statistics_of(i)`` builds row ``i`` the scalar way.  The result is a list of
+    columns: the valid probabilities, the coefficients, phase angles, verdict
+    kinds and largest column residuals.  Row 0 and the first failing row are
+    replayed through :func:`analyze_exact`, which raises the scalar path's errors.
     """
     bad = out_of_range(block, TOL_EXACT).any(axis=1)
     block = clip_probability(block, where=np.where)
@@ -143,14 +143,12 @@ def analyze_block(
     eps = float(eps_class)
     verdicts, conditions = zip(*regimes(*np.abs(lam).T, eps))
     kinds = np.select(conditions, [v.kind.value for v in verdicts], TheoryKind.BOUNDARY.value)
-    trig_tol = np.where(np.isin(kinds, [kind.value for kind in _LIFTABLE]), eps, 0.0)
-    residual = sum_residual(ta, tb).max(axis=1)
-    return (
-        [*probabilities, l1, l2, phase_terms(l1, trig)[1], phase_terms(l2, trig)[1], kind, res]
-        for probabilities, (l1, l2), trig, kind, res in zip(
-            block.tolist(), lam.tolist(), trig_tol.tolist(), kinds.tolist(), residual.tolist()
-        )
-    )
+    trig_tol = np.where(np.isin(kinds, [kind.value for kind in _LIFTABLE]), eps, 0.0).tolist()
+    thetas = [
+        np.array([phase_terms(value, trig)[1] for value, trig in zip(column, trig_tol)])
+        for column in lam.T.tolist()
+    ]
+    return [*block.T, *lam.T, *thetas, kinds, sum_residual(ta, tb).max(axis=1)]
 
 
 def analyze_estimated(

@@ -279,9 +279,10 @@ class TestSweep:
     def test_classical_block_rows_are_the_models_statistics(self, first, count):
         # The block is unvalidated: compare it clipped, as analyze_block reads it.
         args = argparse.Namespace(family="classical", count=count, seed=first)
-        _, parameters, block, _ = _sweep_block(args)
+        _, (seeds,), block, _ = _sweep_block(args)
         block = clip_probability(block, where=np.where)
-        for (seed,), row in zip(parameters, block.tolist(), strict=True):
+        assert seeds.tolist() == list(range(first, first + count))
+        for seed, row in zip(seeds.tolist(), block.tolist(), strict=True):
             stats = exact_statistics(random_model("classical", seed))
             expected = [*stats.prior, *stats.transition.rows[0], *stats.transition.rows[1],
                         *stats.outcome]
@@ -341,6 +342,23 @@ class TestSweep:
         assert present.read_bytes() == b"earlier,bytes\n"
         assert capsys.readouterr().out == ""
 
+    def test_a_large_qubit_sweep_stays_in_bounded_memory(self, tmp_path):
+        # 10^5 points in a fresh process, which reports its own peak RSS (ru_maxrss,
+        # KiB on Linux).
+        src = str(Path(ctxprob.__file__).resolve().parents[1])
+        out = tmp_path / "sweep.csv"
+        code = ("import resource, sys; from ctxprob.cli import main; code = main(sys.argv[1:]); "
+                "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        argv = ["sweep", "--family", "qubit", "--alpha", "0.1:1.4:20", "--phi", "0:3:50",
+                "--b-rotation", "0.1:1.4:10", "--b-phase", "0:3:10", "--output", str(out)]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        exit_code, peak_kib = map(int, proc.stdout.split())
+        assert exit_code == 0, proc.stderr
+        with open(out, encoding="utf-8") as handle:
+            assert sum(1 for _ in handle) == 10**5 + 1
+        assert peak_kib / 1024 <= 110
+
 
 # Floats whose repr changes form (1e-05, 0.0001, 1e16, 9999999999999998.0), both
 # zeros, subnormals, extremes and their neighbours one ulp away.
@@ -375,8 +393,12 @@ class TestSweepWriter:
     def test_text_is_what_the_csv_module_writes(self, data, kinds, count, chunk):
         rows = [[data.draw(_FIELDS[kind]) for kind in kinds] for _ in range(count)]
         header = [f"c{i}" for i in range(len(kinds))]
+        # A column of floats is float64, as the sweep's are; any other is an object array.
+        columns = [[row[i] for row in rows] for i in range(len(kinds))]
+        columns = [np.array(column, float if all(type(v) is float for v in column) else object)
+                   for column in columns]
         with mock.patch.object(ctxprob.cli, "SWEEP_CHUNK_ROWS", chunk):
-            text = "".join(_csv_chunks(header, iter(rows)))
+            text = "".join(_csv_chunks(header, columns))
         assert text == _csv_module_text(header, rows)
 
     @pytest.mark.parametrize("chunk", [1, 3, 12, 13])

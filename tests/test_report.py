@@ -98,8 +98,8 @@ def test_rows_equal_analyze_exact(block, eps, edge, tol):
             analyze_block(np.array(block), statistics_of, eps_class=eps)
         assert str(raised.value) == str(error)
     else:
-        got = list(analyze_block(np.array(block), statistics_of, eps_class=eps))
-        assert [bits(row) for row in got] == [bits(row) for row in expected]
+        got = analyze_block(np.array(block), statistics_of, eps_class=eps)
+        assert [bits(column.tolist()) for column in got] == [bits(c) for c in zip(*expected)]
 
 
 @pytest.mark.parametrize(
