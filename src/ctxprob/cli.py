@@ -531,10 +531,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-# Flags whose values may start with a minus sign ("-1.25:1.25:11",
-# "-1.25,1.25").  argparse reads such a token as an option unless it is a plain
-# negative number, so ``_attach_signed_values`` joins it to its flag.
-_SIGNED_VALUE_FLAGS = ("--alpha", "--phi", "--b-rotation", "--b-phase", "--lambda1", "--lambda")
+# Flags whose values may start with a minus sign ("-1.25:1.25:11", "-1e-3").
+# argparse reads such a token as an option unless it is a plain negative number
+# without an exponent, so ``_attach_signed_values`` joins it to its flag.
+_SIGNED_VALUE_FLAGS = ("--alpha", "--phi", "--b-rotation", "--b-phase", "--lambda1", "--lambda",
+                       "--tolerance", "--eps-class")
 _SIGNED_VALUE = re.compile(r"-[0-9.]")
 
 

@@ -507,8 +507,13 @@ class TestUsageErrors:
         ["simulate", "--model", "synthetic", "--lambda", "-1.25,1.25", "--n", "100"],
         ["simulate", "--model", "qubit", "--alpha", "-0.5", "--phi", "-1e-3",
          "--b-rotation", "-.7", "--b-phase", "-0.2", "--n", "100"],
+        ["balance", "INPUT", "--tolerance", "-0e-3"],
+        ["analyze", "INPUT", "--tolerance", "-0e-3", "--eps-class", "-0e-3"],
+        ["reconstruct", "INPUT", "--eps-class", "-0e-3"],
+        ["sweep", "--family", "classical", "--count", "2", "--eps-class", "-0e-3"],
     ])
-    def test_signed_values_in_two_token_form(self, argv, capsys):
+    def test_signed_values_in_two_token_form(self, argv, exact_file, capsys):
+        argv = [exact_file(E1_STATS) if token == "INPUT" else token for token in argv]
         joined = []
         for token in argv:
             if token[:1] == "-" and token[1:2] != "-":
@@ -519,6 +524,25 @@ class TestUsageErrors:
         two_token = capsys.readouterr().out
         assert main(joined) == 0
         assert capsys.readouterr().out == two_token
+
+    @pytest.mark.parametrize("command, flag", [
+        ("balance", "--tolerance"),
+        ("analyze", "--tolerance"),
+        ("analyze", "--eps-class"),
+        ("reconstruct", "--eps-class"),
+        ("sweep", "--eps-class"),
+    ])
+    def test_negative_value_with_exponent_is_checked_in_both_forms(
+        self, command, flag, exact_file, capsys
+    ):
+        leading = (["--family", "classical", "--count", "1"] if command == "sweep"
+                   else [exact_file(E1_STATS)])
+        name = flag[2:].replace("-", "_")
+        for tokens in ([flag, "-1e-3"], [f"{flag}=-1e-3"]):
+            assert main([command, *leading, *tokens]) == 1
+            assert capsys.readouterr().err == (
+                f"ctxprob: invalid input: {name} must be >= 0, got -0.001\n"
+            )
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--tolerance"),
