@@ -7,7 +7,8 @@ Run from anywhere in a checkout::
 ``--base`` is a git revision, exported with ``git archive``, or a directory
 that holds a ``src/ctxprob`` tree.  The check draws N argvs from the seed:
 
-* the golden cases of ``cases.json``, run against a copy of ``inputs/``;
+* the golden cases of ``cases.json``, run against a copy of ``inputs/``, and
+  one sweep longer than the CSV writer's chunk of 4096 rows;
 * ops of the ``build`` streams of ``bench/workloads.py``, all three workloads;
 * hostile variants of both: non-finite and out-of-range flag values, signed
   grids, flags the subcommand or model family does not take, dropped tokens,
@@ -61,8 +62,11 @@ FLAGS = (
 SIGNED = (
     ("--lambda1", "-1.25:1.25:3"), ("--lambda1", "-0.5"), ("--alpha", "-0.3,0.2"),
     ("--phi", "-1:1:2"), ("--b-rot", "-0.5"), ("--b-phase", "-3"), ("--lambda", "-1.25,1.25"),
-    ("--lambda", "-0.5,-0.5"), ("--seed", "-1"), ("--n", "-5"),
+    ("--lambda", "-0.5,-0.5"), ("--seed", "-1"), ("--n", "-5"), ("--tolerance", "-1e-3"),
+    ("--eps-class", "-1e-3"),
 )
+# More points than ``cli.SWEEP_CHUNK_ROWS``, so that a chunk boundary is compared.
+LONG_SWEEP = ["sweep", "--family", "synthetic", "--lambda1=-0.9:0.9:5000"]
 FILE_COMMANDS = ("analyze", "reconstruct", "balance")
 
 
@@ -183,6 +187,7 @@ def draw_cases(work: Path, count: int, seed: int) -> tuple[list[list[str]], coll
     shutil.copytree(HERE / "inputs", work / "inputs")
     files = _malformed(work / "inputs")
     golden = [case["argv"] for case in json.loads((HERE / "cases.json").read_text("utf-8"))]
+    golden.append(LONG_SWEEP)
     bench = _bench_ops(work / "bench", seed)
     rnd = random.Random(seed)
     cases, sources = [], collections.Counter()
