@@ -31,6 +31,7 @@ from .calculus import (
 from .errors import CtxprobError, DegenerateContextError, NonTrigonometricError, ValidationError
 from .io import ExperimentFile, canonical_dumps, model_to_dict
 from .models import (
+    SWEEP_CHUNK_ROWS,
     KolmogorovModel,
     Model,
     QubitModel,
@@ -78,9 +79,6 @@ _SWEEP_FAMILIES = {
 
 #: Most points one ``sweep`` takes; checked before any point is built.
 MAX_SWEEP_POINTS = 10**6
-
-#: Rows the sweep CSV is formatted in at a time; one chunk's text is held at once.
-SWEEP_CHUNK_ROWS = 4096
 
 _SWEEP_FIXED_COLUMNS = [
     "p1", "p2", "p11", "p12", "p21", "p22", "p1a", "p2a",
@@ -318,7 +316,7 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         raise ValidationError("classical sweep needs --count >= 1")
     _check_sweep_size(count, "classical sweep")
     seeds = range(args.seed, args.seed + count)
-    block = np.array(random_classical_rows(seeds))
+    block = random_classical_rows(seeds)
     return ["model_seed"], [np.array(seeds, object)], block, lambda i: random_model(
         "classical", seeds[i]
     )

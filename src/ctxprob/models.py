@@ -21,8 +21,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
-from ._rng import ROLE_MODEL, substream
+import numpy as np
+
+from ._rng import ROLE_MODEL, substream, substreams
 from ._validation import (
     TOL_EXACT,
     require_distribution,
@@ -61,6 +64,9 @@ __all__ = [
 
 _MAX_POINTS = 16
 _RETRY_BOUND = 1000
+
+#: Rows a sweep builds, or formats as CSV, at a time.
+SWEEP_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -230,23 +236,42 @@ def exact_statistics(model: Model) -> ContextStatistics:
 # ---------------------------------------------------------------------------
 
 
-def draw_classical(rng) -> tuple[list[float], list[int], list[int]]:
-    """Unvalidated ``(weights, a_values, b_values)`` of a random classical model."""
+def draw_classical(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unvalidated ``(weights, a_values, b_values)`` arrays of a random classical model."""
     n = int(rng.integers(2, _MAX_POINTS + 1))
     # Strictly positive weights and a forced point in each filtration keep
     # every draw valid without rejection.
     raw = rng.random(n) + 1e-3
-    weights = (raw / raw.sum()).tolist()
-    a_values = rng.integers(0, 2, size=n).tolist()
-    b_values = rng.integers(0, 2, size=n).tolist()
-    b_values[0] = 0
-    b_values[1] = 1
-    return weights, a_values, b_values
+    a_values, b_values = rng.integers(0, 2, size=(2, n))
+    b_values[:2] = (0, 1)
+    return raw / raw.sum(), a_values, b_values
 
 
-def random_classical_rows(seeds) -> list[tuple]:
-    """:func:`classical_probabilities` of ``random_model("classical", s)`` for each seed ``s``."""
-    return [classical_probabilities(*draw_classical(substream(s, ROLE_MODEL))) for s in seeds]
+def random_classical_rows(seeds: Sequence[int]) -> np.ndarray:
+    """The ``(len(seeds), 8)`` block of :func:`classical_probabilities` of
+    ``random_model("classical", s)`` for each seed ``s``, bit for bit.
+
+    ``SWEEP_CHUNK_ROWS`` models at a time are drawn from :func:`substreams` and
+    tallied at once: ``np.bincount`` adds each model's weights in index order,
+    as the scalar loop does.  Every draw has a point in each filtration, so no
+    row has the zero B-weight that :func:`classical_probabilities` refuses.
+    """
+    block = np.empty((len(seeds), 8))
+    for start in range(0, len(seeds), SWEEP_CHUNK_ROWS):
+        chunk = seeds[start : start + SWEEP_CHUNK_ROWS]
+        draws = [draw_classical(rng) for rng in substreams(chunk, ROLE_MODEL)]
+        weights, a_values, b_values = map(np.concatenate, zip(*draws))
+        model = np.repeat(np.arange(len(chunk)), [len(draw[0]) for draw in draws])
+
+        def tally(key: np.ndarray, per_model: int) -> np.ndarray:
+            sums = np.bincount(per_model * model + key, weights, per_model * len(chunk))
+            return sums.reshape(len(chunk), per_model)
+
+        rows = block[start : start + len(chunk)]
+        rows[:, 0:2] = b_weight = tally(b_values, 2)
+        rows[:, 2:6] = tally(2 * b_values + a_values, 4) / np.repeat(b_weight, 2, axis=1)
+        rows[:, 6:8] = tally(a_values, 2)
+    return block
 
 
 def _random_qubit(rng) -> QubitModel:
@@ -301,7 +326,7 @@ def random_model(kind: ModelKind | str, seed: int) -> Model:
     kind = ModelKind(kind)
     rng = substream(require_seed(seed), ROLE_MODEL)
     if kind is ModelKind.CLASSICAL:
-        return KolmogorovModel(*map(tuple, draw_classical(rng)))
+        return KolmogorovModel(*(tuple(values.tolist()) for values in draw_classical(rng)))
     if kind is ModelKind.QUBIT:
         return _random_qubit(rng)
     return _random_synthetic(rng, hyperbolic=kind is ModelKind.SYNTHETIC_HYPERBOLIC)

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctxprob
@@ -23,7 +23,7 @@ from ctxprob._validation import clip_probability
 from ctxprob.cli import (
     _attach_signed_values, _csv_chunks, _parse, _sweep_block, build_parser, main
 )
-from ctxprob.models import random_model
+from ctxprob.models import SWEEP_CHUNK_ROWS, random_model
 
 GOLDEN_CASES = json.loads(
     (Path(__file__).resolve().parent / "golden" / "cases.json").read_text(encoding="utf-8")
@@ -274,12 +274,17 @@ class TestSweep:
         assert len(lines) == 6
         assert all(line.split(",")[-2] == "classical" for line in lines[1:])
 
-    @given(first=st.integers(0, 2**64 - 50), count=st.integers(1, 50))
+    @given(first=st.integers(0, 2**64 - 50), count=st.integers(1, 50),
+           chunk=st.sampled_from([7, SWEEP_CHUNK_ROWS]))
+    @example(first=2**32 - 3, count=6, chunk=SWEEP_CHUNK_ROWS)  # seeds of one and two words
+    @example(first=2**32 - 10, count=20, chunk=7)  # a chunk from one word to two
+    @example(first=2**64 - 50, count=50, chunk=7)
     @settings(max_examples=60, deadline=None)
-    def test_classical_block_rows_are_the_models_statistics(self, first, count):
+    def test_classical_block_rows_are_the_models_statistics(self, first, count, chunk):
         # The block is unvalidated: compare it clipped, as analyze_block reads it.
         args = argparse.Namespace(family="classical", count=count, seed=first)
-        _, (seeds,), block, _ = _sweep_block(args)
+        with mock.patch.object(ctxprob.models, "SWEEP_CHUNK_ROWS", chunk):
+            _, (seeds,), block, _ = _sweep_block(args)
         block = clip_probability(block, where=np.where)
         assert seeds.tolist() == list(range(first, first + count))
         for seed, row in zip(seeds.tolist(), block.tolist(), strict=True):
