@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._validation import TOL_EXACT, clip_probability, out_of_range, sum_residual
+from ._validation import TOL_EXACT, out_of_range, sum_residual
 from .amplitudes import AmplitudePair, born_residual, lift_to_amplitudes
 from .calculus import (
     EPS_CLASS_DEFAULT,
@@ -128,9 +128,12 @@ def analyze_block(
     columns: the valid probabilities, the coefficients, phase angles, verdict
     kinds and largest column residuals.  Row 0 and the first failing row are
     replayed through :func:`analyze_exact`, which raises the scalar path's errors.
+    ``block`` is clipped in place, so no second copy of it is held.
     """
     bad = out_of_range(block, TOL_EXACT).any(axis=1)
-    block = clip_probability(block, where=np.where)
+    # clip_probability's rule, written into the block.
+    block[block < 0.0] = 0.0
+    block[block > 1.0] = 1.0
     bad |= ~(sum_residual(block[:, 0::2], block[:, 1::2]) <= TOL_EXACT).all(axis=1)
     p1, p2, ta, tb, q = block[:, 0:1], block[:, 1:2], block[:, 2:4], block[:, 4:6], block[:, 6:8]
     lam, failed, _, _ = invert_column(q, p1, p2, ta, tb, sqrt=np.sqrt, where=np.where)
