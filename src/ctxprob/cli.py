@@ -16,6 +16,7 @@ import itertools
 import math
 import re
 import sys
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -537,22 +538,35 @@ _SIGNED_VALUE_FLAGS = ("--alpha", "--phi", "--b-rotation", "--b-phase", "--lambd
 _SIGNED_VALUE = re.compile(r"-[0-9.]")
 
 
-def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--flag -1.5...`` as ``--flag=-1.5...`` for the flags above.
+def _flag_names(command: str) -> list[str]:
+    """The option strings subcommand ``command`` declares, without building its parser."""
+    names: list[str] = []
+    _COMMANDS[command][1](SimpleNamespace(add_argument=lambda *flags, **_: names.extend(flags)))
+    return names
 
-    A flag may be abbreviated as argparse allows (``--b-rot``): ``--b-rot=x``
-    then means what ``--b-rot x`` would.
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -1.5...`` as ``--flag=-1.5...`` for the flags above that the
+    subcommand takes.
+
+    The subcommand is the first token that is not an option, as argparse finds
+    it.  A flag may be abbreviated as argparse allows (``--b-rot``): the join is
+    made only where the abbreviation names one flag of the subcommand, so
+    ``--b-rot=x`` then means what ``--b-rot x`` would, and a flag the subcommand
+    does not take keeps its two tokens for argparse's message.
     """
     out = list(argv)
-    i = 0
+    i = next((i for i, token in enumerate(out) if not token.startswith("-")), len(out))
+    if i == len(out) or out[i] not in _COMMANDS or "--" in out[:i]:
+        return out
+    command, names = out[i], None
     while i < len(out) - 1 and out[i] != "--":
         flag = out[i]
-        if (
-            len(flag) > 2
-            and any(name.startswith(flag) for name in _SIGNED_VALUE_FLAGS)
-            and _SIGNED_VALUE.match(out[i + 1])
-        ):
-            out[i : i + 2] = [f"{flag}={out[i + 1]}"]
+        if len(flag) > 2 and flag.startswith("--") and _SIGNED_VALUE.match(out[i + 1]):
+            names = names or _flag_names(command)
+            taken = [flag] if flag in names else [n for n in names if n.startswith(flag)]
+            if len(taken) == 1 and taken[0] in _SIGNED_VALUE_FLAGS:
+                out[i : i + 2] = [f"{flag}={out[i + 1]}"]
         i += 1
     return out
 

@@ -133,6 +133,10 @@ USAGE_CASES = {
     "usage_analyze_bad_eps_class": ["analyze", "inputs/e1_exact.json", "--eps-class", "abc"],
     "usage_sweep_bad_family": ["sweep", "--family", "nope"],
     "usage_flag_before_command": ["-x", "balance", "inputs/e1_exact.json"],
+    # A signed value of a flag the subcommand does not take: the message shows
+    # both tokens as given.
+    "usage_simulate_signed_tolerance": ["simulate", "--preset", "e1", "--tolerance", "-1e-3"],
+    "usage_analyze_signed_alpha": ["analyze", "inputs/e1_exact.json", "--alpha", "-0.3,0.2"],
 }
 
 # A flag of another model family, or any model flag with a preset, exits 1.
