@@ -7,8 +7,9 @@ Run from anywhere in a checkout::
 ``--base`` is a git revision, exported with ``git archive``, or a directory
 that holds a ``src/ctxprob`` tree.  The check draws N argvs from the seed:
 
-* the golden cases of ``cases.json``, run against a copy of ``inputs/``, and
-  one sweep longer than the CSV writer's chunk of 4096 rows;
+* the golden cases of ``cases.json``, run against a copy of ``inputs/``, two
+  sweeps longer than a sweep's chunk of 4096 rows (one synthetic, one
+  classical), and a classical sweep whose seeds cross 2^32;
 * ops of the ``build`` streams of ``bench/workloads.py``, all three workloads;
 * hostile variants of both: non-finite and out-of-range flag values, signed
   grids, flags the subcommand or model family does not take, dropped tokens,
@@ -65,8 +66,13 @@ SIGNED = (
     ("--lambda", "-0.5,-0.5"), ("--seed", "-1"), ("--n", "-5"), ("--tolerance", "-1e-3"),
     ("--eps-class", "-1e-3"),
 )
-# More points than ``cli.SWEEP_CHUNK_ROWS``, so that a chunk boundary is compared.
-LONG_SWEEP = ["sweep", "--family", "synthetic", "--lambda1=-0.9:0.9:5000"]
+# Sweeps longer than ``models.SWEEP_CHUNK_ROWS``, so that a chunk boundary is
+# compared, and a classical sweep whose seeds go from one 32-bit word to two.
+LONG_SWEEPS = (
+    ["sweep", "--family", "synthetic", "--lambda1=-0.9:0.9:5000"],
+    ["sweep", "--family", "classical", "--count", "5000", "--seed", "11"],
+    ["sweep", "--family", "classical", "--count", "40", "--seed", str(2**32 - 20)],
+)
 FILE_COMMANDS = ("analyze", "reconstruct", "balance")
 
 
@@ -187,7 +193,7 @@ def draw_cases(work: Path, count: int, seed: int) -> tuple[list[list[str]], coll
     shutil.copytree(HERE / "inputs", work / "inputs")
     files = _malformed(work / "inputs")
     golden = [case["argv"] for case in json.loads((HERE / "cases.json").read_text("utf-8"))]
-    golden.append(LONG_SWEEP)
+    golden.extend(LONG_SWEEPS)
     bench = _bench_ops(work / "bench", seed)
     rnd = random.Random(seed)
     cases, sources = [], collections.Counter()
