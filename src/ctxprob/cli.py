@@ -16,7 +16,6 @@ import itertools
 import math
 import re
 import sys
-from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,7 +87,15 @@ _SWEEP_FIXED_COLUMNS = [
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1, and with any token that
+    starts with a minus sign and a digit or a point read as a value, so every flag
+    takes ``--flag -1e-3`` as it takes ``--flag=-1e-3``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only plain negative numbers, not "-1e-3"
+        # or "-1:1:3"; no ctxprob option looks like a negative number.
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)
@@ -530,52 +537,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-# Flags whose values may start with a minus sign ("-1.25:1.25:11", "-1e-3").
-# argparse reads such a token as an option unless it is a plain negative number
-# without an exponent, so ``_attach_signed_values`` joins it to its flag.
-_SIGNED_VALUE_FLAGS = ("--alpha", "--phi", "--b-rotation", "--b-phase", "--lambda1", "--lambda",
-                       "--tolerance", "--eps-class")
-_SIGNED_VALUE = re.compile(r"-[0-9.]")
-
-
-def _flag_names(command: str) -> list[str]:
-    """The option strings subcommand ``command`` declares, without building its parser."""
-    names: list[str] = []
-    _COMMANDS[command][1](SimpleNamespace(add_argument=lambda *flags, **_: names.extend(flags)))
-    return names
-
-
-def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--flag -1.5...`` as ``--flag=-1.5...`` for the flags above that the
-    subcommand takes.
-
-    The subcommand is the first token that is not an option, as argparse finds
-    it.  A flag may be abbreviated as argparse allows (``--b-rot``): the join is
-    made only where the abbreviation names one flag of the subcommand, so
-    ``--b-rot=x`` then means what ``--b-rot x`` would, and a flag the subcommand
-    does not take keeps its two tokens for argparse's message.
-    """
-    out = list(argv)
-    i = next((i for i, token in enumerate(out) if not token.startswith("-")), len(out))
-    if i == len(out) or out[i] not in _COMMANDS or "--" in out[:i]:
-        return out
-    command, names = out[i], None
-    while i < len(out) - 1 and out[i] != "--":
-        flag = out[i]
-        if len(flag) > 2 and flag.startswith("--") and _SIGNED_VALUE.match(out[i + 1]):
-            names = names or _flag_names(command)
-            taken = [flag] if flag in names else [n for n in names if n.startswith(flag)]
-            if len(taken) == 1 and taken[0] in _SIGNED_VALUE_FLAGS:
-                out[i : i + 2] = [f"{flag}={out[i + 1]}"]
-        i += 1
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code."""
-    argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = _parse(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

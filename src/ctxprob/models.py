@@ -21,11 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from ._rng import ROLE_MODEL, substream, substreams
+from ._rng import ROLE_MODEL, ROLE_MODEL_CLASSICAL_CHUNK, substream
 from ._validation import (
     TOL_EXACT,
     require_distribution,
@@ -67,6 +66,9 @@ _RETRY_BOUND = 1000
 
 #: Rows a sweep builds, or formats as CSV, at a time.
 SWEEP_CHUNK_ROWS = 4096
+#: Classical models drawn from one stream: model ``s`` is model ``s % 64`` of
+#: draw chunk ``s // 64``.  Frozen with the stream layout.
+CLASSICAL_CHUNK_MODELS = 64
 
 
 @dataclass(frozen=True)
@@ -236,41 +238,62 @@ def exact_statistics(model: Model) -> ContextStatistics:
 # ---------------------------------------------------------------------------
 
 
-def draw_classical(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unvalidated ``(weights, a_values, b_values)`` arrays of a random classical model."""
-    n = int(rng.integers(2, _MAX_POINTS + 1))
+def classical_chunk(chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unvalidated ``(model, weights, a_values, b_values)`` arrays of the classical
+    models of draw chunk ``chunk``, one entry per point: point ``i`` belongs to model
+    ``model[i]`` of the chunk, and each model's points are contiguous, in order.
+
+    The chunk's ``CLASSICAL_CHUNK_MODELS`` models are drawn together from
+    ``substream(chunk, ROLE_MODEL_CLASSICAL_CHUNK)``: every model's size, then every
+    point's raw weight, then every point's A and B values.
+    """
+    rng = substream(chunk, ROLE_MODEL_CLASSICAL_CHUNK)
+    sizes = rng.integers(2, _MAX_POINTS + 1, size=CLASSICAL_CHUNK_MODELS)
     # Strictly positive weights and a forced point in each filtration keep
     # every draw valid without rejection.
-    raw = rng.random(n) + 1e-3
-    a_values, b_values = rng.integers(0, 2, size=(2, n))
-    b_values[:2] = (0, 1)
-    return raw / raw.sum(), a_values, b_values
+    raw = rng.random(int(sizes.sum())) + 1e-3
+    a_values, b_values = rng.integers(0, 2, size=(2, len(raw)))
+    starts = np.cumsum(sizes) - sizes
+    b_values[starts], b_values[starts + 1] = 0, 1
+    model = np.repeat(np.arange(CLASSICAL_CHUNK_MODELS), sizes)
+    return model, raw / np.bincount(model, raw)[model], a_values, b_values
 
 
-def random_classical_rows(seeds: Sequence[int]) -> np.ndarray:
+def random_classical_rows(seeds: range) -> np.ndarray:
     """The ``(len(seeds), 8)`` block of :func:`classical_probabilities` of
-    ``random_model("classical", s)`` for each seed ``s``, bit for bit.
+    ``random_model("classical", s)`` for each seed ``s`` of a nonempty range of
+    consecutive seeds, bit for bit.
 
-    ``SWEEP_CHUNK_ROWS`` models at a time are drawn from :func:`substreams` and
-    tallied at once: ``np.bincount`` adds each model's weights in index order,
-    as the scalar loop does.  Every draw has a point in each filtration, so no
-    row has the zero B-weight that :func:`classical_probabilities` refuses.
+    The first and the last seed are checked, so an out-of-range seed is reported
+    as the first such seed in order.  The draw chunks of ``SWEEP_CHUNK_ROWS``
+    models at a time are tallied at once: ``np.bincount`` adds each model's
+    weights in index order, as the scalar loop does.  Every draw has a point in
+    each filtration, so no row has the zero B-weight that
+    :func:`classical_probabilities` refuses.
     """
+    require_seed(seeds.start)
+    require_seed(min(seeds[-1], 2**64))  # 2^64 is the first bad seed, if the range reaches it
     block = np.empty((len(seeds), 8))
-    for start in range(0, len(seeds), SWEEP_CHUNK_ROWS):
-        chunk = seeds[start : start + SWEEP_CHUNK_ROWS]
-        draws = [draw_classical(rng) for rng in substreams(chunk, ROLE_MODEL)]
-        weights, a_values, b_values = map(np.concatenate, zip(*draws))
-        model = np.repeat(np.arange(len(chunk)), [len(draw[0]) for draw in draws])
+    chunks = range(seeds.start // CLASSICAL_CHUNK_MODELS, seeds[-1] // CLASSICAL_CHUNK_MODELS + 1)
+    per_batch = -(-SWEEP_CHUNK_ROWS // CLASSICAL_CHUNK_MODELS)  # draw chunks, rounded up
+    for batch in (chunks[i : i + per_batch] for i in range(0, len(chunks), per_batch)):
+        draws = [classical_chunk(chunk) for chunk in batch]
+        _, weights, a_values, b_values = map(np.concatenate, zip(*draws))
+        model = np.concatenate([draw[0] + k * CLASSICAL_CHUNK_MODELS
+                                for k, draw in enumerate(draws)])
+        models = len(batch) * CLASSICAL_CHUNK_MODELS
 
         def tally(key: np.ndarray, per_model: int) -> np.ndarray:
-            sums = np.bincount(per_model * model + key, weights, per_model * len(chunk))
-            return sums.reshape(len(chunk), per_model)
+            return np.bincount(per_model * model + key, weights, per_model * models).reshape(
+                models, per_model)
 
-        rows = block[start : start + len(chunk)]
+        rows = np.empty((models, 8))
         rows[:, 0:2] = b_weight = tally(b_values, 2)
         rows[:, 2:6] = tally(2 * b_values + a_values, 4) / np.repeat(b_weight, 2, axis=1)
         rows[:, 6:8] = tally(a_values, 2)
+        first = batch.start * CLASSICAL_CHUNK_MODELS
+        lo, hi = max(seeds.start, first), min(seeds.stop, first + models)
+        block[lo - seeds.start : hi - seeds.start] = rows[lo - first : hi - first]
     return block
 
 
@@ -322,11 +345,18 @@ def random_model(kind: ModelKind | str, seed: int) -> Model:
     instance, and every instance satisfies its family invariants (classical
     draws have both filtrations nonempty; synthetic draws are feasible, with
     :class:`GenerationExhaustedError` after a bounded number of rejections).
+    A classical model is model ``seed % CLASSICAL_CHUNK_MODELS`` of
+    :func:`classical_chunk` ``seed // CLASSICAL_CHUNK_MODELS``; a qubit or
+    synthetic model is drawn from the seed's own ``ROLE_MODEL`` substream.
     """
     kind = ModelKind(kind)
-    rng = substream(require_seed(seed), ROLE_MODEL)
+    require_seed(seed)
     if kind is ModelKind.CLASSICAL:
-        return KolmogorovModel(*(tuple(values.tolist()) for values in draw_classical(rng)))
+        chunk, index = divmod(seed, CLASSICAL_CHUNK_MODELS)
+        model, *arrays = classical_chunk(chunk)
+        start, stop = np.searchsorted(model, (index, index + 1))
+        return KolmogorovModel(*(tuple(values[start:stop].tolist()) for values in arrays))
+    rng = substream(seed, ROLE_MODEL)
     if kind is ModelKind.QUBIT:
         return _random_qubit(rng)
     return _random_synthetic(rng, hyperbolic=kind is ModelKind.SYNTHETIC_HYPERBOLIC)

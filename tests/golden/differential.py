@@ -2,7 +2,7 @@
 
 Run from anywhere in a checkout::
 
-    python tests/golden/differential.py --base REV|DIR --cases N --seed S
+    python tests/golden/differential.py --base REV|DIR --cases N --seed S [--allow FILE]
 
 ``--base`` is a git revision, exported with ``git archive``, or a directory
 that holds a ``src/ctxprob`` tree.  The check draws N argvs from the seed:
@@ -20,6 +20,24 @@ runs all N argvs in one worker process that calls ``ctxprob.cli.main``
 in-process, with ``COLUMNS=80``, and the exit code, stdout, stderr and the
 bytes of the ``--output`` file are compared.  The check prints one summary
 line, then the first differences, and exits 1 if there is a difference.
+
+``--allow FILE`` names deliberate differences.  The file holds a JSON list of
+entries, each with a ``command`` (a subcommand, the first token of the argv,
+or ``"*"`` for any argv), a ``stream`` (``stdout``, ``stderr`` or ``output``,
+the ``--output`` file), an optional ``argv`` regex searched in the argv joined
+by spaces, an optional ``why``, and one of:
+
+* ``"key": "lambda.stream"`` -- a JSON key path, dot-separated, ``*`` for any
+  key or index.  A stream that parses as JSON on both sides and whose values
+  differ only at or below such paths is allowed.  Values are compared after
+  parsing, so such an entry also allows a layout change in that stream.
+* ``"pattern": REGEX`` -- a message pattern.  A stream whose every removed and
+  added line (by ``difflib``) is matched by such a pattern is allowed.
+
+A case whose every differing stream is allowed is an allowed difference; a
+changed exit code is never allowed.  The check then prints the allowed and the
+unallowed differences, how many each entry allowed, and exits 1 only if a
+difference is not allowed.
 """
 
 from __future__ import annotations
@@ -27,18 +45,21 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import difflib
 import hashlib
 import io
 import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
@@ -223,14 +244,28 @@ def _output_path(argv: list[str]) -> str | None:
     return path
 
 
-def _stream(data: bytes | None) -> list | None:
+def _stream(data: bytes | None, blobs: Path) -> list | None:
+    """``[sha256, head]`` of one stream; a longer stream is kept whole in ``blobs``,
+    under its digest, for the allow list's checks."""
     if data is None:
         return None
-    return [hashlib.sha256(data).hexdigest(), data[:HEAD].decode("utf-8", "replace")]
+    digest = hashlib.sha256(data).hexdigest()
+    if len(data) > HEAD and not (blobs / digest).exists():
+        (blobs / digest).write_bytes(data)
+    return [digest, data[:HEAD].decode("utf-8", "replace")]
+
+
+def _text(stream: list, blobs: Path) -> str:
+    """The whole text of a stream that ``_stream`` described."""
+    blob = blobs / stream[0]
+    return blob.read_bytes().decode("utf-8", "replace") if blob.exists() else stream[1]
 
 
 def work(src: str, cases: str, results: str) -> None:
-    """Worker: run every argv of ``cases`` through this process's ``ctxprob.cli.main``."""
+    """Worker: run every argv of ``cases`` through this process's ``ctxprob.cli.main``.
+    Streams longer than ``HEAD`` go to the ``blobs`` directory beside ``results``."""
+    blobs = Path(results).parent / "blobs"
+    blobs.mkdir(exist_ok=True)
     import ctxprob.cli
 
     if Path(ctxprob.cli.__file__).parent != Path(src) / "ctxprob":
@@ -251,7 +286,8 @@ def work(src: str, cases: str, results: str) -> None:
                 written = Path(output).read_bytes()
                 os.remove(output)
             streams = [s.getvalue().encode("utf-8", "surrogateescape") for s in (stdout, stderr)]
-            out.write(json.dumps([code, *map(_stream, streams + [written])]) + "\n")
+            out.write(json.dumps([code, *(_stream(s, blobs) for s in streams + [written])])
+                      + "\n")
 
 
 def _run(src: Path, work_dir: Path, cases: Path, results: Path) -> list[list]:
@@ -293,13 +329,104 @@ def _describe(argv: list[str], base: list, head: list) -> list[str]:
     return lines
 
 
+# ---------------------------------------------------------------------------
+# The allow list
+# ---------------------------------------------------------------------------
+
+
+STREAMS = ("stdout", "stderr", "output")
+_MISSING = object()
+
+
+def load_allow(path: str) -> list[dict]:
+    """The entries of an allow-list file, each checked for its fields."""
+    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    for entry in entries:
+        if ("command" not in entry or entry.get("stream") not in STREAMS
+                or ("key" in entry) == ("pattern" in entry)):
+            raise SystemExit(f"{path}: an entry needs a command, a stream of {STREAMS} "
+                             f"and one of key or pattern: {entry}")
+    return entries
+
+
+def _applies(entry: dict, argv: list[str], stream: str) -> bool:
+    return (entry["stream"] == stream and entry["command"] in ("*", argv[0] if argv else None)
+            and re.search(entry.get("argv", ""), " ".join(argv)) is not None)
+
+
+def _json_paths(old, new, path: tuple = ()) -> Iterator[tuple]:
+    """The key paths at which two parsed JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _json_paths(old.get(key, _MISSING), new.get(key, _MISSING), (*path, key))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, pair in enumerate(zip(old, new)):
+            yield from _json_paths(*pair, (*path, str(i)))
+    elif type(old) is not type(new) or old != new:
+        yield path
+
+
+def _under(path: tuple, key: str) -> bool:
+    parts = key.split(".")
+    return len(path) >= len(parts) and all(k in ("*", p) for k, p in zip(parts, path))
+
+
+def _allowing(entries: list[tuple[int, dict]], old: str, new: str) -> set[int] | None:
+    """The indices of the entries that allow ``old`` to become ``new``, or None."""
+    keyed = [(i, entry) for i, entry in entries if "key" in entry]
+    try:
+        paths = list(_json_paths(json.loads(old), json.loads(new))) if keyed else []
+    except ValueError:
+        paths = []
+    hits = [next((i for i, entry in keyed if _under(path, entry["key"])), None)
+            for path in paths]
+    if paths and None not in hits:
+        return set(hits)
+    patterned = [(i, entry) for i, entry in entries if "pattern" in entry]
+    a, b = old.splitlines(), new.splitlines()
+    changed = [line for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b).get_opcodes()
+               if tag != "equal" for line in a[i1:i2] + b[j1:j2]]
+    hits = [next((i for i, entry in patterned if re.search(entry["pattern"], line)), None)
+            for line in changed]
+    return set(hits) if changed and None not in hits else None
+
+
+def judge(argv: list[str], base: list, head: list, entries: list[dict],
+          blobs: Path) -> set[int] | None:
+    """The entries that allow one differing case, or None if it is not allowed."""
+    if base[0] != head[0]:
+        return None
+    used: set[int] = set()
+    for stream, before, after in zip(STREAMS, base[1:], head[1:]):
+        if before == after:
+            continue
+        applicable = [(i, entry) for i, entry in enumerate(entries)
+                      if _applies(entry, argv, stream)]
+        if before is None or after is None or not applicable:
+            return None
+        hits = _allowing(applicable, _text(before, blobs), _text(after, blobs))
+        if hits is None:
+            return None
+        used |= hits
+    return used
+
+
+def _entry_name(i: int, entry: dict) -> str:
+    what = f"key {entry['key']}" if "key" in entry else f"pattern {entry['pattern']!r}"
+    return f"entry {i} ({entry['command']} {entry['stream']}, {what})"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
                         help="git revision, or directory holding src/ctxprob")
     parser.add_argument("--cases", type=int, default=2000, help="argvs to draw (default 2000)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the draw (default 0)")
+    parser.add_argument("--allow", help="JSON allow list of deliberate differences")
+    parser.add_argument("--show", type=int, default=SHOWN,
+                        help=f"differences printed of each kind (default {SHOWN})")
     args = parser.parse_args(argv)
+    entries = load_allow(args.allow) if args.allow else []
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         base_src = _base_src(args.base, scratch)
@@ -309,16 +436,28 @@ def main(argv: list[str] | None = None) -> int:
         (scratch / "cases.json").write_text(json.dumps(cases), encoding="utf-8")
         base = _run(base_src, work_dir, scratch / "cases.json", scratch / "base.jsonl")
         head = _run(ROOT / "src", work_dir, scratch / "cases.json", scratch / "head.jsonl")
-    differing = [i for i, pair in enumerate(zip(base, head)) if pair[0] != pair[1]]
+        differing = [i for i, pair in enumerate(zip(base, head)) if pair[0] != pair[1]]
+        verdicts = {i: judge(cases[i], base[i], head[i], entries, scratch / "blobs")
+                    for i in differing} if entries else {}
     exits = collections.Counter(str(result[0]) for result in head)
     print(f"differential: {len(cases)} argvs (golden {sources['golden']}, bench "
           f"{sources['bench']}, hostile {sources['hostile']}), seed {args.seed}, base "
           f"{args.base}: {len(differing)} differences; exits "
           + ", ".join(f"{code}: {n}" for code, n in sorted(exits.items())))
-    for i in differing[:SHOWN]:
-        print(f"case {i}:")
-        print("\n".join(_describe(cases[i], base[i], head[i])))
-    return 1 if differing else 0
+    unallowed = [i for i in differing if verdicts.get(i) is None]
+    allowed = [i for i in differing if verdicts.get(i) is not None]
+    if entries:
+        uses = collections.Counter(i for used in verdicts.values() if used for i in used)
+        print(f"allowed {len(allowed)}, not allowed {len(unallowed)}")
+        for i, entry in enumerate(entries):
+            print(f"  {_entry_name(i, entry)}: {uses[i]} cases")
+    for title, shown in (("not allowed", unallowed), ("allowed", allowed)):
+        if entries and shown:
+            print(f"{title}:")
+        for i in shown[:args.show]:
+            print(f"case {i}:")
+            print("\n".join(_describe(cases[i], base[i], head[i])))
+    return 1 if unallowed else 0
 
 
 if __name__ == "__main__":

@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 import ctxprob
 from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix, exact_statistics
 from ctxprob._validation import clip_probability
-from ctxprob.cli import (
-    _attach_signed_values, _csv_chunks, _parse, _sweep_block, build_parser, main
-)
+from ctxprob.cli import _csv_chunks, _parse, _sweep_block, build_parser, main
 from ctxprob.models import SWEEP_CHUNK_ROWS, random_model
 
 GOLDEN_CASES = json.loads(
@@ -279,6 +277,7 @@ class TestSweep:
     @example(first=2**32 - 3, count=6, chunk=SWEEP_CHUNK_ROWS)  # seeds of one and two words
     @example(first=2**32 - 10, count=20, chunk=7)  # a chunk from one word to two
     @example(first=2**64 - 50, count=50, chunk=7)
+    @example(first=60, count=10, chunk=SWEEP_CHUNK_ROWS)  # across a 64-model draw chunk
     @settings(max_examples=60, deadline=None)
     def test_classical_block_rows_are_the_models_statistics(self, first, count, chunk):
         # The block is unvalidated: compare it clipped, as analyze_block reads it.
@@ -292,6 +291,35 @@ class TestSweep:
             expected = [*stats.prior, *stats.transition.rows[0], *stats.transition.rows[1],
                         *stats.outcome]
             assert list(map(float.hex, row)) == list(map(float.hex, expected))
+
+    @given(seed=st.integers(0, 2**64 - 1), before=st.lists(st.integers(0, 150), min_size=2,
+                                                          max_size=2),
+           after=st.lists(st.integers(0, 150), min_size=2, max_size=2))
+    @example(seed=64, before=[0, 1], after=[0, 63])
+    @example(seed=2**64 - 1, before=[130, 0], after=[0, 0])
+    @settings(max_examples=30, deadline=None)
+    def test_a_seed_has_one_row_in_every_classical_sweep(self, seed, before, after):
+        rows = set()
+        for back, ahead in zip(before, after):
+            first, last = max(seed - back, 0), min(seed + ahead, 2**64 - 1)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["sweep", "--family", "classical", f"--seed={first}",
+                             f"--count={last - first + 1}"]) == 0
+            rows.add(out.getvalue().splitlines()[1 + seed - first])
+        assert len(rows) == 1
+        assert rows.pop().startswith(f"{seed},")
+
+    @pytest.mark.parametrize("seed, count, bad", [
+        (-1, 2, -1), (-100, 300, -100), (2**64 - 2, 3, 2**64), (2**64 - 70, 200, 2**64),
+        (2**64, 1, 2**64),
+    ], ids=["negative", "negative-long", "past-the-top", "past-the-top-long", "top"])
+    def test_classical_sweep_names_its_first_bad_seed(self, seed, count, bad, capsys):
+        assert main(["sweep", "--family", "classical", "--seed", str(seed),
+                     "--count", str(count)]) == 1
+        assert capsys.readouterr().err == (
+            f"ctxprob: invalid input: seed must be in [0, 2^64), got {bad}\n"
+        )
 
     def test_classical_sweep_builds_at_most_two_models(self, monkeypatch, capsys):
         # Row 0 and the first failing row are replayed; no other model is built.
@@ -703,9 +731,19 @@ class TestParser:
     @pytest.mark.parametrize("argv", [case["argv"] for case in COMMAND_CASES],
                              ids=[case["name"] for case in COMMAND_CASES])
     def test_one_subcommand_parses_as_the_full_parser(self, argv):
-        argv = _attach_signed_values(argv)
         alone = _outcome(build_parser(argv[0]).parse_known_args, argv[1:])
         assert alone == _outcome(build_parser().parse_known_args, argv)
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_parsers_read_signed_tokens_as_values(self, command):
+        # argparse's private hook: a Python without it must fail here, not read
+        # "--tolerance -1e-3" as two options.
+        assert argparse.ArgumentParser()._negative_number_matcher.match("-1")
+        parser = build_parser(command)
+        parsers = [parser, *_subparsers(parser).values()] if command is None else [parser]
+        for each in parsers:
+            assert all(map(each._negative_number_matcher.match, ["-1e-3", "-.5", "-1:1:3"]))
+            assert not each._has_negative_number_optionals
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_subcommand_help_does_not_depend_on_its_siblings(self, command):

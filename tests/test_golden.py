@@ -9,12 +9,14 @@ because argparse wraps help text to the terminal width.
 
 The corpus writer must still write the committed corpus, and
 ``golden/differential.py`` must find no difference between this tree and a
-copy of it, but must find one planted byte.
+copy of it, but must find one planted byte.  Its allow list must pass a
+planted difference that an entry names, and fail one that no entry names.
 """
 
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -78,3 +80,25 @@ def test_differential_check_finds_a_planted_byte(differential, base_tree, capsys
     io_py.write_text(io_py.read_text().replace("indent=2", "indent=3"))
     assert differential.main(["--base", str(base_tree), "--cases", "24", "--seed", "3"]) == 1
     assert ": 0 differences;" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry, allowed", [
+    ({"command": "analyze", "stream": "stdout", "key": "lambda.stream"}, True),
+    ({"command": "analyze", "stream": "stdout",
+      "pattern": r'^ +"stream": "(planted|bootstrap-experiment)"'}, True),
+    ({"command": "analyze", "stream": "stdout", "key": "lambda.point"}, False),
+    ({"command": "sweep", "stream": "stdout", "key": "lambda.stream"}, False),
+], ids=["key", "pattern", "other-key", "other-command"])
+def test_differential_allow_list(differential, base_tree, tmp_path, capsys, entry, allowed):
+    # The base tree names its bootstrap stream differently: the counts reports differ.
+    sampling = base_tree / "src" / "ctxprob" / "sampling.py"
+    sampling.write_text(sampling.read_text().replace('"bootstrap-experiment"', '"planted"'))
+    allow = tmp_path / "allow.json"
+    allow.write_text(json.dumps([entry]), encoding="utf-8")
+    code = differential.main(["--base", str(base_tree), "--cases", "24", "--seed", "3",
+                              "--allow", str(allow)])
+    out = capsys.readouterr().out
+    found = re.search(r": (\d+) differences;.*\nallowed (\d+), not allowed (\d+)\n", out)
+    differences, passed, failed = map(int, found.groups())
+    assert differences > 0
+    assert (code, passed, failed) == ((0, differences, 0) if allowed else (1, 0, differences))

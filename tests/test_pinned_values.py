@@ -4,9 +4,13 @@
 synthetic kinds, seeds 0-199), ``predict_outcome``, ``normalization_residual``
 and ``lambda_from_statistics`` return on fixed inputs.  No golden CLI case
 reaches the synthetic generator, so these values are what shows that a
-rewrite of the formula kept every rounding step.  They are compared with
-``==``.  Regenerate with ``python tests/test_pinned_values.py`` only for a
-deliberate numeric change recorded in ``CHANGES.md``.
+rewrite of the formula kept every rounding step.  It also holds every
+classical ``random_model`` of ``CLASSICAL_SEEDS``: seeds 0-199 cross three
+edges of the 64-model draw chunks, and the others sit at 2^32 and at the top
+of the seed range, so a change of the classical stream's layout shows here.
+They are compared with ``==``.  Regenerate with
+``python tests/test_pinned_values.py`` only for a deliberate numeric or
+stream change recorded in ``CHANGES.md``.
 """
 
 import itertools
@@ -17,6 +21,7 @@ import pytest
 
 from ctxprob import (
     ContextStatistics,
+    KolmogorovModel,
     LambdaPair,
     ModelKind,
     OutOfRangeError,
@@ -32,6 +37,7 @@ from ctxprob import (
 
 PINNED = Path(__file__).resolve().parent / "pinned_values.json"
 SEEDS = range(200)
+CLASSICAL_SEEDS = [*range(200), *range(2**32 - 2, 2**32 + 2), 2**64 - 2]
 SYNTHETIC_KINDS = (ModelKind.SYNTHETIC_TRIGONOMETRIC, ModelKind.SYNTHETIC_HYPERBOLIC)
 
 PRIORS = (0.1, 0.5, 0.8)
@@ -79,12 +85,21 @@ def _synthetic(kind):
     ]
 
 
+def _classical():
+    """``[seed, weights, a_values, b_values]`` per seed."""
+    return [
+        [seed, *map(list, (model.weights, model.a_values, model.b_values))]
+        for seed, model in ((seed, random_model("classical", seed)) for seed in CLASSICAL_SEEDS)
+    ]
+
+
 def _current():
     return {
         "predict_outcome": _predictions(),
         "normalization_residual": _residuals(),
         "lambda_from_statistics": _qubit_lambdas(),
         **{kind.value: _synthetic(kind) for kind in SYNTHETIC_KINDS},
+        "classical": _classical(),
     }
 
 
@@ -115,6 +130,15 @@ def test_random_synthetic_models_are_pinned(kind, pinned):
             LambdaPair(lam1, -lam1),
         ), f"seed {seed}"
     assert len(expected) == len(SEEDS)
+
+
+def test_random_classical_models_are_pinned(pinned):
+    expected = pinned["classical"]
+    for seed, weights, a_values, b_values in expected:
+        assert random_model("classical", seed) == KolmogorovModel(
+            tuple(weights), tuple(a_values), tuple(b_values)
+        ), f"seed {seed}"
+    assert [row[0] for row in expected] == CLASSICAL_SEEDS
 
 
 if __name__ == "__main__":
