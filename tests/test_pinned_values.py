@@ -87,10 +87,11 @@ def _synthetic(kind):
 
 def _classical():
     """``[seed, weights, a_values, b_values]`` per seed."""
-    return [
-        [seed, *map(list, (model.weights, model.a_values, model.b_values))]
-        for seed, model in ((seed, random_model("classical", seed)) for seed in CLASSICAL_SEEDS)
-    ]
+    rows = []
+    for seed in CLASSICAL_SEEDS:
+        model = random_model("classical", seed)
+        rows.append([seed, list(model.weights), list(model.a_values), list(model.b_values)])
+    return rows
 
 
 def _current():
