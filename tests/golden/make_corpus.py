@@ -51,6 +51,10 @@ SPARSE_COUNTS = CountsRecord(
     n_filtered=(20, 20), a_counts_given=((15, 5), (9, 11)), seed=5,
 )
 
+# Four distinct ensemble sizes: a swap of two experiments' sizes shows here.
+SIZES_ARGV = ["simulate", "--preset", "e1", "--n-context", "1000", "--n-filtration", "2000",
+              "--n-filtered-1", "3000", "--n-filtered-2", "4000", "--seed", "7"]
+
 SWEEPS = {
     "sweep_qubit": [
         "--family", "qubit", "--alpha", "0:1.5:4", "--phi", "0,1.5707963267948966",
@@ -206,6 +210,12 @@ def build(root: Path) -> list[dict]:
         )
         for command in ("analyze", "balance"):
             cases.append((f"{command}_{stem}", [command, f"inputs/{stem}.json"]))
+    code, out, _ = run(SIZES_ARGV)
+    assert code == 0, ("simulate_e1_sizes", code)
+    (inputs / "e1_sizes_counts.json").write_text(out, encoding="utf-8")
+    cases.append(("simulate_e1_sizes", SIZES_ARGV))
+    for command in ("analyze", "balance"):
+        cases.append((f"{command}_e1_sizes_counts", [command, "inputs/e1_sizes_counts.json"]))
     (inputs / "huge_counts.json").write_text(huge_counts_text(), encoding="utf-8")
     cases.extend(ENSEMBLE_BOUND_CASES.items())
     cases.extend((name, ["sweep", *argv]) for name, argv in SWEEPS.items())

@@ -8,7 +8,11 @@ rewrite of the formula kept every rounding step.  It also holds every
 classical ``random_model`` of ``CLASSICAL_SEEDS``: seeds 0-199 cross three
 edges of the 64-model draw chunks, and the others sit at 2^32 and at the top
 of the seed range, so a change of the classical stream's layout shows here.
-They are compared with ``==``.  Regenerate with
+Last, it holds the tallies that ``simulate_counts`` draws for each preset at
+four distinct ensemble sizes, seeds 0-19, and the bootstrap interval and
+standard errors of ``estimate_lambda`` on them: every golden ``simulate`` case
+but one gives all four experiments one size, so a swap of two experiments'
+sizes or streams shows here.  They are compared with ``==``.  Regenerate with
 ``python tests/test_pinned_values.py`` only for a deliberate numeric or
 stream change recorded in ``CHANGES.md``.
 """
@@ -21,6 +25,7 @@ import pytest
 
 from ctxprob import (
     ContextStatistics,
+    EnsembleSizes,
     KolmogorovModel,
     LambdaPair,
     ModelKind,
@@ -32,12 +37,17 @@ from ctxprob import (
     normalization_residual,
     predict_outcome,
     qubit_statistics,
+    estimate_lambda,
     random_model,
+    simulate_counts,
 )
+from ctxprob.cli import PRESETS
 
 PINNED = Path(__file__).resolve().parent / "pinned_values.json"
 SEEDS = range(200)
 CLASSICAL_SEEDS = [*range(200), *range(2**32 - 2, 2**32 + 2), 2**64 - 2]
+SIMULATION_SIZES = EnsembleSizes(1000, 2000, (3000, 4000))
+SIMULATION_SEEDS = range(20)
 SYNTHETIC_KINDS = (ModelKind.SYNTHETIC_TRIGONOMETRIC, ModelKind.SYNTHETIC_HYPERBOLIC)
 
 PRIORS = (0.1, 0.5, 0.8)
@@ -94,6 +104,18 @@ def _classical():
     return rows
 
 
+def _simulated():
+    """``[preset, seed, tallies, ci_low, ci_high, stderr]`` per preset and seed."""
+    rows = []
+    for name, seed in itertools.product(sorted(PRESETS), SIMULATION_SEEDS):
+        record = simulate_counts(PRESETS[name], SIMULATION_SIZES, seed)
+        estimate = estimate_lambda(record, 200, seed)
+        tallies = [record.a_counts, record.b_counts, *record.a_counts_given]
+        rows.append([name, seed, [list(pair) for pair in tallies], list(estimate.ci_low),
+                     list(estimate.ci_high), list(estimate.stderr)])
+    return rows
+
+
 def _current():
     return {
         "predict_outcome": _predictions(),
@@ -101,6 +123,7 @@ def _current():
         "lambda_from_statistics": _qubit_lambdas(),
         **{kind.value: _synthetic(kind) for kind in SYNTHETIC_KINDS},
         "classical": _classical(),
+        "simulate_counts": _simulated(),
     }
 
 
@@ -140,6 +163,10 @@ def test_random_classical_models_are_pinned(pinned):
             tuple(weights), tuple(a_values), tuple(b_values)
         ), f"seed {seed}"
     assert [row[0] for row in expected] == CLASSICAL_SEEDS
+
+
+def test_simulated_counts_are_pinned(pinned):
+    assert _simulated() == pinned["simulate_counts"]
 
 
 if __name__ == "__main__":
