@@ -63,10 +63,19 @@ def require_probability(x: Any, name: str, *, tol: float = TOL_EXACT) -> float:
     return clip_probability(value)
 
 
+def as_pair(value: Any, message: str) -> tuple:
+    """``tuple(value)`` if ``value`` holds two items; else raise ValidationError(message)."""
+    try:
+        if len(pair := tuple(value)) == 2:
+            return pair
+    except TypeError:
+        pass
+    raise ValidationError(message)
+
+
 def require_distribution(pair: Sequence[Any], name: str) -> tuple[float, float]:
     """Validate a two-outcome probability distribution (sums to 1 within ``TOL_EXACT``)."""
-    if len(pair) != 2:
-        raise ValidationError(f"{name} must have exactly two components")
+    pair = as_pair(pair, f"{name} must have exactly two components")
     p1 = require_probability(pair[0], f"{name}[1]")
     p2 = require_probability(pair[1], f"{name}[2]")
     if sum_residual(p1, p2) > TOL_EXACT:

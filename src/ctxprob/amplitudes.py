@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._validation import TOL_EXACT
+from ._validation import TOL_EXACT, as_pair
 from .calculus import ContextStatistics, PhasePair, check_double_stochastic
 from .errors import NonTrigonometricError, NotBalancedError, ValidationError
 
@@ -39,9 +39,8 @@ class AmplitudePair:
     norm_tol: float = TOL_EXACT
 
     def __post_init__(self) -> None:
-        psi = tuple(complex(z) for z in self.psi)
-        if len(psi) != 2:
-            raise ValidationError("amplitude pair must have exactly two components")
+        shape = "amplitude pair must have exactly two components"
+        psi = tuple(map(complex, as_pair(self.psi, shape)))
         norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
         if abs(norm - 1.0) > self.norm_tol:
             raise ValidationError(

@@ -37,6 +37,7 @@ from typing import Iterator, Sequence
 from ._validation import (
     TOL_DEGENERATE,
     TOL_EXACT,
+    as_pair,
     clip_probability,
     out_of_range,
     require_distribution,
@@ -116,9 +117,7 @@ class TransitionMatrix:
     rows: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        if len(rows) != 2:
-            raise ValidationError("transition matrix must have exactly two rows")
+        rows = as_pair(self.rows, "transition matrix must have exactly two rows")
         clean = tuple(
             require_distribution(row, f"transition row {i + 1}") for i, row in enumerate(rows)
         )
@@ -141,7 +140,7 @@ class ContextStatistics:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prior", require_distribution(self.prior, "prior"))
         if not isinstance(self.transition, TransitionMatrix):
-            object.__setattr__(self, "transition", TransitionMatrix(tuple(self.transition)))
+            object.__setattr__(self, "transition", TransitionMatrix(self.transition))
         object.__setattr__(self, "outcome", require_distribution(self.outcome, "outcome"))
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._validation import TOL_EXACT, require_distribution
+from ._validation import TOL_EXACT, as_pair, require_distribution
 from .calculus import (
     EPS_CLASS_DEFAULT,
     LambdaPair,
@@ -44,7 +44,7 @@ from .models import (
 from .report import (
     analyze_block, analyze_estimated, analyze_exact, balance_to_dict, report_to_dict
 )
-from .sampling import EnsembleSizes, estimate_statistics, simulate_counts
+from .sampling import _EXPERIMENTS, EnsembleSizes, estimate_statistics, simulate_counts
 
 __all__ = ["main", "entry_point", "PRESETS"]
 
@@ -146,14 +146,9 @@ def _parse_grid(text: str, name: str) -> list[float]:
 
 
 def _parse_transition(text: str) -> TransitionMatrix:
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise ValidationError("transition must be 't11,t12;t21,t22'")
+    rows = as_pair(text.split(";"), "transition must be 't11,t12;t21,t22'")
     return TransitionMatrix(
-        (
-            tuple(_parse_float_list(rows[0], "transition row 1", 2)),
-            tuple(_parse_float_list(rows[1], "transition row 2", 2)),
-        )
+        tuple(_parse_float_list(row, f"transition row {i}", 2) for i, row in enumerate(rows, 1))
     )
 
 
@@ -264,15 +259,8 @@ def _simulate_model(args: argparse.Namespace) -> Model:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _simulate_model(args)
-    sizes = EnsembleSizes(
-        a_on_context=args.n_context if args.n_context is not None else args.n,
-        b_on_context=args.n_filtration if args.n_filtration is not None else args.n,
-        a_on_filtered=(
-            args.n_filtered_1 if args.n_filtered_1 is not None else args.n,
-            args.n_filtered_2 if args.n_filtered_2 is not None else args.n,
-        ),
-    )
-    counts = simulate_counts(model, sizes, args.seed)
+    n = [args.n if m is None else m for m in (getattr(args, e.option) for e in _EXPERIMENTS)]
+    counts = simulate_counts(model, EnsembleSizes(n[0], n[1], n[2:]), args.seed)
     experiment = ExperimentFile(counts=counts, model=model, note=args.note)
     _write_output([experiment.dumps()], args.output)
     return EXIT_OK

@@ -129,7 +129,7 @@ class SyntheticModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prior", require_distribution(self.prior, "prior"))
         if not isinstance(self.transition, TransitionMatrix):
-            object.__setattr__(self, "transition", TransitionMatrix(tuple(self.transition)))
+            object.__setattr__(self, "transition", TransitionMatrix(self.transition))
         if not isinstance(self.target_lambda, LambdaPair):
             object.__setattr__(self, "target_lambda", LambdaPair(*self.target_lambda))
 

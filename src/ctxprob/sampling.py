@@ -14,6 +14,8 @@ from a substream derived from ``(seed, role)``; the bootstrap redraws the tally
 of experiment ``j`` for every replicate from the one substream
 ``(seed, bootstrap-experiment, j)``.  All results are therefore deterministic
 functions of their inputs, independent of evaluation order or parallelism.
+Experiment ``j = 0..3`` is that of role ``j + 1``: A on the context, B on the
+context, and A on filtered contexts 1 and 2.
 
 Estimation is plain frequency counting (:func:`estimate_statistics`); the
 interference coefficients inherit the uncertainty of the tallies through the
@@ -23,6 +25,7 @@ inversion formula, quantified by a percentile bootstrap that redraws them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,7 @@ from ._rng import (
     ROLE_STUDY,
     substream,
 )
-from ._validation import require_ensemble_size, require_positive_int, require_seed
+from ._validation import as_pair, require_ensemble_size, require_positive_int, require_seed
 from .calculus import (
     ContextStatistics,
     LambdaPair,
@@ -73,6 +76,19 @@ MAX_BOOTSTRAP_REPLICATES = 10**6
 CONFIDENCE = 0.95
 
 
+#: The four experiments in the order of roles 1-4 and of the bootstrap's ``j``: each one's
+#: role and its name in estimate_statistics, EnsembleSizes, CountsRecord and ``simulate --n-*``.
+_Experiment = namedtuple("_Experiment", "role label size tally option")
+_EXPERIMENTS = tuple(_Experiment(*row) for row in (
+    (ROLE_A_ON_CONTEXT, "A-on-context", "a_on_context", "a_counts", "n_context"),
+    (ROLE_B_ON_CONTEXT, "B-on-context", "b_on_context", "b_counts", "n_filtration"),
+    (ROLE_A_ON_FILTERED_1, "A-on-filtered-1", "a_on_filtered[1]", "a_counts_given[1]",
+     "n_filtered_1"),
+    (ROLE_A_ON_FILTERED_2, "A-on-filtered-2", "a_on_filtered[2]", "a_counts_given[2]",
+     "n_filtered_2"),
+))
+
+
 @dataclass(frozen=True)
 class EnsembleSizes:
     """Sizes of the three experiments' ensembles, set independently."""
@@ -82,15 +98,10 @@ class EnsembleSizes:
     a_on_filtered: tuple[int, int]
 
     def __post_init__(self) -> None:
-        for name in ("a_on_context", "b_on_context"):
-            require_ensemble_size(require_positive_int(getattr(self, name), name), name)
-        filtered = tuple(self.a_on_filtered)
-        if len(filtered) != 2:
-            raise ValidationError("a_on_filtered needs one size per filtered context")
-        for i, n in enumerate(filtered):
-            name = f"a_on_filtered[{i + 1}]"
-            require_ensemble_size(require_positive_int(n, name), name)
+        filtered = as_pair(self.a_on_filtered, "a_on_filtered needs one size per filtered context")
         object.__setattr__(self, "a_on_filtered", filtered)
+        for experiment, n in zip(_EXPERIMENTS, (self.a_on_context, self.b_on_context, *filtered)):
+            require_ensemble_size(require_positive_int(n, experiment.size), experiment.size)
 
     @classmethod
     def uniform(cls, n: int) -> "EnsembleSizes":
@@ -111,29 +122,30 @@ class CountsRecord:
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
-        object.__setattr__(self, "a_counts", tuple(self.a_counts))
-        object.__setattr__(self, "b_counts", tuple(self.b_counts))
-        object.__setattr__(self, "n_filtered", tuple(self.n_filtered))
-        object.__setattr__(
-            self, "a_counts_given", tuple(tuple(pair) for pair in self.a_counts_given)
-        )
-        if len(self.n_filtered) != 2 or len(self.a_counts_given) != 2:
-            raise ValidationError("counts need exactly two filtered contexts")
-        for total, pair, label in (
-            (self.n_context, self.a_counts, "a_counts"),
-            (self.n_filtration, self.b_counts, "b_counts"),
-            (self.n_filtered[0], self.a_counts_given[0], "a_counts_given[1]"),
-            (self.n_filtered[1], self.a_counts_given[1], "a_counts_given[2]"),
-        ):
-            if len(pair) != 2 or any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in pair):
+        two = "counts need exactly two filtered contexts"
+        object.__setattr__(self, "n_filtered", as_pair(self.n_filtered, two))
+        object.__setattr__(self, "a_counts_given", as_pair(self.a_counts_given, two))
+        pairs = []
+        for experiment, total, pair in _tallies(self):
+            label = experiment.tally
+            pair = as_pair(pair, f"{label} must be a pair of nonnegative integers")
+            if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in pair):
                 raise ValidationError(f"{label} must be a pair of nonnegative integers")
             if isinstance(total, bool) or not isinstance(total, int) or total < 0:
                 raise ValidationError(f"ensemble size for {label} must be a nonnegative integer")
             require_ensemble_size(total, f"ensemble size for {label}")
             if pair[0] + pair[1] != total:
-                raise ValidationError(
-                    f"{label} must sum to its ensemble size {total}, got {pair}"
-                )
+                raise ValidationError(f"{label} must sum to its ensemble size {total}, got {pair}")
+            pairs.append(pair)
+        object.__setattr__(self, "a_counts", pairs[0])
+        object.__setattr__(self, "b_counts", pairs[1])
+        object.__setattr__(self, "a_counts_given", tuple(pairs[2:]))
+
+
+def _tallies(counts: CountsRecord):
+    """``(experiment, n, tally pair)`` of each experiment, in the order of ``_EXPERIMENTS``."""
+    return zip(_EXPERIMENTS, (counts.n_context, counts.n_filtration, *counts.n_filtered),
+               (counts.a_counts, counts.b_counts, *counts.a_counts_given))
 
 
 @dataclass(frozen=True)
@@ -170,11 +182,6 @@ class ConvergenceRow:
     stderr: tuple[float, float]
 
 
-def _draw_pair(rng: np.random.Generator, n: int, p_first: float) -> tuple[int, int]:
-    k = int(rng.binomial(n, p_first))
-    return (k, n - k)
-
-
 def simulate_counts(
     model: Model, sizes: EnsembleSizes | int, seed: int
 ) -> CountsRecord:
@@ -195,26 +202,12 @@ def simulate_counts(
             f"filtration probability of B-outcome {empty + 1} is zero; "
             f"its filtered ensemble cannot be prepared"
         )
-    a_counts = _draw_pair(
-        substream(seed, ROLE_A_ON_CONTEXT), sizes.a_on_context, stats.outcome[0]
-    )
-    b_counts = _draw_pair(
-        substream(seed, ROLE_B_ON_CONTEXT), sizes.b_on_context, stats.prior[0]
-    )
-    filtered_roles = (ROLE_A_ON_FILTERED_1, ROLE_A_ON_FILTERED_2)
-    a_given = tuple(
-        _draw_pair(substream(seed, role), sizes.a_on_filtered[i], stats.transition.rows[i][0])
-        for i, role in enumerate(filtered_roles)
-    )
-    return CountsRecord(
-        n_context=sizes.a_on_context,
-        a_counts=a_counts,
-        n_filtration=sizes.b_on_context,
-        b_counts=b_counts,
-        n_filtered=sizes.a_on_filtered,
-        a_counts_given=a_given,
-        seed=seed,
-    )
+    ns = (sizes.a_on_context, sizes.b_on_context, *sizes.a_on_filtered)
+    ps = (stats.outcome[0], stats.prior[0], *(row[0] for row in stats.transition.rows))
+    ks = [int(substream(seed, e.role).binomial(n, p)) for e, n, p in zip(_EXPERIMENTS, ns, ps)]
+    pairs = [(k, n - k) for k, n in zip(ks, ns)]
+    return CountsRecord(n_context=ns[0], a_counts=pairs[0], n_filtration=ns[1], b_counts=pairs[1],
+                        n_filtered=ns[2:], a_counts_given=pairs[2:], seed=seed)
 
 
 def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
@@ -225,21 +218,12 @@ def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
     left alone -- whether they equal one is an empirical finding about the
     data, not a constraint imposed here.
     """
-    for n, label in (
-        (counts.n_context, "A-on-context"),
-        (counts.n_filtration, "B-on-context"),
-        (counts.n_filtered[0], "A-on-filtered-1"),
-        (counts.n_filtered[1], "A-on-filtered-2"),
-    ):
+    for experiment, n, _ in _tallies(counts):
         if n == 0:
-            raise EmptyEnsembleError(f"{label} ensemble is empty; frequencies undefined")
-    prior = (counts.b_counts[0] / counts.n_filtration, counts.b_counts[1] / counts.n_filtration)
-    rows = tuple(
-        (counts.a_counts_given[i][0] / counts.n_filtered[i],
-         counts.a_counts_given[i][1] / counts.n_filtered[i])
-        for i in range(2)
-    )
-    outcome = (counts.a_counts[0] / counts.n_context, counts.a_counts[1] / counts.n_context)
+            raise EmptyEnsembleError(
+                f"{experiment.label} ensemble is empty; frequencies undefined"
+            )
+    outcome, prior, *rows = ((k1 / n, k2 / n) for _, n, (k1, k2) in _tallies(counts))
     return ContextStatistics(prior=prior, transition=TransitionMatrix(rows), outcome=outcome)
 
 
@@ -253,12 +237,9 @@ def _bootstrap_frequencies(counts: CountsRecord, replicates: int, seed: int) -> 
     any larger ``R``.  One call per ``(n, p)`` also lets numpy's binomial
     sampler set itself up once, not once per draw.
     """
-    given = counts.a_counts_given
-    firsts = (counts.a_counts[0], counts.b_counts[0], given[0][0], given[1][0])
-    sizes = (counts.n_context, counts.n_filtration, *counts.n_filtered)
     return np.stack([
         substream(seed, ROLE_BOOTSTRAP_EXPERIMENT, j).binomial(n, k / n, size=replicates) / n
-        for j, (k, n) in enumerate(zip(firsts, sizes))
+        for j, (_, n, (k, _)) in enumerate(_tallies(counts))
     ])
 
 

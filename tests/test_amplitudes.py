@@ -107,6 +107,11 @@ class TestAmplitudePair:
         with pytest.raises(ValidationError):
             AmplitudePair((0.9 + 0.0j, 0.0j), PhasePair(trig(0.0), trig(0.0)))
 
+    @pytest.mark.parametrize("psi", [1.0, (1.0, 0.0, 0.0)], ids=["scalar", "three"])
+    def test_rejects_a_non_pair(self, psi):
+        with pytest.raises(ValidationError, match="^amplitude pair must have exactly two"):
+            AmplitudePair(psi, PhasePair(trig(0.0), trig(0.0)))
+
 
 class TestBalancePhaseConstraint:
     def test_e1_phases_cancel(self):

@@ -86,6 +86,25 @@ class TestPredictOutcome:
             predict_outcome((0.5, 0.6), HALF, LambdaPair(0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TransitionMatrix(5), "transition matrix must have exactly two rows"),
+        (lambda: TransitionMatrix((0.5, (0.5, 0.5))),
+         "transition row 1 must have exactly two components"),
+        (lambda: ContextStatistics(5, HALF, (0.5, 0.5)), "prior must have exactly two components"),
+        (lambda: ContextStatistics((0.5, 0.5), 5, (0.5, 0.5)),
+         "transition matrix must have exactly two rows"),
+        (lambda: ContextStatistics((0.5, 0.5), HALF, None),
+         "outcome must have exactly two components"),
+    ],
+    ids=["matrix", "row", "prior", "transition", "outcome"],
+)
+def test_non_pair_statistics_are_invalid(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # total_probability
 # ---------------------------------------------------------------------------

@@ -204,6 +204,20 @@ class TestSimulate:
         assert record.counts.n_context == 250
         assert record.counts.n_filtration == 100
 
+    @pytest.mark.parametrize(
+        "transition, message",
+        [
+            ("0.5,0.5", "transition must be 't11,t12;t21,t22'"),
+            ("0.5,0.5;0.5", "transition row 2 needs exactly 2 comma-separated values"),
+            ("0.5,0.5;0.5,0.4", "transition row 2 must sum to 1, got 0.5 + 0.4 = 0.9"),
+        ],
+        ids=["one-row", "short-row", "unnormalized"],
+    )
+    def test_synthetic_transition_is_parsed_row_by_row(self, transition, message, capsys):
+        assert main(["simulate", "--model", "synthetic", "--prior", "0.5,0.5",
+                     "--transition", transition, "--lambda", "0,0"]) == 1
+        assert capsys.readouterr().err == f"ctxprob: invalid input: {message}\n"
+
     def test_preset_family_mismatch(self, capsys):
         assert main(["simulate", "--model", "qubit", "--preset", "e2"]) == 1
 

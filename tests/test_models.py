@@ -133,6 +133,10 @@ class TestQubitStatistics:
 
 
 class TestSynthesizeStatistics:
+    def test_synthetic_transition_must_be_a_matrix(self):
+        with pytest.raises(ValidationError, match="^transition matrix must have exactly two rows$"):
+            SyntheticModel((0.5, 0.5), 5, LambdaPair(0.0, 0.0))
+
     def test_e3_instance(self):
         model = SyntheticModel(
             prior=(0.5, 0.5),

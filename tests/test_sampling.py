@@ -88,6 +88,28 @@ class TestSimulateCounts:
                 seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_filtered": 5}, "counts need exactly two filtered contexts"),
+            ({"a_counts_given": 5}, "counts need exactly two filtered contexts"),
+            ({"a_counts": 5}, "a_counts must be a pair of nonnegative integers"),
+            ({"b_counts": None}, "b_counts must be a pair of nonnegative integers"),
+            ({"a_counts_given": ((5, 5), 7)},
+             "a_counts_given\\[2\\] must be a pair of nonnegative integers"),
+        ],
+        ids=["n_filtered", "a_counts_given", "a_counts", "b_counts", "a_counts_given-2"],
+    )
+    def test_non_pair_counts_are_invalid(self, fields, message):
+        record = {"n_context": 10, "a_counts": (5, 5), "n_filtration": 10, "b_counts": (5, 5),
+                  "n_filtered": (10, 10), "a_counts_given": ((5, 5), (5, 5)), "seed": 0}
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            CountsRecord(**{**record, **fields})
+
+    def test_non_pair_filtered_sizes_are_invalid(self):
+        with pytest.raises(ValidationError, match="^a_on_filtered needs one size per filtered"):
+            EnsembleSizes(10, 10, 5)
+
     @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
     def test_boolean_ensemble_size_is_rejected(self, field):
         sizes = {"n_context": 1, "n_filtration": 1, "n_filtered": (1, 1)}
