@@ -122,9 +122,9 @@ class CountsRecord:
 
     def __post_init__(self) -> None:
         require_seed(self.seed)
-        two = "counts need exactly two filtered contexts"
-        object.__setattr__(self, "n_filtered", as_pair(self.n_filtered, two))
-        object.__setattr__(self, "a_counts_given", as_pair(self.a_counts_given, two))
+        shape = "counts need exactly two filtered contexts"
+        object.__setattr__(self, "n_filtered", as_pair(self.n_filtered, shape))
+        object.__setattr__(self, "a_counts_given", as_pair(self.a_counts_given, shape))
         pairs = []
         for experiment, total, pair in _tallies(self):
             label = experiment.tally
