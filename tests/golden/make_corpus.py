@@ -28,9 +28,10 @@ import tempfile
 from pathlib import Path
 
 from ctxprob import (
-    ContextStatistics, CountsRecord, ExperimentFile, TransitionMatrix, canonical_dumps,
-    exact_statistics,
+    ContextStatistics, CountsRecord, ExperimentFile, SyntheticModel, TransitionMatrix,
+    canonical_dumps, exact_statistics,
 )
+from ctxprob.calculus import interference_terms
 from ctxprob.cli import PRESETS, main
 
 HERE = Path(__file__).resolve().parent
@@ -50,6 +51,17 @@ SPARSE_COUNTS = CountsRecord(
     n_context=20, a_counts=(12, 8), n_filtration=6, b_counts=(1, 5),
     n_filtered=(20, 20), a_counts_given=((15, 5), (9, 11)), seed=5,
 )
+
+# lambda1 = 0.5 and its balanced companion lambda2 = -w1 * 0.5 / w2 = -1.22...:
+# hyper-trigonometric in component 2 (reconstruct exits 3).
+_, W1 = interference_terms(0.5, 0.5, 0.9, 0.4)
+_, W2 = interference_terms(0.5, 0.5, 0.1, 0.6)
+# Synthetic models whose verdicts no preset reaches.
+VERDICT_MODELS = {
+    "hyper": SyntheticModel((0.5, 0.5), ((0.9, 0.1), (0.4, 0.6)), (0.5, -W1 * 0.5 / W2)),
+    # |lambda1| = |lambda2| = 1: boundary in components 1 and 2.
+    "boundary": SyntheticModel((0.5, 0.5), ((0.8, 0.2), (0.2, 0.8)), (1.0, -1.0)),
+}
 
 # Four distinct ensemble sizes: a swap of two experiments' sizes shows here.
 SIZES_ARGV = ["simulate", "--preset", "e1", "--n-context", "1000", "--n-filtration", "2000",
@@ -107,6 +119,17 @@ SWEEPS = {
     "sweep_synthetic_prior_unnormalized": [
         "--family", "synthetic", "--prior", "0.5,0", "--lambda1", "0",
     ],
+    # Hyper-trigonometric, trigonometric, classical, trigonometric, hyper-trigonometric.
+    "sweep_synthetic_hyper": [
+        "--family", "synthetic", "--prior", "0.5,0.5", "--transition", "0.9,0.1;0.4,0.6",
+        "--lambda1=-0.5:0.5:5",
+    ],
+    # Every model is checked before any statistics: a non-finite value exits 1,
+    # also after an infeasible point.
+    "sweep_qubit_alpha_inf": ["--family", "qubit", "--alpha", "0,inf"],
+    "sweep_qubit_phi_nan": ["--family", "qubit", "--alpha", "0.5", "--phi", "nan"],
+    "sweep_synthetic_lambda1_inf_late": ["--family", "synthetic", "--lambda1", "0,2,inf"],
+    "sweep_synthetic_lambda1_overflow": ["--family", "synthetic", "--lambda1", "1e309"],
 }
 
 FLAG_CASES = {
@@ -216,6 +239,11 @@ def build(root: Path) -> list[dict]:
     cases.append(("simulate_e1_sizes", SIZES_ARGV))
     for command in ("analyze", "balance"):
         cases.append((f"{command}_e1_sizes_counts", [command, "inputs/e1_sizes_counts.json"]))
+    for stem, model in VERDICT_MODELS.items():
+        exact = ExperimentFile(exact=exact_statistics(model), model=model)
+        (inputs / f"{stem}_exact.json").write_text(exact.dumps(), encoding="utf-8")
+        for command in ("analyze", "reconstruct"):
+            cases.append((f"{command}_{stem}_exact", [command, f"inputs/{stem}_exact.json"]))
     (inputs / "huge_counts.json").write_text(huge_counts_text(), encoding="utf-8")
     cases.extend(ENSEMBLE_BOUND_CASES.items())
     cases.extend((name, ["sweep", *argv]) for name, argv in SWEEPS.items())
