@@ -36,7 +36,7 @@ def out_of_range(value, tol: float):
     return (value < -tol) | (value > 1.0 + tol)
 
 
-def clip_probability(value, where=where):
+def clip_probability(value):
     """Clip to [0, 1] as ``min(max(value, 0.0), 1.0)`` does, keeping -0.0."""
     return where(value < 0.0, 0.0, where(value > 1.0, 1.0, value))
 

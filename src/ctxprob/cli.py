@@ -31,7 +31,6 @@ from .calculus import (
 from .errors import CtxprobError, DegenerateContextError, NonTrigonometricError, ValidationError
 from .io import ExperimentFile, canonical_dumps, model_to_dict
 from .models import (
-    SWEEP_CHUNK_ROWS,
     KolmogorovModel,
     Model,
     QubitModel,
@@ -79,6 +78,8 @@ _SWEEP_FAMILIES = {
 
 #: Most points one ``sweep`` takes; checked before any point is built.
 MAX_SWEEP_POINTS = 10**6
+#: Rows a sweep formats as CSV at a time.
+SWEEP_CHUNK_ROWS = 4096
 
 _SWEEP_FIXED_COLUMNS = [
     "p1", "p2", "p11", "p12", "p21", "p22", "p1a", "p2a",
@@ -279,8 +280,8 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
             for values in itertools.product(*grids):
                 QubitModel(*values)
         columns = [axis.ravel() for axis in np.meshgrid(*grids, indexing="ij")]
-        values = [column.tolist() for column in columns]
-        block = np.fromiter(map(qubit_probabilities, *values), (float, 8), len(values[0]))
+        points = itertools.starmap(qubit_probabilities, itertools.product(*grids))
+        block = np.fromiter(points, (float, 8), len(columns[0]))
         return names, columns, block, lambda i: QubitModel(*[c[i].item() for c in columns])
     if args.family == "synthetic":
         if args.lambda1 is None:
@@ -298,7 +299,6 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         with np.errstate(all="ignore"):
             lam = np.array([lam1, -weight[0] * np.array(lam1) / weight[1]]).T
             # Model checks in the scalar order; then predict_outcome for every point.
-            SyntheticModel(prior, transition, LambdaPair(*lam[0].tolist()))
             for pair in lam[~np.isfinite(lam).all(axis=1)][:1]:
                 LambdaPair(*pair.tolist())
             fixed = np.tile((*prior, *rows.ravel()), (len(lam1), 1))

@@ -64,8 +64,6 @@ __all__ = [
 _MAX_POINTS = 16
 _RETRY_BOUND = 1000
 
-#: Rows a sweep builds, or formats as CSV, at a time.
-SWEEP_CHUNK_ROWS = 4096
 #: Classical models drawn from one stream: model ``s`` is model ``s % 64`` of
 #: draw chunk ``s // 64``.  Frozen with the stream layout.
 CLASSICAL_CHUNK_MODELS = 64
@@ -265,36 +263,27 @@ def random_classical_rows(seeds: range) -> np.ndarray:
     consecutive seeds, bit for bit.
 
     The first and the last seed are checked, so an out-of-range seed is reported
-    as the first such seed in order.  The draw chunks of ``SWEEP_CHUNK_ROWS``
-    models at a time are tallied at once: ``np.bincount`` adds each model's
-    weights in index order, as the scalar loop does.  Every draw has a point in
-    each filtration, so no row has the zero B-weight that
-    :func:`classical_probabilities` refuses.
+    as the first such seed in order.  Each draw chunk is tallied at once:
+    ``np.bincount`` adds each model's weights in index order, as the scalar loop
+    does.  Every draw has a point in each filtration, so no row has the zero
+    B-weight that :func:`classical_probabilities` refuses.
     """
     require_seed(seeds.start)
     require_seed(min(seeds[-1], 2**64))  # 2^64 is the first bad seed, if the range reaches it
-    block = np.empty((len(seeds), 8))
     chunks = range(seeds.start // CLASSICAL_CHUNK_MODELS, seeds[-1] // CLASSICAL_CHUNK_MODELS + 1)
-    per_batch = -(-SWEEP_CHUNK_ROWS // CLASSICAL_CHUNK_MODELS)  # draw chunks, rounded up
-    for batch in (chunks[i : i + per_batch] for i in range(0, len(chunks), per_batch)):
-        draws = [classical_chunk(chunk) for chunk in batch]
-        _, weights, a_values, b_values = map(np.concatenate, zip(*draws))
-        model = np.concatenate([draw[0] + k * CLASSICAL_CHUNK_MODELS
-                                for k, draw in enumerate(draws)])
-        models = len(batch) * CLASSICAL_CHUNK_MODELS
+    block = np.empty((len(chunks), CLASSICAL_CHUNK_MODELS, 8))
+    for rows, chunk in zip(block, chunks):
+        model, weights, a_values, b_values = classical_chunk(chunk)
 
         def tally(key: np.ndarray, per_model: int) -> np.ndarray:
-            return np.bincount(per_model * model + key, weights, per_model * models).reshape(
-                models, per_model)
+            return np.bincount(per_model * model + key, weights,
+                               per_model * CLASSICAL_CHUNK_MODELS).reshape(-1, per_model)
 
-        rows = np.empty((models, 8))
         rows[:, 0:2] = b_weight = tally(b_values, 2)
         rows[:, 2:6] = tally(2 * b_values + a_values, 4) / np.repeat(b_weight, 2, axis=1)
         rows[:, 6:8] = tally(a_values, 2)
-        first = batch.start * CLASSICAL_CHUNK_MODELS
-        lo, hi = max(seeds.start, first), min(seeds.stop, first + models)
-        block[lo - seeds.start : hi - seeds.start] = rows[lo - first : hi - first]
-    return block
+    first = seeds.start % CLASSICAL_CHUNK_MODELS
+    return block.reshape(-1, 8)[first : first + len(seeds)]
 
 
 def _random_qubit(rng) -> QubitModel:

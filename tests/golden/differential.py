@@ -87,7 +87,7 @@ SIGNED = (
     ("--lambda", "-0.5,-0.5"), ("--seed", "-1"), ("--n", "-5"), ("--tolerance", "-1e-3"),
     ("--eps-class", "-1e-3"),
 )
-# Sweeps longer than ``models.SWEEP_CHUNK_ROWS``, so that a chunk boundary is
+# Sweeps longer than ``cli.SWEEP_CHUNK_ROWS``, so that a chunk boundary is
 # compared, and a classical sweep whose seeds go from one 32-bit word to two.
 LONG_SWEEPS = (
     ["sweep", "--family", "synthetic", "--lambda1=-0.9:0.9:5000"],
