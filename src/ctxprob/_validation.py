@@ -63,14 +63,19 @@ def require_probability(x: Any, name: str, *, tol: float = TOL_EXACT) -> float:
     return clip_probability(value)
 
 
+def as_tuple(value: Any, message: str) -> tuple:
+    """``tuple(value)`` if ``value`` is iterable; else raise ValidationError(message)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(message) from None
+
+
 def as_pair(value: Any, message: str) -> tuple:
     """``tuple(value)`` if ``value`` holds two items; else raise ValidationError(message)."""
-    try:
-        if len(pair := tuple(value)) == 2:
-            return pair
-    except TypeError:
-        pass
-    raise ValidationError(message)
+    if len(pair := as_tuple(value, message)) != 2:
+        raise ValidationError(message)
+    return pair
 
 
 def require_distribution(pair: Sequence[Any], name: str) -> tuple[float, float]:

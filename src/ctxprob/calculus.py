@@ -38,6 +38,7 @@ from ._validation import (
     TOL_DEGENERATE,
     TOL_EXACT,
     as_pair,
+    as_tuple,
     clip_probability,
     out_of_range,
     require_distribution,
@@ -92,11 +93,10 @@ class DichotomicObservable:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError("observable name must be a nonempty string")
-        labels = tuple(self.value_labels)
+        must = f"observable {self.name!r} labels must be two nonempty strings, got "
+        labels = as_tuple(self.value_labels, must + repr(self.value_labels))
         if len(labels) != 2 or not all(isinstance(v, str) and v for v in labels):
-            raise ValidationError(
-                f"observable {self.name!r} labels must be two nonempty strings, got {labels!r}"
-            )
+            raise ValidationError(must + repr(labels))
         if labels[0] == labels[1]:
             raise ValidationError(
                 f"observable {self.name!r} labels must be distinct, got {labels!r}"
@@ -454,9 +454,8 @@ def check_double_stochastic(matrix: RawMatrix, tol: float = TOL_EXACT) -> Balanc
     if isinstance(matrix, TransitionMatrix):
         rows = matrix.rows
     else:
-        rows = tuple(matrix)
-        if len(rows) != 2 or any(len(row) != 2 for row in rows):
-            raise ValidationError("balance checks need a 2x2 matrix")
+        shape = "balance checks need a 2x2 matrix"
+        rows = tuple(as_pair(row, shape) for row in as_pair(matrix, shape))
         rows = tuple(
             tuple(
                 require_probability(entry, f"entry[{i + 1}][{j + 1}]", tol=0.0)

@@ -27,6 +27,8 @@ import numpy as np
 from ._rng import ROLE_MODEL, ROLE_MODEL_CLASSICAL_CHUNK, substream
 from ._validation import (
     TOL_EXACT,
+    as_pair,
+    as_tuple,
     require_distribution,
     require_finite,
     require_outcome_index,
@@ -82,13 +84,14 @@ class KolmogorovModel:
     b_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(require_probability(w, "weight") for w in self.weights)
+        seq = "weights, a_values and b_values must be sequences"
+        weights = tuple(require_probability(w, "weight") for w in as_tuple(self.weights, seq))
         if not weights:
             raise ValidationError("model needs at least one elementary event")
         if abs(sum(weights) - 1.0) > TOL_EXACT:
             raise ValidationError(f"weights must sum to 1, got {sum(weights)}")
-        a_values = tuple(require_outcome_index(a, "a_value") for a in self.a_values)
-        b_values = tuple(require_outcome_index(b, "b_value") for b in self.b_values)
+        a_values = tuple(require_outcome_index(a, "a_value") for a in as_tuple(self.a_values, seq))
+        b_values = tuple(require_outcome_index(b, "b_value") for b in as_tuple(self.b_values, seq))
         if not len(weights) == len(a_values) == len(b_values):
             raise ValidationError("weights, a_values and b_values must have equal length")
         object.__setattr__(self, "weights", weights)
@@ -129,7 +132,8 @@ class SyntheticModel:
         if not isinstance(self.transition, TransitionMatrix):
             object.__setattr__(self, "transition", TransitionMatrix(self.transition))
         if not isinstance(self.target_lambda, LambdaPair):
-            object.__setattr__(self, "target_lambda", LambdaPair(*self.target_lambda))
+            pair = as_pair(self.target_lambda, "target_lambda must have exactly two components")
+            object.__setattr__(self, "target_lambda", LambdaPair(*pair))
 
 
 Model = KolmogorovModel | QubitModel | SyntheticModel

@@ -11,9 +11,11 @@ from ctxprob import (
     ContextStatistics,
     DegenerateContextError,
     DichotomicObservable,
+    KolmogorovModel,
     LambdaPair,
     OutOfRangeError,
     PhaseKind,
+    SyntheticModel,
     TheoryKind,
     TransitionMatrix,
     ValidationError,
@@ -101,6 +103,27 @@ class TestPredictOutcome:
     ids=["matrix", "row", "prior", "transition", "outcome"],
 )
 def test_non_pair_statistics_are_invalid(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KolmogorovModel(1, (0,), (0,)),
+         "weights, a_values and b_values must be sequences"),
+        (lambda: DichotomicObservable("A", 5),
+         "observable 'A' labels must be two nonempty strings, got 5"),
+        (lambda: check_double_stochastic(5), "balance checks need a 2x2 matrix"),
+        (lambda: check_double_stochastic(((0.5, 0.5), 5)), "balance checks need a 2x2 matrix"),
+        (lambda: SyntheticModel((0.5, 0.5), HALF.rows, 5),
+         "target_lambda must have exactly two components"),
+        (lambda: SyntheticModel((0.5, 0.5), HALF.rows, (0.1, 0.2, 0.3)),
+         "target_lambda must have exactly two components"),
+    ],
+    ids=["weights", "labels", "matrix", "row", "lambda", "three-lambdas"],
+)
+def test_non_sequence_values_are_invalid(build, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         build()
 
