@@ -103,12 +103,12 @@ def require_ensemble_size(n: int, name: str) -> int:
     return n
 
 
-def require_seed(seed: Any, name: str = "seed") -> int:
+def require_seed(seed: Any) -> int:
     """Validate a 64-bit unsigned seed."""
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"{name} must be an integer, got {seed!r}")
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < _MAX_SEED:
-        raise ValidationError(f"{name} must be in [0, 2^64), got {seed}")
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
     return seed
 
 
