@@ -176,6 +176,24 @@ FOREIGN_FLAG_CASES = {
     "foreign_sweep_classical_alpha": ["sweep", "--family", "classical", "--alpha", "0:1:3"],
 }
 
+# A flag value that does not parse, an unknown preset, or a missing model
+# flag: each exits 1 with its own message.
+PARSE_ERROR_CASES = {
+    "parse_sweep_prior_not_numbers": ["sweep", "--family", "synthetic", "--prior", "a,b",
+                                      "--lambda1", "0"],
+    "parse_sweep_grid_two_parts": ["sweep", "--family", "synthetic", "--lambda1", "0:1"],
+    "parse_sweep_grid_bad_count": ["sweep", "--family", "synthetic", "--lambda1", "0:1:x"],
+    "parse_sweep_grid_empty_list": ["sweep", "--family", "synthetic", "--lambda1", ","],
+    "parse_simulate_point_two_parts": ["simulate", "--model", "classical",
+                                       "--points", "0.5:1"],
+    "parse_simulate_point_bad_value": ["simulate", "--model", "classical",
+                                       "--points", "0.5:x:1"],
+    "parse_simulate_unknown_preset": ["simulate", "--preset", "e9"],
+    "parse_simulate_classical_no_points": ["simulate", "--model", "classical"],
+    "parse_simulate_synthetic_no_lambda": ["simulate", "--model", "synthetic"],
+    "parse_sweep_classical_no_count": ["sweep", "--family", "classical"],
+}
+
 # Ensemble sizes are bounded at 2^63 - 1, where numpy's binomial draw stops.
 ENSEMBLE_BOUND_CASES = {
     "simulate_max_n": ["simulate", "--model", "qubit", "--alpha", "1",
@@ -249,6 +267,7 @@ def build(root: Path) -> list[dict]:
     cases.extend((name, ["sweep", *argv]) for name, argv in SWEEPS.items())
     cases.extend(USAGE_CASES.items())
     cases.extend(FOREIGN_FLAG_CASES.items())
+    cases.extend(PARSE_ERROR_CASES.items())
 
     manifest = []
     for name, argv in cases:
