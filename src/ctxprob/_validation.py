@@ -64,7 +64,12 @@ def require_probability(x: Any, name: str, *, tol: float = TOL_EXACT) -> float:
 
 
 def as_tuple(value: Any, message: str) -> tuple:
-    """``tuple(value)`` if ``value`` is iterable; else raise ValidationError(message)."""
+    """``tuple(value)`` if ``value`` is iterable; else raise ValidationError(message).
+
+    A string or a mapping is refused too: its items are characters or keys.
+    """
+    if isinstance(value, (str, dict)):
+        raise ValidationError(message)
     try:
         return tuple(value)
     except TypeError:

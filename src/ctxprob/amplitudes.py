@@ -40,7 +40,11 @@ class AmplitudePair:
 
     def __post_init__(self) -> None:
         shape = "amplitude pair must have exactly two components"
-        psi = tuple(map(complex, as_pair(self.psi, shape)))
+        psi = as_pair(self.psi, shape)
+        try:
+            psi = tuple(map(complex, psi))
+        except (TypeError, ValueError):
+            raise ValidationError(f"amplitudes must be complex numbers, got {psi!r}") from None
         norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
         if abs(norm - 1.0) > self.norm_tol:
             raise ValidationError(

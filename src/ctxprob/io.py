@@ -35,7 +35,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .calculus import ContextStatistics, DichotomicObservable, LambdaPair, TransitionMatrix
+from ._validation import as_pair
+from .calculus import ContextStatistics, DichotomicObservable
 from .errors import ValidationError
 from .models import KolmogorovModel, Model, QubitModel, SyntheticModel
 from .sampling import CountsRecord
@@ -116,9 +117,9 @@ def model_from_dict(payload: dict) -> Model:
         for p in points:
             _require_keys(p, "model point", {"weight", "a", "b"})
         return KolmogorovModel(
-            weights=tuple(p["weight"] for p in points),
-            a_values=tuple(p["a"] for p in points),
-            b_values=tuple(p["b"] for p in points),
+            weights=[p["weight"] for p in points],
+            a_values=[p["a"] for p in points],
+            b_values=[p["b"] for p in points],
         )
     if family == "qubit":
         _require_keys(
@@ -129,11 +130,8 @@ def model_from_dict(payload: dict) -> Model:
         )
         return QubitModel(**{key: payload[key] for key in payload if key != "family"})
     if family == "synthetic":
-        return _prior_transition_from_dict(
-            payload, "synthetic model", {"family", "prior", "transition", "lambda"},
-            "synthetic model transition must be a 2x2 matrix",
-            lambda prior, matrix: SyntheticModel(prior, matrix, LambdaPair(*payload["lambda"])),
-        )
+        _require_keys(payload, "synthetic model", {"family", "prior", "transition", "lambda"})
+        return SyntheticModel(payload["prior"], payload["transition"], payload["lambda"])
     raise ValidationError(f"unknown model family {family!r}")
 
 
@@ -147,28 +145,13 @@ def _prior_transition_to_dict(record: ContextStatistics | SyntheticModel) -> dic
     return {"prior": list(record.prior), "transition": [list(r) for r in record.transition.rows]}
 
 
-def _prior_transition_from_dict(payload, where: str, keys: set, shape_error: str, build):
-    """``build(prior, transition)`` of a ``where`` object with exactly ``keys``."""
-    _require_keys(payload, where, keys)
-    rows = payload["transition"]
-    if not isinstance(rows, list) or len(rows) != 2:
-        raise ValidationError(shape_error)
-    try:
-        return build(tuple(payload["prior"]), TransitionMatrix((tuple(rows[0]), tuple(rows[1]))))
-    except TypeError as exc:
-        raise ValidationError(f"malformed {where}: {exc}") from exc
-
-
 def statistics_to_dict(stats: ContextStatistics) -> dict:
     return {**_prior_transition_to_dict(stats), "outcome": list(stats.outcome)}
 
 
 def statistics_from_dict(payload: dict) -> ContextStatistics:
-    return _prior_transition_from_dict(
-        payload, "exact statistics", {"prior", "transition", "outcome"},
-        "transition must be a 2x2 matrix (two rows)",
-        lambda prior, matrix: ContextStatistics(prior, matrix, tuple(payload["outcome"])),
-    )
+    _require_keys(payload, "exact statistics", {"prior", "transition", "outcome"})
+    return ContextStatistics(payload["prior"], payload["transition"], payload["outcome"])
 
 
 def counts_to_dict(counts: CountsRecord) -> dict:
@@ -196,18 +179,15 @@ def counts_from_dict(payload: dict) -> CountsRecord:
         raise ValidationError("counts.filtered must list exactly two filtered contexts")
     for f in filtered:
         _require_keys(f, "filtered context", {"n", "a_counts"})
-    try:
-        return CountsRecord(
-            n_context=payload["n_context"],
-            a_counts=tuple(payload["a_counts"]),
-            n_filtration=payload["n_filtration"],
-            b_counts=tuple(payload["b_counts"]),
-            n_filtered=(filtered[0]["n"], filtered[1]["n"]),
-            a_counts_given=(tuple(filtered[0]["a_counts"]), tuple(filtered[1]["a_counts"])),
-            seed=payload["seed"],
-        )
-    except TypeError as exc:
-        raise ValidationError(f"malformed counts: {exc}") from exc
+    return CountsRecord(
+        n_context=payload["n_context"],
+        a_counts=payload["a_counts"],
+        n_filtration=payload["n_filtration"],
+        b_counts=payload["b_counts"],
+        n_filtered=(filtered[0]["n"], filtered[1]["n"]),
+        a_counts_given=(filtered[0]["a_counts"], filtered[1]["a_counts"]),
+        seed=payload["seed"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +208,10 @@ class ExperimentFile:
     def __post_init__(self) -> None:
         if (self.exact is None) == (self.counts is None):
             raise ValidationError("experiment file needs exactly one of 'exact' or 'counts'")
-        observables = tuple(self.observables)
-        if len(observables) != 2 or not all(
-            isinstance(o, DichotomicObservable) for o in observables
-        ):
-            raise ValidationError("experiment file needs exactly two observables")
+        two = "experiment file needs exactly two observables"
+        observables = as_pair(self.observables, two)
+        if not all(isinstance(o, DichotomicObservable) for o in observables):
+            raise ValidationError(two)
         object.__setattr__(self, "observables", observables)
 
     def to_dict(self) -> dict:
@@ -269,10 +248,7 @@ class ExperimentFile:
         observables = []
         for entry in raw_obs:
             _require_keys(entry, "observable", {"name", "values"})
-            values = entry["values"]
-            if not isinstance(values, list) or len(values) != 2:
-                raise ValidationError("observable needs exactly two value labels")
-            observables.append(DichotomicObservable(entry["name"], (values[0], values[1])))
+            observables.append(DichotomicObservable(entry["name"], entry["values"]))
         model = model_from_dict(payload["model"]) if "model" in payload else None
         exact = statistics_from_dict(payload["exact"]) if "exact" in payload else None
         counts = counts_from_dict(payload["counts"]) if "counts" in payload else None
@@ -280,7 +256,7 @@ class ExperimentFile:
         if note is not None and not isinstance(note, str):
             raise ValidationError("note must be a string")
         return cls(
-            observables=(observables[0], observables[1]),
+            observables=observables,
             exact=exact,
             counts=counts,
             model=model,

@@ -302,27 +302,24 @@ def _random_qubit(rng) -> QubitModel:
 def _random_synthetic(rng, hyperbolic: bool) -> SyntheticModel:
     # Symmetric transition rows (q, 1-q), (1-q, q) make the two interference
     # weights equal, so lambda2 = -lambda1 keeps the outcome normalized for
-    # any prior; amplitude feasibility is then a one-sided window.
+    # any prior; amplitude feasibility is then |lambda1| <= min(c, 1 - c) / w
+    # for outcome 1's classical term c and weight w.  By AM-GM both c and
+    # 1 - c are at least w, so every trigonometric draw is feasible.
     for _ in range(_RETRY_BOUND):
         p1 = float(rng.uniform(0.2, 0.8))
         q = float(rng.uniform(0.6, 0.95)) if hyperbolic else float(rng.uniform(0.15, 0.85))
         prior = (p1, 1.0 - p1)
         transition = TransitionMatrix(((q, 1.0 - q), (1.0 - q, q)))
-        classical_q1, weight = interference_terms(*prior, q, 1.0 - q)
-        lo = -classical_q1 / weight
-        hi = (1.0 - classical_q1) / weight
         if hyperbolic:
+            classical_q1, weight = interference_terms(*prior, q, 1.0 - q)
             margin = 1.05
-            reach = min(hi, -lo)
+            reach = min(1.0 - classical_q1, classical_q1) / weight
             if reach <= margin:
                 continue
             magnitude = float(rng.uniform(margin, reach))
             lam1 = magnitude if rng.random() < 0.5 else -magnitude
         else:
-            bound = min(hi, -lo, 0.999)
-            if bound <= 1e-3:
-                continue
-            lam1 = float(rng.uniform(-bound, bound))
+            lam1 = float(rng.uniform(-0.999, 0.999))
         return SyntheticModel(
             prior=prior, transition=transition, target_lambda=LambdaPair(lam1, -lam1)
         )
@@ -342,7 +339,12 @@ def random_model(kind: ModelKind | str, seed: int) -> Model:
     :func:`classical_chunk` ``seed // CLASSICAL_CHUNK_MODELS``; a qubit or
     synthetic model is drawn from the seed's own ``ROLE_MODEL`` substream.
     """
-    kind = ModelKind(kind)
+    try:
+        kind = ModelKind(kind)
+    except ValueError:
+        raise ValidationError(
+            f"unknown model kind {kind!r}; have {[k.value for k in ModelKind]}"
+        ) from None
     require_seed(seed)
     if kind is ModelKind.CLASSICAL:
         chunk, index = divmod(seed, CLASSICAL_CHUNK_MODELS)

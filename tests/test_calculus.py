@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctxprob import (
+    AmplitudePair,
     ContextStatistics,
     DegenerateContextError,
     DichotomicObservable,
+    ExperimentFile,
     KolmogorovModel,
     LambdaPair,
     OutOfRangeError,
@@ -25,6 +27,7 @@ from ctxprob import (
     normalization_residual,
     phase_parametrization,
     predict_outcome,
+    random_model,
     total_probability,
 )
 from ctxprob.calculus import invert_column
@@ -36,6 +39,7 @@ IDENTITY = TransitionMatrix(((1.0, 0.0), (0.0, 1.0)))
 
 E1_STATS = ContextStatistics((0.5, 0.5), HALF, (0.75, 0.25))
 E2_STATS = ContextStatistics((0.3, 0.7), E2_T, (0.48, 0.52))
+PHASES = phase_parametrization(LambdaPair(0.0, 0.0))
 
 
 def consistent_statistics(p1, t11, t21, lam1):
@@ -120,8 +124,23 @@ def test_non_pair_statistics_are_invalid(build, message):
          "target_lambda must have exactly two components"),
         (lambda: SyntheticModel((0.5, 0.5), HALF.rows, (0.1, 0.2, 0.3)),
          "target_lambda must have exactly two components"),
+        # A string or a mapping is no sequence of values, not even of two items.
+        (lambda: DichotomicObservable("A", "ab"),
+         "observable 'A' labels must be two nonempty strings, got 'ab'"),
+        (lambda: DichotomicObservable("A", {"a1": 0, "a2": 1}),
+         r"observable 'A' labels must be two nonempty strings, got \{'a1': 0, 'a2': 1\}"),
+        (lambda: ExperimentFile(observables=5, exact=E1_STATS),
+         "experiment file needs exactly two observables"),
+        (lambda: AmplitudePair(((1, 2), 0j), PHASES),
+         r"amplitudes must be complex numbers, got \(\(1, 2\), 0j\)"),
+        (lambda: AmplitudePair(("abc", 0j), PHASES),
+         r"amplitudes must be complex numbers, got \('abc', 0j\)"),
+        (lambda: random_model("nope", 0),
+         r"unknown model kind 'nope'; have \['classical', 'qubit', "
+         r"'synthetic-trigonometric', 'synthetic-hyperbolic'\]"),
     ],
-    ids=["weights", "labels", "matrix", "row", "lambda", "three-lambdas"],
+    ids=["weights", "labels", "matrix", "row", "lambda", "three-lambdas", "string-labels",
+         "mapping-labels", "observables", "amplitude-pair", "amplitude-string", "model-kind"],
 )
 def test_non_sequence_values_are_invalid(build, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

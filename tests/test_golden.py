@@ -11,6 +11,8 @@ The corpus writer must still write the committed corpus, and
 ``golden/differential.py`` must find no difference between this tree and a
 copy of it, but must find one planted byte.  Its allow list must pass a
 planted difference that an entry names, and fail one that no entry names.
+The line tracer ``golden/uncovered.py`` must run and list the statements that
+a test file leaves unrun.
 """
 
 import importlib.util
@@ -102,3 +104,14 @@ def test_differential_allow_list(differential, base_tree, tmp_path, capsys, entr
     differences, passed, failed = map(int, found.groups())
     assert differences > 0
     assert (code, passed, failed) == ((0, differences, 0) if allowed else (1, 0, differences))
+
+
+def test_line_tracer_lists_unrun_statements():
+    # No test here imports ``__main__``, so its statements are unrun.
+    result = subprocess.run(
+        [sys.executable, str(GOLDEN / "uncovered.py"), "-q", "-p", "no:cacheprovider",
+         str(GOLDEN.parent / "test_exports.py")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert any(line.startswith("src/ctxprob/__main__.py:") for line in result.stdout.splitlines())

@@ -18,10 +18,21 @@ from ctxprob import (
     canonical_dumps,
     simulate_counts,
 )
-from ctxprob.io import model_from_dict, model_to_dict, statistics_from_dict, statistics_to_dict
+from ctxprob.io import (
+    counts_from_dict,
+    counts_to_dict,
+    model_from_dict,
+    model_to_dict,
+    statistics_from_dict,
+    statistics_to_dict,
+)
 
 E1_STATS = ContextStatistics(
     (0.5, 0.5), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.75, 0.25)
+)
+E1_FILE = ExperimentFile(exact=E1_STATS).to_dict()
+E1_COUNTS = counts_to_dict(
+    simulate_counts(QubitModel(alpha=0.4, phi=0.0, b_rotation=0.6), 100, seed=1)
 )
 E3_MODEL = {
     "family": "synthetic", "prior": [0.5, 0.5], "transition": [[0.8, 0.2], [0.2, 0.8]],
@@ -75,18 +86,25 @@ class TestModelDescriptors:
         assert model == QubitModel(0.1, 0.2, 0.3) and model.b_phase == 0.0
 
 
-# Exact statistics and the synthetic model share one prior + transition reader,
-# and each keeps its own messages.
+# Each reader passes a file's values to the value object that checks them, so
+# a malformed value gets the message of the value it builds.
 @pytest.mark.parametrize("read, payload, message", [
     (statistics_from_dict, {**statistics_to_dict(E1_STATS), "transition": [[0.5, 0.5]]},
-     "transition must be a 2x2 matrix (two rows)"),
+     "transition matrix must have exactly two rows"),
     (statistics_from_dict, {**statistics_to_dict(E1_STATS), "outcome": 5},
-     "malformed exact statistics: 'int' object is not iterable"),
+     "outcome must have exactly two components"),
     (model_from_dict, {**E3_MODEL, "transition": "x"},
-     "synthetic model transition must be a 2x2 matrix"),
-    (model_from_dict, {**E3_MODEL, "prior": 5},
-     "malformed synthetic model: 'int' object is not iterable"),
-], ids=["exact-shape", "exact-value", "synthetic-shape", "synthetic-value"])
+     "transition matrix must have exactly two rows"),
+    (model_from_dict, {**E3_MODEL, "prior": 5}, "prior must have exactly two components"),
+    (model_from_dict, {**E3_MODEL, "lambda": [1.0]},
+     "target_lambda must have exactly two components"),
+    (counts_from_dict, {**E1_COUNTS, "a_counts": 5},
+     "a_counts must be a pair of nonnegative integers"),
+    (ExperimentFile.from_dict, {**E1_FILE, "observables": [
+        {"name": "A", "values": ["a1"]}, {"name": "B", "values": ["b1", "b2"]}]},
+     "observable 'A' labels must be two nonempty strings, got ('a1',)"),
+], ids=["exact-shape", "exact-value", "synthetic-shape", "synthetic-value", "synthetic-lambda",
+        "counts-scalar-tally", "observable-values"])
 def test_malformed_prior_transition_messages(read, payload, message):
     with pytest.raises(ValidationError) as info:
         read(payload)
