@@ -145,6 +145,9 @@ FLAG_CASES = {
     "balance_e2_counts_tol": ["balance", "inputs/e2_counts.json", "--tolerance", "0.3"],
     # A non-finite tolerance is refused under the flag's own name (exit 1).
     "balance_tolerance_nan": ["balance", "inputs/e1_exact.json", "--tolerance", "nan"],
+    # An --output path in a directory that does not exist: an i/o error (exit 1).
+    "balance_output_missing_dir": ["balance", "inputs/e1_exact.json",
+                                   "--output", "missing-dir/out.json"],
 }
 
 # Help goes to stdout with exit 0; usage errors go to stderr with exit 1.
