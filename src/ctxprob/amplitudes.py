@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 
 from ._validation import TOL_EXACT, as_pair
-from .calculus import ContextStatistics, PhasePair, check_double_stochastic
-from .errors import NonTrigonometricError, NotBalancedError, ValidationError
+from .calculus import ContextStatistics, PhasePair
+from .errors import NonTrigonometricError, ValidationError
 
-__all__ = ["AmplitudePair", "lift_to_amplitudes", "born_residual", "balance_phase_constraint"]
+__all__ = ["AmplitudePair", "lift_to_amplitudes", "born_residual"]
 
 
 @dataclass(frozen=True)
@@ -86,28 +86,3 @@ def born_residual(amplitudes: AmplitudePair, outcome: tuple[float, float]) -> fl
     probs = amplitudes.probabilities()
     return max(abs(probs[0] - outcome[0]), abs(probs[1] - outcome[1]))
 
-
-def balance_phase_constraint(
-    stats: ContextStatistics, phases: PhasePair, tol: float = TOL_EXACT
-) -> tuple[bool, float]:
-    """Check the phase identity implied by statistical balance.
-
-    For a doubly stochastic transition matrix the two interference weights
-    coincide, so consistency of the statistics forces
-    ``cos(theta1) + cos(theta2) = 0``.  Returns ``(satisfied, residual)``
-    with ``residual = |cos(theta1) + cos(theta2)|``.
-
-    Raises :class:`NotBalancedError` if the transition matrix is not doubly
-    stochastic within ``tol`` (the constraint does not apply) and
-    :class:`NonTrigonometricError` for hyperbolic phases.
-    """
-    if not phases.all_trigonometric:
-        raise NonTrigonometricError("balance-phase constraint requires trigonometric phases")
-    report = check_double_stochastic(stats.transition, tol)
-    if not report.is_double_stochastic:
-        raise NotBalancedError(
-            f"transition matrix is not doubly stochastic within {tol}: "
-            f"column residuals {report.column_residuals}"
-        )
-    residual = abs(math.cos(phases.phase1.theta) + math.cos(phases.phase2.theta))
-    return (residual <= tol, residual)

@@ -47,7 +47,7 @@ from ._validation import (
     sum_residual,
     where,
 )
-from .errors import DegenerateContextError, OutOfRangeError, ValidationError
+from .errors import DegenerateContextError, InfeasibleLambdaError, ValidationError
 
 __all__ = [
     "TOL_EXACT",
@@ -330,7 +330,7 @@ def predict_outcome(
 
     Values straying outside [0, 1] by at most ``TOL_EXACT`` are clipped to
     the boundary (floating-point noise); larger excursions raise
-    :class:`OutOfRangeError`, because clamping a genuinely infeasible
+    :class:`InfeasibleLambdaError`, because clamping a genuinely infeasible
     prediction would fabricate probabilities.
     """
     p = require_distribution(prior, "prior")
@@ -340,7 +340,7 @@ def predict_outcome(
         classical, weight = interference_terms(p[0], p[1], rows[0][j], rows[1][j])
         value = classical + weight * lam_j
         if out_of_range(value, TOL_EXACT):
-            raise OutOfRangeError(
+            raise InfeasibleLambdaError(
                 f"predicted outcome probability {value} for component {j + 1} is outside "
                 f"[0, 1]; (prior, transition, lambda) triple is infeasible"
             )

@@ -12,10 +12,8 @@ from __future__ import annotations
 __all__ = [
     "CtxprobError",
     "ValidationError",
-    "OutOfRangeError",
     "DegenerateContextError",
     "NonTrigonometricError",
-    "NotBalancedError",
     "ZeroFiltrationError",
     "InfeasibleLambdaError",
     "GenerationExhaustedError",
@@ -36,17 +34,6 @@ class ValidationError(CtxprobError, ValueError):
     label = "invalid input"
 
 
-class OutOfRangeError(CtxprobError):
-    """A predicted outcome probability falls outside [0, 1].
-
-    The (prior, transition, coefficients) triple is statistically infeasible:
-    no experiment can produce these numbers.
-    """
-
-    exit_code = 3
-    label = "infeasible data"
-
-
 class DegenerateContextError(CtxprobError):
     """The interference weight vanishes while the deviation from the
     classical prediction does not, so no coefficient can explain the data."""
@@ -62,14 +49,6 @@ class NonTrigonometricError(CtxprobError):
     label = "infeasible data"
 
 
-class NotBalancedError(CtxprobError):
-    """The transition matrix is not doubly stochastic, so the balance-phase
-    constraint does not apply."""
-
-    exit_code = 3
-    label = "infeasible data"
-
-
 class ZeroFiltrationError(CtxprobError):
     """A filtration outcome has zero probability; the corresponding filtered
     ensemble cannot be prepared."""
@@ -79,8 +58,8 @@ class ZeroFiltrationError(CtxprobError):
 
 
 class InfeasibleLambdaError(CtxprobError):
-    """A target coefficient pair cannot be realized by any valid statistics
-    for the given prior and transition matrix."""
+    """A (prior, transition, lambda) triple predicts an outcome outside [0, 1]
+    or outcomes that do not sum to one: no statistics carry these coefficients."""
 
     exit_code = 3
     label = "infeasible data"

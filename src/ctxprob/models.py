@@ -46,7 +46,6 @@ from .calculus import (
 from .errors import (
     GenerationExhaustedError,
     InfeasibleLambdaError,
-    OutOfRangeError,
     ValidationError,
     ZeroFiltrationError,
 )
@@ -212,10 +211,7 @@ def synthesize_statistics(model: SyntheticModel) -> ContextStatistics:
     two predictions fail to sum to one (the targets violate the cancellation
     constraint between the interference terms).
     """
-    try:
-        outcome = predict_outcome(model.prior, model.transition, model.target_lambda)
-    except OutOfRangeError as exc:
-        raise InfeasibleLambdaError(str(exc)) from exc
+    outcome = predict_outcome(model.prior, model.transition, model.target_lambda)
     if sum_residual(outcome[0], outcome[1]) > TOL_EXACT:
         raise InfeasibleLambdaError(
             f"target coefficients {tuple(model.target_lambda)} break outcome "

@@ -11,20 +11,18 @@ from ctxprob import (
     AmplitudePair,
     ContextStatistics,
     NonTrigonometricError,
-    NotBalancedError,
     Phase,
     PhaseKind,
     PhasePair,
     TransitionMatrix,
     ValidationError,
-    balance_phase_constraint,
     born_residual,
     lambda_from_statistics,
     lift_to_amplitudes,
     phase_parametrization,
 )
 
-from test_calculus import E1_STATS, E2_T, consistent_statistics
+from test_calculus import E1_STATS, consistent_statistics
 
 E1_PHASES = PhasePair(
     Phase(PhaseKind.TRIGONOMETRIC, math.pi / 3),
@@ -112,34 +110,3 @@ class TestAmplitudePair:
         with pytest.raises(ValidationError, match="^amplitude pair must have exactly two"):
             AmplitudePair(psi, PhasePair(trig(0.0), trig(0.0)))
 
-
-class TestBalancePhaseConstraint:
-    def test_e1_phases_cancel(self):
-        satisfied, residual = balance_phase_constraint(E1_STATS, E1_PHASES, 1e-9)
-        assert satisfied
-        assert residual <= 1e-15
-
-    def test_right_angles_on_balanced_matrix(self):
-        stats = ContextStatistics(
-            (0.5, 0.5), TransitionMatrix(((0.8, 0.2), (0.2, 0.8))), (0.5, 0.5)
-        )
-        satisfied, residual = balance_phase_constraint(
-            stats, PhasePair(trig(math.pi / 2), trig(math.pi / 2)), 1e-9
-        )
-        assert satisfied
-        assert residual <= 1e-15
-
-    def test_unbalanced_matrix_is_rejected(self):
-        stats = ContextStatistics((0.3, 0.7), E2_T, (0.48, 0.52))
-        with pytest.raises(NotBalancedError):
-            balance_phase_constraint(stats, E1_PHASES, 1e-9)
-
-    def test_violating_phases_are_flagged(self):
-        stats = ContextStatistics(
-            (0.5, 0.5), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.5, 0.5)
-        )
-        satisfied, residual = balance_phase_constraint(
-            stats, PhasePair(trig(0.0), trig(math.pi / 2)), 1e-9
-        )
-        assert not satisfied
-        assert residual == pytest.approx(1.0, abs=1e-15)

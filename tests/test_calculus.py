@@ -14,8 +14,9 @@ from ctxprob import (
     DichotomicObservable,
     ExperimentFile,
     KolmogorovModel,
+    InfeasibleLambdaError,
     LambdaPair,
-    OutOfRangeError,
+    Phase,
     PhaseKind,
     SyntheticModel,
     TheoryKind,
@@ -84,7 +85,7 @@ class TestPredictOutcome:
         assert out == (1.0, 0.0)
 
     def test_infeasible_coefficients_raise(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InfeasibleLambdaError):
             predict_outcome((0.5, 0.5), E3_T, LambdaPair(2.0, -2.0))
 
     def test_rejects_bad_prior(self):
@@ -436,6 +437,21 @@ class TestNormalizationResidual:
         assert normalization_residual(stats, LambdaPair(1.25, -1.25)) == pytest.approx(
             0.0, abs=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "stats, thetas, expected",
+        [
+            (E1_STATS, (math.pi / 3, 2 * math.pi / 3), 0.0),
+            (ContextStatistics((0.5, 0.5), E3_T, (0.5, 0.5)), (math.pi / 2, math.pi / 2), 0.0),
+            (ContextStatistics((0.5, 0.5), HALF, (0.5, 0.5)), (0.0, math.pi / 2), 0.25),
+        ],
+        ids=["e1-lift", "right-angles", "violating-phases"],
+    )
+    def test_balance_phase_identity(self, stats, thetas, expected):
+        # On a doubly stochastic matrix both weights equal w, and the residual
+        # is (w/2)*(cos theta1 + cos theta2): zero exactly when the phases cancel.
+        lam = LambdaPair(*(Phase(PhaseKind.TRIGONOMETRIC, t).coefficient() for t in thetas))
+        assert normalization_residual(stats, lam) == pytest.approx(expected, abs=1e-15)
 
     @given(
         p1=st.floats(0.05, 0.95),

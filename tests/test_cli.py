@@ -623,10 +623,8 @@ EXIT_STATUSES = {
     ctxprob.ZeroFiltrationError: (2, "degenerate statistics"),
     ctxprob.EmptyEnsembleError: (2, "degenerate statistics"),
     ctxprob.GenerationExhaustedError: (2, "degenerate statistics"),
-    ctxprob.OutOfRangeError: (3, "infeasible data"),
     ctxprob.InfeasibleLambdaError: (3, "infeasible data"),
     ctxprob.NonTrigonometricError: (3, "infeasible data"),
-    ctxprob.NotBalancedError: (3, "infeasible data"),
     _UnlabelledError: (1, "error"),
 }
 

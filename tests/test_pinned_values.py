@@ -26,10 +26,10 @@ import pytest
 from ctxprob import (
     ContextStatistics,
     EnsembleSizes,
+    InfeasibleLambdaError,
     KolmogorovModel,
     LambdaPair,
     ModelKind,
-    OutOfRangeError,
     QubitModel,
     SyntheticModel,
     TransitionMatrix,
@@ -68,7 +68,7 @@ def _predictions():
     for prior, transition, lam in _grid():
         try:
             values.append(list(predict_outcome(prior, transition, lam)))
-        except OutOfRangeError:
+        except InfeasibleLambdaError:
             values.append(None)
     return values
 
