@@ -49,7 +49,12 @@ def sum_residual(a, b):
 def require_finite(x: Any, name: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(f"{name} must be a real number, got {x!r}")
-    value = float(x)
+    try:
+        value = float(x)
+    except OverflowError:
+        raise ValidationError(
+            f"{name} must be finite, got an integer too large for a float"
+        ) from None
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value

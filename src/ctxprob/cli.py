@@ -199,11 +199,11 @@ def _load_experiment(path: str) -> ExperimentFile:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns the texts that main writes to --output or stdout
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> list[str]:
     experiment = _load_experiment(args.input)
     if experiment.exact is not None:
         eps = args.eps_class if args.eps_class is not None else EPS_CLASS_DEFAULT
@@ -217,8 +217,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             eps_class=args.eps_class,
             tol=args.tolerance,
         )
-    _write_output([canonical_dumps(report_to_dict(report))], args.output)
-    return EXIT_OK
+    return [canonical_dumps(report_to_dict(report))]
 
 
 def _simulate_model(args: argparse.Namespace) -> Model:
@@ -258,13 +257,11 @@ def _simulate_model(args: argparse.Namespace) -> Model:
     )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     model = _simulate_model(args)
     n = [args.n if m is None else m for m in (getattr(args, e.option) for e in _EXPERIMENTS)]
     counts = simulate_counts(model, EnsembleSizes(n[0], n[1], n[2:]), args.seed)
-    experiment = ExperimentFile(counts=counts, model=model, note=args.note)
-    _write_output([experiment.dumps()], args.output)
-    return EXIT_OK
+    return [ExperimentFile(counts=counts, model=model, note=args.note).dumps()]
 
 
 def _sweep_block(args: argparse.Namespace) -> tuple:
@@ -337,15 +334,14 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
         yield "".join([",".join(fields) + "\n" for fields in zip(*texts)])
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Iterator[str]:
     names, parameters, block, model_of = _sweep_block(args)
     columns = analyze_block(block, lambda i: exact_statistics(model_of(i)),
                             eps_class=args.eps_class)
-    _write_output(_csv_chunks(names + _SWEEP_FIXED_COLUMNS, [*parameters, *columns]), args.output)
-    return EXIT_OK
+    return _csv_chunks(names + _SWEEP_FIXED_COLUMNS, [*parameters, *columns])
 
 
-def _cmd_reconstruct(args: argparse.Namespace) -> int:
+def _cmd_reconstruct(args: argparse.Namespace) -> list[str]:
     experiment = _load_experiment(args.input)
     if experiment.exact is None:
         raise ValidationError("reconstruct needs a file with exact statistics")
@@ -361,19 +357,16 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         "amplitudes": full["amplitudes"],
         "born_residual": full["born_residual"],
     }
-    _write_output([canonical_dumps(payload)], args.output)
-    return EXIT_OK
+    return [canonical_dumps(payload)]
 
 
-def _cmd_balance(args: argparse.Namespace) -> int:
+def _cmd_balance(args: argparse.Namespace) -> list[str]:
     experiment = _load_experiment(args.input)
     if experiment.exact is not None:
         transition = experiment.exact.transition
     else:
         transition = estimate_statistics(experiment.counts).transition
-    report = check_double_stochastic(transition, args.tolerance)
-    _write_output([canonical_dumps(balance_to_dict(report))], args.output)
-    return EXIT_OK
+    return [canonical_dumps(balance_to_dict(check_double_stochastic(transition, args.tolerance)))]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +525,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        _write_output(args.handler(args), args.output)
+        return EXIT_OK
     except CtxprobError as exc:
         print(f"ctxprob: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

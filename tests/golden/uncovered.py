@@ -6,8 +6,8 @@ Run from anywhere in a checkout::
 
 It runs pytest in this process (by default over ``tests`` with ``-q``) under a
 ``sys.settrace`` line tracer that traces only the frames of ``src/ctxprob``
-files, then prints ``path:line: source`` for each statement that never ran and
-exits with pytest's exit code.  A statement is a line that the compiled module
+files, then prints ``path:line: source`` for each statement that never ran, then
+``uncovered: N statements in M files``, and exits with pytest's exit code.  A statement is a line that the compiled module
 has code for.  Code that a test runs in a subprocess is not traced.  It needs
 only the standard library and pytest, and the traced suite takes about three
 times as long as a plain run, so it is run on demand and is no test itself.
@@ -56,11 +56,15 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    total, touched = 0, 0
     for name, path in files.items():
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
-        for line in sorted(statements(compile(source, name, "exec")) - executed[name]):
+        unrun = sorted(statements(compile(source, name, "exec")) - executed[name])
+        for line in unrun:
             print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
+        total, touched = total + len(unrun), touched + bool(unrun)
+    print(f"uncovered: {total} statements in {touched} files")
     return int(code)
 
 

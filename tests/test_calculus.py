@@ -13,12 +13,13 @@ from ctxprob import (
     DegenerateContextError,
     DichotomicObservable,
     ExperimentFile,
-    KolmogorovModel,
     InfeasibleLambdaError,
+    KolmogorovModel,
     LambdaPair,
     Phase,
     PhaseKind,
     SyntheticModel,
+    TheoryClass,
     TheoryKind,
     TransitionMatrix,
     ValidationError,
@@ -144,6 +145,47 @@ def test_non_pair_statistics_are_invalid(build, message):
          "mapping-labels", "observables", "amplitude-pair", "amplitude-string", "model-kind"],
 )
 def test_non_sequence_values_are_invalid(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
+TRIG, HYPER = PhaseKind.TRIGONOMETRIC, PhaseKind.HYPERBOLIC
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Phase(TRIG, 4.0), r"trigonometric theta must be in \[0, pi\], got 4.0"),
+        (lambda: Phase(TRIG, 1.0, -1), "trigonometric phases carry no sign"),
+        (lambda: Phase(HYPER, -1.0), "hyperbolic theta must be >= 0, got -1.0"),
+        (lambda: Phase(HYPER, 1.0, 0), r"hyperbolic sign must be \+1 or -1, got 0"),
+        (lambda: TheoryClass(TheoryKind.HYPER_TRIGONOMETRIC),
+         "hyper-trigonometric verdict needs hyper_component 1 or 2"),
+        (lambda: TheoryClass(TheoryKind.CLASSICAL, hyper_component=1),
+         "hyper_component only applies to hyper-trigonometric verdicts"),
+        (lambda: TheoryClass(TheoryKind.BOUNDARY),
+         "boundary verdict needs at least one boundary component"),
+        (lambda: TheoryClass(TheoryKind.CLASSICAL, boundary_components=(1,)),
+         "boundary_components only apply to boundary verdicts"),
+        (lambda: DichotomicObservable("", ("a1", "a2")),
+         "observable name must be a nonempty string"),
+        (lambda: LambdaPair("x", 0.0), "lambda1 must be a real number, got 'x'"),
+        (lambda: KolmogorovModel((), (), ()), "model needs at least one elementary event"),
+        (lambda: KolmogorovModel((1.0,), (0, 1), (0,)),
+         "weights, a_values and b_values must have equal length"),
+        (lambda: KolmogorovModel((1.0,), (0.5,), (0,)),
+         "a_value must be an integer outcome index, got 0.5"),
+        (lambda: KolmogorovModel((1.0,), (0,), (2,)), "b_value must be 0 or 1, got 2"),
+        # An integer beyond the float range is refused, not left to overflow.
+        (lambda: ContextStatistics((10**400, 0), HALF, (0.5, 0.5)),
+         r"prior\[1\] must be finite, got an integer too large for a float"),
+    ],
+    ids=["trig-theta", "trig-sign", "hyper-theta", "hyper-sign", "hyper-component",
+         "stray-hyper-component", "boundary-components", "stray-boundary-components",
+         "observable-name", "lambda-type", "no-events", "unequal-lengths", "index-type",
+         "index-value", "huge-integer"],
+)
+def test_constructor_contracts(build, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         build()
 

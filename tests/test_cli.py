@@ -23,9 +23,8 @@ from ctxprob._validation import clip_probability
 from ctxprob.cli import _csv_chunks, _parse, _sweep_block, build_parser, main
 from ctxprob.models import random_model
 
-GOLDEN_CASES = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "cases.json").read_text(encoding="utf-8")
-)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 COMMANDS = ["analyze", "simulate", "sweep", "reconstruct", "balance"]
 COMMAND_CASES = [case for case in GOLDEN_CASES if case["argv"] and case["argv"][0] in COMMANDS]
 
@@ -660,6 +659,17 @@ class TestUnreadableInput:
         path.write_text("[" * 100_000 + "]" * 100_000)
         assert main([command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("ctxprob: invalid input: ")
+
+    def test_integer_beyond_the_float_range(self, command, tmp_path, capsys):
+        payload = json.loads((GOLDEN / "inputs" / "e1_exact.json").read_text(encoding="utf-8"))
+        payload["exact"]["prior"] = [10**400, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "ctxprob: invalid input: prior[1] must be finite, "
+            "got an integer too large for a float\n"
+        )
 
 
 def _outcome(parse, argv):

@@ -114,4 +114,8 @@ def test_line_tracer_lists_unrun_statements():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert any(line.startswith("src/ctxprob/__main__.py:") for line in result.stdout.splitlines())
+    listed = [line for line in result.stdout.splitlines() if line.startswith("src/ctxprob/")]
+    assert any(line.startswith("src/ctxprob/__main__.py:") for line in listed)
+    files = {line.split(":")[0] for line in listed}
+    summary = f"uncovered: {len(listed)} statements in {len(files)} files"
+    assert result.stdout.splitlines()[-1] == summary
