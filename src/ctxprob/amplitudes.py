@@ -85,4 +85,3 @@ def born_residual(amplitudes: AmplitudePair, outcome: tuple[float, float]) -> fl
     """Largest deviation between squared moduli and outcome probabilities."""
     probs = amplitudes.probabilities()
     return max(abs(probs[0] - outcome[0]), abs(probs[1] - outcome[1]))
-

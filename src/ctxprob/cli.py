@@ -366,7 +366,8 @@ def _cmd_balance(args: argparse.Namespace) -> list[str]:
         transition = experiment.exact.transition
     else:
         transition = estimate_statistics(experiment.counts).transition
-    return [canonical_dumps(balance_to_dict(check_double_stochastic(transition, args.tolerance)))]
+    report = check_double_stochastic(transition, args.tolerance)
+    return [canonical_dumps(balance_to_dict(report))]
 
 
 # ---------------------------------------------------------------------------

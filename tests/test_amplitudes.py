@@ -109,4 +109,3 @@ class TestAmplitudePair:
     def test_rejects_a_non_pair(self, psi):
         with pytest.raises(ValidationError, match="^amplitude pair must have exactly two"):
             AmplitudePair(psi, PhasePair(trig(0.0), trig(0.0)))
-
