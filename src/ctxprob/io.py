@@ -270,7 +270,7 @@ class ExperimentFile:
     def loads(cls, text: str) -> "ExperimentFile":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
             raise ValidationError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ValidationError(f"JSON nested too deeply: {exc}") from exc

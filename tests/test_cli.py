@@ -660,16 +660,20 @@ class TestUnreadableInput:
         assert main([command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("ctxprob: invalid input: ")
 
-    def test_integer_beyond_the_float_range(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("zeros, message", [
+        (400, "prior[1] must be finite, got an integer too large for a float\n"),
+        # Python refuses to read an integer literal of more than 4300 digits.
+        (5000, "not valid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["float-range", "digit-limit"])
+    def test_huge_integer(self, command, zeros, message, tmp_path, capsys):
         payload = json.loads((GOLDEN / "inputs" / "e1_exact.json").read_text(encoding="utf-8"))
-        payload["exact"]["prior"] = [10**400, 0]
+        payload["exact"]["prior"] = ["HUGE", 0]
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(json.dumps(payload).replace('"HUGE"', "1" + "0" * zeros))
         assert main([command, str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "ctxprob: invalid input: prior[1] must be finite, "
-            "got an integer too large for a float\n"
-        )
+        err = capsys.readouterr().err
+        assert err.startswith(f"ctxprob: invalid input: {message}")
+        assert err.count("\n") == 1
 
 
 def _outcome(parse, argv):
