@@ -6,11 +6,12 @@ Run from anywhere in a checkout::
 
 It runs pytest in this process (by default over ``tests`` with ``-q``) under a
 ``sys.settrace`` line tracer that traces only the frames of ``src/ctxprob``
-files, then prints ``path:line: source`` for each statement that never ran, then
-``uncovered: N statements in M files``, and exits with pytest's exit code.  A statement is a line that the compiled module
-has code for.  Code that a test runs in a subprocess is not traced.  It needs
-only the standard library and pytest, and the traced suite takes about three
-times as long as a plain run, so it is run on demand and is no test itself.
+files, then prints ``path:line: source`` for each statement that never ran,
+ends with one line ``uncovered: N statements in M files`` and exits with
+pytest's exit code.  A statement is a line that the compiled module has code
+for.  Code that a test runs in a subprocess is not traced.  It needs only the
+standard library and pytest, and the traced suite takes about three times as
+long as a plain run, so it is run on demand and is no test itself.
 """
 
 from __future__ import annotations

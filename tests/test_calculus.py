@@ -492,7 +492,7 @@ class TestNormalizationResidual:
     def test_balance_phase_identity(self, stats, thetas, expected):
         # On a doubly stochastic matrix both weights equal w, and the residual
         # is (w/2)*(cos theta1 + cos theta2): zero exactly when the phases cancel.
-        lam = LambdaPair(*(Phase(PhaseKind.TRIGONOMETRIC, t).coefficient() for t in thetas))
+        lam = LambdaPair(*(Phase(TRIG, theta).coefficient() for theta in thetas))
         assert normalization_residual(stats, lam) == pytest.approx(expected, abs=1e-15)
 
     @given(
