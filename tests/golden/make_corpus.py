@@ -51,6 +51,13 @@ SPARSE_COUNTS = CountsRecord(
     n_context=20, a_counts=(12, 8), n_filtration=6, b_counts=(1, 5),
     n_filtered=(20, 20), a_counts_given=((15, 5), (9, 11)), seed=5,
 )
+# Tiny ensembles: a replicate that draws a transition entry of 0 or a filtration
+# probability of 0 or 1 has a vanishing weight.  With --seed 1 the one replicate
+# draws t11 = 1, so the second column cannot be inverted (exit 2).
+DEGENERATE_BOOTSTRAP_COUNTS = CountsRecord(
+    n_context=10, a_counts=(5, 5), n_filtration=2, b_counts=(1, 1),
+    n_filtered=(10, 10), a_counts_given=((9, 1), (1, 9)), seed=1,
+)
 
 # lambda1 = 0.5 and its balanced companion lambda2 = -w1 * 0.5 / w2 = -1.22...:
 # hyper-trigonometric in component 2 (reconstruct exits 3).
@@ -254,6 +261,12 @@ def build(root: Path) -> list[dict]:
         )
         for command in ("analyze", "balance"):
             cases.append((f"{command}_{stem}", [command, f"inputs/{stem}.json"]))
+    (inputs / "degenerate_bootstrap_counts.json").write_text(
+        ExperimentFile(counts=DEGENERATE_BOOTSTRAP_COUNTS).dumps(), encoding="utf-8"
+    )
+    cases.append(("analyze_degenerate_bootstrap_counts",
+                  ["analyze", "inputs/degenerate_bootstrap_counts.json",
+                   "--bootstrap-replicates", "1", "--seed", "1"]))
     code, out, _ = run(SIZES_ARGV)
     assert code == 0, ("simulate_e1_sizes", code)
     (inputs / "e1_sizes_counts.json").write_text(out, encoding="utf-8")
