@@ -25,7 +25,7 @@ ROLE_B_ON_CONTEXT = 2
 ROLE_A_ON_FILTERED_1 = 3
 ROLE_A_ON_FILTERED_2 = 4
 ROLE_BOOTSTRAP = 5  # retired: one stream per bootstrap replicate; never reuse
-ROLE_STUDY = 6
+ROLE_STUDY = 6  # drawn only by the tests' convergence helper
 ROLE_BOOTSTRAP_BLOCK = 7  # retired: replicates in blocks of 1024; never reuse
 ROLE_BOOTSTRAP_EXPERIMENT = 8  # path (8, j): the tallies of experiment j, 0..3
 ROLE_MODEL_CLASSICAL_CHUNK = 9  # path (c, 9): classical models 64*c .. 64*c + 63

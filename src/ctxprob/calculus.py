@@ -65,7 +65,6 @@ __all__ = [
     "BalanceReport",
     "predict_outcome",
     "lambda_from_statistics",
-    "total_probability",
     "classify_theory",
     "check_double_stochastic",
     "phase_parametrization",
@@ -223,9 +222,6 @@ class PhasePair:
         yield self.phase1
         yield self.phase2
 
-    def __getitem__(self, index: int) -> Phase:
-        return (self.phase1, self.phase2)[index]
-
     @property
     def all_trigonometric(self) -> bool:
         return self.phase1.is_trigonometric and self.phase2.is_trigonometric
@@ -279,10 +275,6 @@ class BalanceReport:
     is_stochastic: bool
     is_double_stochastic: bool
     tolerance: float
-
-    @property
-    def max_column_residual(self) -> float:
-        return max(self.column_residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +338,6 @@ def predict_outcome(
             )
         out.append(clip_probability(value))
     return (out[0], out[1])
-
-
-def total_probability(
-    prior: Sequence[float], transition: TransitionMatrix
-) -> tuple[float, float]:
-    """Classical total-probability prediction: the zero-coefficient case.
-
-    Delegates to :func:`predict_outcome` with both coefficients zero, so the
-    two agree bit for bit.
-    """
-    return predict_outcome(prior, transition, LambdaPair(0.0, 0.0))
 
 
 def lambda_from_statistics(stats: ContextStatistics) -> LambdaPair:

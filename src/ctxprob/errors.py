@@ -16,7 +16,6 @@ __all__ = [
     "NonTrigonometricError",
     "ZeroFiltrationError",
     "InfeasibleLambdaError",
-    "GenerationExhaustedError",
     "EmptyEnsembleError",
 ]
 
@@ -63,13 +62,6 @@ class InfeasibleLambdaError(CtxprobError):
 
     exit_code = 3
     label = "infeasible data"
-
-
-class GenerationExhaustedError(CtxprobError):
-    """Random model generation exceeded its rejection-sampling retry bound."""
-
-    exit_code = 2
-    label = "degenerate statistics"
 
 
 class EmptyEnsembleError(CtxprobError):

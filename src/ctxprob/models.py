@@ -43,12 +43,7 @@ from .calculus import (
     interference_terms,
     predict_outcome,
 )
-from .errors import (
-    GenerationExhaustedError,
-    InfeasibleLambdaError,
-    ValidationError,
-    ZeroFiltrationError,
-)
+from .errors import InfeasibleLambdaError, ValidationError, ZeroFiltrationError
 
 __all__ = [
     "KolmogorovModel",
@@ -63,7 +58,6 @@ __all__ = [
 ]
 
 _MAX_POINTS = 16
-_RETRY_BOUND = 1000
 
 #: Classical models drawn from one stream: model ``s`` is model ``s % 64`` of
 #: draw chunk ``s // 64``.  Frozen with the stream layout.
@@ -300,8 +294,9 @@ def _random_synthetic(rng, hyperbolic: bool) -> SyntheticModel:
     # weights equal, so lambda2 = -lambda1 keeps the outcome normalized for
     # any prior; amplitude feasibility is then |lambda1| <= min(c, 1 - c) / w
     # for outcome 1's classical term c and weight w.  By AM-GM both c and
-    # 1 - c are at least w, so every trigonometric draw is feasible.
-    for _ in range(_RETRY_BOUND):
+    # 1 - c are at least w, so every trigonometric draw is feasible.  A
+    # hyperbolic draw is rejected about half the time and drawn again.
+    while True:
         p1 = float(rng.uniform(0.2, 0.8))
         q = float(rng.uniform(0.6, 0.95)) if hyperbolic else float(rng.uniform(0.15, 0.85))
         prior = (p1, 1.0 - p1)
@@ -319,9 +314,6 @@ def _random_synthetic(rng, hyperbolic: bool) -> SyntheticModel:
         return SyntheticModel(
             prior=prior, transition=transition, target_lambda=LambdaPair(lam1, -lam1)
         )
-    raise GenerationExhaustedError(
-        f"no feasible synthetic instance found in {_RETRY_BOUND} attempts"
-    )
 
 
 def random_model(kind: ModelKind | str, seed: int) -> Model:
@@ -329,8 +321,7 @@ def random_model(kind: ModelKind | str, seed: int) -> Model:
 
     Pure function of ``(kind, seed)``: the same pair always yields the same
     instance, and every instance satisfies its family invariants (classical
-    draws have both filtrations nonempty; synthetic draws are feasible, with
-    :class:`GenerationExhaustedError` after a bounded number of rejections).
+    draws have both filtrations nonempty; synthetic draws are feasible).
     A classical model is model ``seed % CLASSICAL_CHUNK_MODELS`` of
     :func:`classical_chunk` ``seed // CLASSICAL_CHUNK_MODELS``; a qubit or
     synthetic model is drawn from the seed's own ``ROLE_MODEL`` substream.

@@ -24,7 +24,6 @@ inversion formula, quantified by a percentile bootstrap that redraws them.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ from ._rng import (
     ROLE_A_ON_FILTERED_2,
     ROLE_B_ON_CONTEXT,
     ROLE_BOOTSTRAP_EXPERIMENT,
-    ROLE_STUDY,
     substream,
 )
 from ._validation import as_pair, require_ensemble_size, require_positive_int, require_seed
@@ -59,11 +57,9 @@ __all__ = [
     "EnsembleSizes",
     "CountsRecord",
     "LambdaEstimate",
-    "ConvergenceRow",
     "simulate_counts",
     "estimate_statistics",
     "estimate_lambda",
-    "convergence_study",
 ]
 
 #: Names the bootstrap stream layout in reports; changes with the layout.
@@ -171,15 +167,6 @@ class LambdaEstimate:
             (self.ci_high[0] - self.ci_low[0]) / 2.0,
             (self.ci_high[1] - self.ci_low[1]) / 2.0,
         )
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """Mean absolute coefficient error at one ensemble size."""
-
-    n: int
-    mean_abs_error: tuple[float, float]
-    stderr: tuple[float, float]
 
 
 def simulate_counts(
@@ -301,46 +288,3 @@ def estimate_lambda(
         failed_replicates=failed,
     )
 
-
-def convergence_study(
-    model: Model,
-    n_grid: tuple[int, ...] | list[int],
-    seeds_per_size: int,
-    base_seed: int,
-) -> tuple[ConvergenceRow, ...]:
-    """Mean absolute coefficient error across a grid of ensemble sizes.
-
-    For each size, ``seeds_per_size`` independent runs are simulated on
-    substream-derived seeds and the point-estimate error against the model's
-    exact coefficients is averaged.  Deterministic in ``base_seed``.
-    """
-    if not n_grid:
-        raise ValidationError("n_grid must be nonempty")
-    require_positive_int(seeds_per_size, "seeds_per_size")
-    base_seed = require_seed(base_seed)
-    truth = lambda_from_statistics(exact_statistics(model))
-    rows = []
-    for size_index, n in enumerate(n_grid):
-        require_positive_int(n, "ensemble size")
-        errors = np.empty((seeds_per_size, 2))
-        for k in range(seeds_per_size):
-            run_seed = int(
-                substream(base_seed, ROLE_STUDY, size_index, k).integers(0, 2**63)
-            )
-            counts = simulate_counts(model, EnsembleSizes.uniform(n), run_seed)
-            lam = lambda_from_statistics(estimate_statistics(counts))
-            errors[k] = (abs(lam[0] - truth[0]), abs(lam[1] - truth[1]))
-        mean = errors.mean(axis=0)
-        se = (
-            errors.std(axis=0, ddof=1) / math.sqrt(seeds_per_size)
-            if seeds_per_size > 1
-            else np.zeros(2)
-        )
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                mean_abs_error=(float(mean[0]), float(mean[1])),
-                stderr=(float(se[0]), float(se[1])),
-            )
-        )
-    return tuple(rows)

@@ -18,7 +18,6 @@ from ctxprob import (
     check_double_stochastic,
     classical_statistics,
     classify_theory,
-    convergence_study,
     estimate_lambda,
     lambda_from_statistics,
     lift_to_amplitudes,
@@ -30,6 +29,7 @@ from ctxprob import (
     synthesize_statistics,
 )
 from ctxprob.cli import main
+from test_sampling import mean_abs_errors
 
 N_INSTANCES = 10_000
 
@@ -62,7 +62,7 @@ def test_quantum_balance_law():
     for seed in range(N_INSTANCES):
         stats = qubit_statistics(random_model("qubit", seed))
         report = check_double_stochastic(stats.transition, 1e-12)
-        worst_column = max(worst_column, report.max_column_residual)
+        worst_column = max(worst_column, max(report.column_residuals))
         lam = lambda_from_statistics(stats)
         worst_magnitude = max(worst_magnitude, abs(lam.lambda1), abs(lam.lambda2))
     verdict(
@@ -216,14 +216,11 @@ def test_sampling_consistency():
         ):
             se_hits += 1
 
-    rows = convergence_study(
-        E1_MODEL, [10**3, 10**4, 10**5, 10**6], seeds_per_size=100, base_seed=0
-    )
-    scaled = [row.mean_abs_error[0] * math.sqrt(row.n) for row in rows]
+    sizes = [10**3, 10**4, 10**5, 10**6]
+    errors = mean_abs_errors(E1_MODEL, sizes, runs=100, base_seed=0)[:, 0]
+    scaled = [error * math.sqrt(n) for error, n in zip(errors, sizes)]
     ratio = max(scaled) / min(scaled)
-    monotone = all(
-        rows[k].mean_abs_error[0] > rows[k + 1].mean_abs_error[0] for k in range(len(rows) - 1)
-    )
+    monotone = all(errors[k] > errors[k + 1] for k in range(len(sizes) - 1))
     verdict(
         "sampling consistency",
         hits >= 99 and se_hits >= 99 and ratio <= 2.0 and monotone,

@@ -30,7 +30,6 @@ from ctxprob import (
     phase_parametrization,
     predict_outcome,
     random_model,
-    total_probability,
 )
 from ctxprob.calculus import invert_column
 
@@ -191,8 +190,10 @@ def test_constructor_contracts(build, message):
 
 
 # ---------------------------------------------------------------------------
-# total_probability
+# total probability: predict_outcome with both coefficients zero
 # ---------------------------------------------------------------------------
+
+CLASSICAL = LambdaPair(0.0, 0.0)
 
 
 def brute_force_marginal(weights, a_values, b_values):
@@ -205,10 +206,10 @@ def brute_force_marginal(weights, a_values, b_values):
 
 class TestTotalProbability:
     def test_e2(self):
-        assert total_probability((0.3, 0.7), E2_T) == pytest.approx((0.48, 0.52), abs=1e-15)
+        assert predict_outcome((0.3, 0.7), E2_T, CLASSICAL) == pytest.approx((0.48, 0.52), abs=1e-15)
 
     def test_degenerate_prior_selects_first_row(self):
-        assert total_probability((1.0, 0.0), E2_T) == (0.2, 0.8)
+        assert predict_outcome((1.0, 0.0), E2_T, CLASSICAL) == (0.2, 0.8)
 
     def test_symmetric_case_against_finite_enumeration(self):
         # Kolmogorov space realizing prior (.5,.5) and rows (.8,.2),(.2,.8).
@@ -217,19 +218,7 @@ class TestTotalProbability:
         b_values = (0, 0, 1, 1)
         expected = brute_force_marginal(weights, a_values, b_values)
         assert expected == pytest.approx((0.5, 0.5), abs=1e-15)
-        assert total_probability((0.5, 0.5), E3_T) == pytest.approx(expected, abs=1e-15)
-
-    @given(
-        p1=st.floats(0.0, 1.0),
-        t11=st.floats(0.0, 1.0),
-        t21=st.floats(0.0, 1.0),
-    )
-    def test_is_bitwise_identical_to_zero_coefficient_prediction(self, p1, t11, t21):
-        prior = (p1, 1.0 - p1)
-        transition = TransitionMatrix(((t11, 1.0 - t11), (t21, 1.0 - t21)))
-        assert total_probability(prior, transition) == predict_outcome(
-            prior, transition, LambdaPair(0.0, 0.0)
-        )
+        assert predict_outcome((0.5, 0.5), E3_T, CLASSICAL) == pytest.approx(expected, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -621,7 +621,6 @@ EXIT_STATUSES = {
     ctxprob.DegenerateContextError: (2, "degenerate statistics"),
     ctxprob.ZeroFiltrationError: (2, "degenerate statistics"),
     ctxprob.EmptyEnsembleError: (2, "degenerate statistics"),
-    ctxprob.GenerationExhaustedError: (2, "degenerate statistics"),
     ctxprob.InfeasibleLambdaError: (3, "infeasible data"),
     ctxprob.NonTrigonometricError: (3, "infeasible data"),
     _UnlabelledError: (1, "error"),

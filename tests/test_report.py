@@ -86,7 +86,7 @@ def test_rows_equal_analyze_exact(block, eps, edge, tol):
                 *report.stats.prior, *report.stats.transition.rows[0],
                 *report.stats.transition.rows[1], *report.stats.outcome,
                 *report.lambda_point, *(phase.theta for phase in report.phases),
-                report.theory_class.kind.value, report.balance.max_column_residual,
+                report.theory_class.kind.value, max(report.balance.column_residuals),
             ]
         )
 
