@@ -9,6 +9,7 @@ noise) and are clipped back, by rules that also take numpy arrays.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Any, Sequence
 
 from .errors import ValidationError
@@ -24,6 +25,18 @@ _MAX_SEED = 2**64
 
 #: Largest ensemble size: numpy's binomial draw takes a C long.
 MAX_ENSEMBLE_SIZE = 2**63 - 1
+
+# Integers of up to 24 digits (2^64 has 20) and every float repr stay whole.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 2
+_SHOWN.maxtuple = _SHOWN.maxlist = _SHOWN.maxdict = 4
+_SHOWN.maxlong = _SHOWN.maxstring = _SHOWN.maxother = 24
+
+
+def shown(value: Any) -> str:
+    """``repr(value)`` for a message, cut with ``...`` to at most 80 characters."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def where(condition, x, y):
@@ -48,7 +61,7 @@ def sum_residual(a, b):
 
 def require_finite(x: Any, name: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValidationError(f"{name} must be a real number, got {x!r}")
+        raise ValidationError(f"{name} must be a real number, got {shown(x)}")
     try:
         value = float(x)
     except OverflowError:
@@ -100,31 +113,31 @@ def require_distribution(pair: Sequence[Any], name: str) -> tuple[float, float]:
 
 def require_positive_int(n: Any, name: str) -> int:
     if isinstance(n, bool) or not isinstance(n, int):
-        raise ValidationError(f"{name} must be an integer, got {n!r}")
+        raise ValidationError(f"{name} must be an integer, got {shown(n)}")
     if n < 1:
-        raise ValidationError(f"{name} must be >= 1, got {n}")
+        raise ValidationError(f"{name} must be >= 1, got {shown(n)}")
     return n
 
 
 def require_ensemble_size(n: int, name: str) -> int:
     """Bound an integer ensemble size at :data:`MAX_ENSEMBLE_SIZE`."""
     if n > MAX_ENSEMBLE_SIZE:
-        raise ValidationError(f"{name} must be at most 2^63 - 1, got {n}")
+        raise ValidationError(f"{name} must be at most 2^63 - 1, got {shown(n)}")
     return n
 
 
 def require_seed(seed: Any) -> int:
     """Validate a 64-bit unsigned seed."""
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+        raise ValidationError(f"seed must be an integer, got {shown(seed)}")
     if not 0 <= seed < _MAX_SEED:
-        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
+        raise ValidationError(f"seed must be in [0, 2^64), got {shown(seed)}")
     return seed
 
 
 def require_outcome_index(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer outcome index, got {value!r}")
+        raise ValidationError(f"{name} must be an integer outcome index, got {shown(value)}")
     if value not in (0, 1):
-        raise ValidationError(f"{name} must be 0 or 1, got {value}")
+        raise ValidationError(f"{name} must be 0 or 1, got {shown(value)}")
     return value

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._validation import TOL_EXACT, as_pair
+from ._validation import TOL_EXACT, as_pair, shown
 from .calculus import ContextStatistics, PhasePair
 from .errors import NonTrigonometricError, ValidationError
 
@@ -44,7 +44,7 @@ class AmplitudePair:
         try:
             psi = tuple(map(complex, psi))
         except (TypeError, ValueError):
-            raise ValidationError(f"amplitudes must be complex numbers, got {psi!r}") from None
+            raise ValidationError(f"amplitudes must be complex numbers, got {shown(psi)}") from None
         norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
         if abs(norm - 1.0) > self.norm_tol:
             raise ValidationError(

@@ -44,6 +44,7 @@ from ._validation import (
     require_distribution,
     require_finite,
     require_probability,
+    shown,
     sum_residual,
     where,
 )
@@ -92,13 +93,13 @@ class DichotomicObservable:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError("observable name must be a nonempty string")
-        must = f"observable {self.name!r} labels must be two nonempty strings, got "
-        labels = as_tuple(self.value_labels, must + repr(self.value_labels))
+        must = f"observable {shown(self.name)} labels must be two nonempty strings, got "
+        labels = as_tuple(self.value_labels, must + shown(self.value_labels))
         if len(labels) != 2 or not all(isinstance(v, str) and v for v in labels):
-            raise ValidationError(must + repr(labels))
+            raise ValidationError(must + shown(labels))
         if labels[0] == labels[1]:
             raise ValidationError(
-                f"observable {self.name!r} labels must be distinct, got {labels!r}"
+                f"observable {shown(self.name)} labels must be distinct, got {shown(labels)}"
             )
         object.__setattr__(self, "value_labels", labels)
 

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ._validation import as_pair
+from ._validation import as_pair, shown
 from .calculus import ContextStatistics, DichotomicObservable
 from .errors import ValidationError
 from .models import KolmogorovModel, Model, QubitModel, SyntheticModel
@@ -74,7 +74,7 @@ def _require_keys(obj: dict, where: str, allowed: set, required: set | None = No
         raise ValidationError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
-        raise ValidationError(f"{where} has unknown keys {sorted(unknown)}")
+        raise ValidationError(f"{where} has unknown keys {shown(sorted(unknown))}")
     missing = required - set(obj)
     if missing:
         raise ValidationError(f"{where} is missing keys {sorted(missing)}")
@@ -132,7 +132,7 @@ def model_from_dict(payload: dict) -> Model:
     if family == "synthetic":
         _require_keys(payload, "synthetic model", {"family", "prior", "transition", "lambda"})
         return SyntheticModel(payload["prior"], payload["transition"], payload["lambda"])
-    raise ValidationError(f"unknown model family {family!r}")
+    raise ValidationError(f"unknown model family {shown(family)}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ class ExperimentFile:
         )
         version = payload["format_version"]
         if isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
-            raise ValidationError(f"unsupported format_version {version!r}")
+            raise ValidationError(f"unsupported format_version {shown(version)}")
         raw_obs = payload["observables"]
         if not isinstance(raw_obs, list) or len(raw_obs) != 2:
             raise ValidationError("experiment file needs exactly two observables")

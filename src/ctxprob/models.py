@@ -34,6 +34,7 @@ from ._validation import (
     require_outcome_index,
     require_probability,
     require_seed,
+    shown,
     sum_residual,
 )
 from .calculus import (
@@ -330,7 +331,7 @@ def random_model(kind: ModelKind | str, seed: int) -> Model:
         kind = ModelKind(kind)
     except ValueError:
         raise ValidationError(
-            f"unknown model kind {kind!r}; have {[k.value for k in ModelKind]}"
+            f"unknown model kind {shown(kind)}; have {[k.value for k in ModelKind]}"
         ) from None
     require_seed(seed)
     if kind is ModelKind.CLASSICAL:

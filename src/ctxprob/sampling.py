@@ -37,7 +37,7 @@ from ._rng import (
     ROLE_BOOTSTRAP_EXPERIMENT,
     substream,
 )
-from ._validation import as_pair, require_ensemble_size, require_positive_int, require_seed
+from ._validation import as_pair, require_ensemble_size, require_positive_int, require_seed, shown
 from .calculus import (
     ContextStatistics,
     LambdaPair,
@@ -131,7 +131,9 @@ class CountsRecord:
                 raise ValidationError(f"ensemble size for {label} must be a nonnegative integer")
             require_ensemble_size(total, f"ensemble size for {label}")
             if pair[0] + pair[1] != total:
-                raise ValidationError(f"{label} must sum to its ensemble size {total}, got {pair}")
+                raise ValidationError(
+                    f"{label} must sum to its ensemble size {total}, got {shown(pair)}"
+                )
             pairs.append(pair)
         object.__setattr__(self, "a_counts", pairs[0])
         object.__setattr__(self, "b_counts", pairs[1])

@@ -645,6 +645,36 @@ def test_each_error_class_exits_with_its_status(error, exact_file, monkeypatch, 
     assert (captured.out, captured.err) == ("", f"ctxprob: {label}: boom\n")
 
 
+@pytest.mark.parametrize(
+    "stem, path, value",
+    [
+        ("e1_counts", ("counts", "seed"), 10**400),
+        ("e1_counts", ("counts", "n_context"), 10**400),
+        ("e1_counts", ("counts", "a_counts"), [10**400, 0]),
+        ("e1_counts", ("format_version",), 10**400),
+        ("e1_counts", ("model", "family"), 10**400),
+        ("e2_counts", ("model", "points", 0, "a"), 10**400),
+        ("e1_counts", ("observables", 0, "values"), [10**400, "a2"]),
+        ("e1_counts", ("model", "phi"), [10**400]),
+        ("e2_counts", ("model", "points", 0, "weight"), [10**400]),
+    ],
+    ids=["seed", "ensemble-size", "tally-sum", "format-version", "model-family", "a-value",
+         "labels", "phi", "weight"],
+)
+def test_an_oversized_value_is_echoed_in_one_short_line(stem, path, value, tmp_path, capsys):
+    payload = json.loads((GOLDEN / "inputs" / f"{stem}.json").read_text(encoding="utf-8"))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "big.json"
+    file.write_text(json.dumps(payload), encoding="utf-8")
+    for command in ("analyze", "balance"):
+        assert main([command, str(file)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 200, lines
+
+
 @pytest.mark.parametrize("command", ["analyze", "reconstruct", "balance"])
 class TestUnreadableInput:
     def test_bytes_that_are_not_utf8(self, command, tmp_path, capsys):
