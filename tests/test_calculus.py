@@ -206,7 +206,8 @@ def brute_force_marginal(weights, a_values, b_values):
 
 class TestTotalProbability:
     def test_e2(self):
-        assert predict_outcome((0.3, 0.7), E2_T, CLASSICAL) == pytest.approx((0.48, 0.52), abs=1e-15)
+        out = predict_outcome((0.3, 0.7), E2_T, CLASSICAL)
+        assert out == pytest.approx((0.48, 0.52), abs=1e-15)
 
     def test_degenerate_prior_selects_first_row(self):
         assert predict_outcome((1.0, 0.0), E2_T, CLASSICAL) == (0.2, 0.8)
@@ -347,6 +348,12 @@ class TestClassifyTheory:
         assert verdict.boundary_components == (1,)
         both = classify_theory(LambdaPair(1.0, -1.0), 1e-9)
         assert both.boundary_components == (1, 2)
+
+    def test_boundary_between_the_bands_at_eps_one(self):
+        # |1e-20 - 1| rounds to eps = 1: component 1 lies in no band, yet not within eps of one.
+        verdict = classify_theory(LambdaPair(1e-20, 3.0), 1.0)
+        assert verdict.kind is TheoryKind.BOUNDARY
+        assert verdict.boundary_components == (1,)
 
     def test_exhaustive_grid(self):
         grid = (-2.0, -1.25, -1.0, -0.5, 0.0, 0.5, 1.0, 1.25, 2.0)

@@ -1,8 +1,11 @@
 """Public names: every name ``ctxprob.__all__`` or a public module's ``__all__``
-lists resolves.  The module lists are the only source of the package's."""
+lists resolves.  The module lists are the only source of the package's.  No
+module imports a name it does not use."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,35 @@ def test_every_name_a_module_lists_resolves_in_it(name):
     module = importlib.import_module(f"ctxprob.{name}")
     assert len(set(module.__all__)) == len(module.__all__)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads; a name ``__all__`` lists is read."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                         if alias.name != "*"}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {leaf.value for leaf in ast.walk(node.value)
+                     if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", sorted(Path(ctxprob.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = "import math\nimport os.path\nfrom re import compile, sub\n__all__ = ['sub']\n"
+    assert unused_imports(source) == ["compile", "math", "os"]

@@ -103,8 +103,27 @@ class TestModelDescriptors:
     (ExperimentFile.from_dict, {**E1_FILE, "observables": [
         {"name": "A", "values": ["a1"]}, {"name": "B", "values": ["b1", "b2"]}]},
      "observable 'A' labels must be two nonempty strings, got ('a1',)"),
+    (statistics_from_dict, [0.5, 0.5], "exact statistics must be a JSON object"),
+    (statistics_from_dict, {"prior": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+     "exact statistics is missing keys ['outcome']"),
+    (lambda model: ExperimentFile(exact=E1_STATS, model=model).dumps(), 5,
+     "unknown model type int"),
+    (model_from_dict, {"prior": [0.5, 0.5]},
+     "model descriptor must be an object with a 'family' key"),
+    (model_from_dict, {"family": "classical", "points": []},
+     "classical model needs a nonempty 'points' list"),
+    (counts_from_dict, {**E1_COUNTS, "filtered": E1_COUNTS["filtered"][:1]},
+     "counts.filtered must list exactly two filtered contexts"),
+    (counts_from_dict, {**E1_COUNTS, "seed": "7"}, "seed must be an integer, got '7'"),
+    (lambda observables: ExperimentFile(observables=observables, exact=E1_STATS), (1, 2),
+     "experiment file needs exactly two observables"),
+    (ExperimentFile.from_dict, {**E1_FILE, "observables": E1_FILE["observables"] * 2},
+     "experiment file needs exactly two observables"),
+    (ExperimentFile.from_dict, {**E1_FILE, "note": 5}, "note must be a string"),
 ], ids=["exact-shape", "exact-value", "synthetic-shape", "synthetic-value", "synthetic-lambda",
-        "counts-scalar-tally", "observable-values"])
+        "counts-scalar-tally", "observable-values", "not-an-object", "missing-keys",
+        "model-type", "model-without-family", "empty-points", "one-filtered-context",
+        "string-seed", "observable-type", "four-observables", "note-type"])
 def test_malformed_prior_transition_messages(read, payload, message):
     with pytest.raises(ValidationError) as info:
         read(payload)

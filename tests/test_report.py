@@ -119,3 +119,11 @@ def test_first_failing_row_raises_before_later_rows():
     block = [good, degenerate, unnormalized]
     with pytest.raises(CtxprobError, match="component 1: interference weight 0.0 vanishes"):
         analyze_block(np.array(block), lambda i: statistics(block[i]))
+
+
+def test_a_report_without_amplitudes_has_no_born_residual():
+    hyperbolic = ContextStatistics(
+        (0.5, 0.5), TransitionMatrix(((0.8, 0.2), (0.2, 0.8))), (1.0, 0.0)
+    )
+    report = analyze_exact(hyperbolic)
+    assert report.amplitudes is None and report.born_residual is None

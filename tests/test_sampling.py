@@ -117,8 +117,10 @@ class TestSimulateCounts:
             ({"b_counts": None}, "b_counts must be a pair of nonnegative integers"),
             ({"a_counts_given": ((5, 5), 7)},
              "a_counts_given\\[2\\] must be a pair of nonnegative integers"),
+            ({"a_counts": (1.5, 8.5)}, "a_counts must be a pair of nonnegative integers"),
         ],
-        ids=["n_filtered", "a_counts_given", "a_counts", "b_counts", "a_counts_given-2"],
+        ids=["n_filtered", "a_counts_given", "a_counts", "b_counts", "a_counts_given-2",
+             "a_counts-floats"],
     )
     def test_non_pair_counts_are_invalid(self, fields, message):
         record = {"n_context": 10, "a_counts": (5, 5), "n_filtration": 10, "b_counts": (5, 5),
@@ -129,6 +131,10 @@ class TestSimulateCounts:
     def test_non_pair_filtered_sizes_are_invalid(self):
         with pytest.raises(ValidationError, match="^a_on_filtered needs one size per filtered"):
             EnsembleSizes(10, 10, 5)
+
+    def test_string_ensemble_size_is_invalid(self):
+        with pytest.raises(ValidationError, match="^a_on_context must be an integer, got '10'$"):
+            EnsembleSizes("10", 10, (10, 10))
 
     @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
     def test_boolean_ensemble_size_is_rejected(self, field):
