@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ._validation import TOL_EXACT, as_pair, shown
 from .calculus import ContextStatistics, PhasePair
-from .errors import NonTrigonometricError, ValidationError
+from .errors import InfeasibleLambdaError, ValidationError
 
 __all__ = ["AmplitudePair", "lift_to_amplitudes", "born_residual"]
 
@@ -64,12 +64,12 @@ def lift_to_amplitudes(
     ``psi_j = sqrt(p1*t1j) + exp(i*theta_j)*sqrt(p2*t2j)``.  With phases
     taken from the statistics' own coefficients, ``|psi_j|^2`` equals the
     observed outcome probability (the Born rule holds by construction).
-    Raises :class:`NonTrigonometricError` if either phase is hyperbolic.
+    Raises :class:`InfeasibleLambdaError` if either phase is hyperbolic.
     ``norm_tol`` loosens the normalization check on the result, for phases
     that only match the statistics up to statistical noise.
     """
     if not phases.all_trigonometric:
-        raise NonTrigonometricError(
+        raise InfeasibleLambdaError(
             "amplitude lift requires trigonometric phases on both components"
         )
     p1, p2 = stats.prior

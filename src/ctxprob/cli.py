@@ -28,7 +28,7 @@ from .calculus import (
     check_double_stochastic,
     interference_terms,
 )
-from .errors import CtxprobError, DegenerateContextError, NonTrigonometricError, ValidationError
+from .errors import CtxprobError, DegenerateContextError, InfeasibleLambdaError, ValidationError
 from .io import ExperimentFile, canonical_dumps, model_to_dict
 from .models import (
     KolmogorovModel,
@@ -347,7 +347,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> list[str]:
         raise ValidationError("reconstruct needs a file with exact statistics")
     report = analyze_exact(experiment.exact, eps_class=args.eps_class)
     if report.amplitudes is None:
-        raise NonTrigonometricError(
+        raise InfeasibleLambdaError(
             f"statistics classify as {report.theory_class.kind.value}; "
             "no amplitude lift exists"
         )

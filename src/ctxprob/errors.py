@@ -1,10 +1,10 @@
 """Exception hierarchy for the contextual probability calculus.
 
 Every error raised by this package derives from :class:`CtxprobError`, so
-callers can catch the whole family with one clause.  The leaf classes are
-semantic: they say *why* a computation is impossible, not merely that an
-argument was bad.  Each class also carries the CLI's exit status and the
-label of its ``ctxprob: <label>: <message>`` line; a subclass inherits both.
+callers can catch the whole family with one clause.  There is one class per
+failure the CLI reports; its message says why.  Each class also carries the
+CLI's exit status and the label of its ``ctxprob: <label>: <message>`` line;
+a subclass inherits both.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ __all__ = [
     "CtxprobError",
     "ValidationError",
     "DegenerateContextError",
-    "NonTrigonometricError",
-    "ZeroFiltrationError",
     "InfeasibleLambdaError",
-    "EmptyEnsembleError",
 ]
 
 
@@ -34,38 +31,19 @@ class ValidationError(CtxprobError, ValueError):
 
 
 class DegenerateContextError(CtxprobError):
-    """The interference weight vanishes while the deviation from the
-    classical prediction does not, so no coefficient can explain the data."""
-
-    exit_code = 2
-    label = "degenerate statistics"
-
-
-class NonTrigonometricError(CtxprobError):
-    """An operation requiring trigonometric phases received a hyperbolic one."""
-
-    exit_code = 3
-    label = "infeasible data"
-
-
-class ZeroFiltrationError(CtxprobError):
-    """A filtration outcome has zero probability; the corresponding filtered
-    ensemble cannot be prepared."""
+    """The statistics leave a quantity undefined: an interference weight
+    vanishes while the deviation from the classical prediction does not, a
+    filtration outcome has zero probability so its filtered ensemble cannot be
+    prepared, or a required ensemble is empty so its frequencies are undefined."""
 
     exit_code = 2
     label = "degenerate statistics"
 
 
 class InfeasibleLambdaError(CtxprobError):
-    """A (prior, transition, lambda) triple predicts an outcome outside [0, 1]
-    or outcomes that do not sum to one: no statistics carry these coefficients."""
+    """No statistics or amplitudes fit the data: a (prior, transition, lambda)
+    triple predicts an outcome outside [0, 1] or outcomes that do not sum to
+    one, or an amplitude lift meets a hyperbolic phase."""
 
     exit_code = 3
     label = "infeasible data"
-
-
-class EmptyEnsembleError(CtxprobError):
-    """A required ensemble has size zero; frequencies are undefined."""
-
-    exit_code = 2
-    label = "degenerate statistics"

@@ -44,7 +44,7 @@ from .calculus import (
     interference_terms,
     predict_outcome,
 )
-from .errors import InfeasibleLambdaError, ValidationError, ZeroFiltrationError
+from .errors import DegenerateContextError, InfeasibleLambdaError, ValidationError
 
 __all__ = [
     "KolmogorovModel",
@@ -156,7 +156,7 @@ def classical_probabilities(weights, a_values, b_values) -> tuple:
         a_weight[a] += w
     if min(b_weight) <= 0.0:
         empty = b_weight.index(min(b_weight))
-        raise ZeroFiltrationError(
+        raise DegenerateContextError(
             f"B-outcome {empty + 1} has zero probability; filtration impossible"
         )
     return (*b_weight, *(joint[b][a] / b_weight[b] for b in (0, 1) for a in (0, 1)), *a_weight)
@@ -167,7 +167,7 @@ def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
 
     Prior = marginal law of B; transition rows = conditional laws of A given
     each B-outcome; outcome = marginal law of A.  Raises
-    :class:`ZeroFiltrationError` when a B-outcome has zero total weight, since
+    :class:`DegenerateContextError` when a B-outcome has zero total weight, since
     the corresponding filtered ensemble cannot be prepared.
     """
     return _statistics_of(*classical_probabilities(model.weights, model.a_values, model.b_values))

@@ -45,12 +45,7 @@ from .calculus import (
     invert_column,
     lambda_from_statistics,
 )
-from .errors import (
-    DegenerateContextError,
-    EmptyEnsembleError,
-    ValidationError,
-    ZeroFiltrationError,
-)
+from .errors import DegenerateContextError, ValidationError
 from .models import Model, exact_statistics
 
 __all__ = [
@@ -178,7 +173,7 @@ def simulate_counts(
 
     Each experiment draws from its own ``(seed, role)`` substream, so the
     record is a deterministic function of ``(model, sizes, seed)``.  Raises
-    :class:`ZeroFiltrationError` if a filtered ensemble is impossible to
+    :class:`DegenerateContextError` if a filtered ensemble is impossible to
     prepare (a filtration probability of zero).
     """
     if isinstance(sizes, int):
@@ -187,7 +182,7 @@ def simulate_counts(
     stats = exact_statistics(model)
     if min(stats.prior) <= 0.0:
         empty = stats.prior.index(min(stats.prior))
-        raise ZeroFiltrationError(
+        raise DegenerateContextError(
             f"filtration probability of B-outcome {empty + 1} is zero; "
             f"its filtered ensemble cannot be prepared"
         )
@@ -209,7 +204,7 @@ def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
     """
     for experiment, n, _ in _tallies(counts):
         if n == 0:
-            raise EmptyEnsembleError(
+            raise DegenerateContextError(
                 f"{experiment.label} ensemble is empty; frequencies undefined"
             )
     outcome, prior, *rows = ((k1 / n, k2 / n) for _, n, (k1, k2) in _tallies(counts))

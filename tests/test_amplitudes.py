@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ctxprob import (
     AmplitudePair,
     ContextStatistics,
-    NonTrigonometricError,
+    InfeasibleLambdaError,
     Phase,
     PhaseKind,
     PhasePair,
@@ -65,7 +65,7 @@ class TestLift:
         )
         phases = phase_parametrization(lambda_from_statistics(stats))
         assert not phases.all_trigonometric
-        with pytest.raises(NonTrigonometricError):
+        with pytest.raises(InfeasibleLambdaError, match="requires trigonometric phases"):
             lift_to_amplitudes(stats, phases)
 
     @given(

@@ -619,10 +619,7 @@ EXIT_STATUSES = {
     ctxprob.CtxprobError: (1, "error"),
     ctxprob.ValidationError: (1, "invalid input"),
     ctxprob.DegenerateContextError: (2, "degenerate statistics"),
-    ctxprob.ZeroFiltrationError: (2, "degenerate statistics"),
-    ctxprob.EmptyEnsembleError: (2, "degenerate statistics"),
     ctxprob.InfeasibleLambdaError: (3, "infeasible data"),
-    ctxprob.NonTrigonometricError: (3, "infeasible data"),
     _UnlabelledError: (1, "error"),
 }
 

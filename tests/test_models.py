@@ -7,6 +7,7 @@ import pytest
 
 from ctxprob import (
     ContextStatistics,
+    DegenerateContextError,
     InfeasibleLambdaError,
     KolmogorovModel,
     LambdaPair,
@@ -15,7 +16,6 @@ from ctxprob import (
     TheoryKind,
     TransitionMatrix,
     ValidationError,
-    ZeroFiltrationError,
     check_double_stochastic,
     classical_statistics,
     classify_theory,
@@ -57,14 +57,14 @@ class TestClassicalStatistics:
 
     def test_zero_filtration(self):
         model = KolmogorovModel(weights=(1.0, 0.0), a_values=(0, 1), b_values=(0, 1))
-        with pytest.raises(ZeroFiltrationError):
+        with pytest.raises(DegenerateContextError, match="zero probability"):
             classical_statistics(model)
 
     def test_probabilities_raise_the_statistics_error(self):
         model = KolmogorovModel(weights=(0.5, 0.5), a_values=(0, 1), b_values=(0, 0))
-        with pytest.raises(ZeroFiltrationError) as helper:
+        with pytest.raises(DegenerateContextError, match="zero probability") as helper:
             classical_probabilities(model.weights, model.a_values, model.b_values)
-        with pytest.raises(ZeroFiltrationError) as statistics:
+        with pytest.raises(DegenerateContextError, match="zero probability") as statistics:
             classical_statistics(model)
         assert str(helper.value) == str(statistics.value) == (
             "B-outcome 2 has zero probability; filtration impossible"

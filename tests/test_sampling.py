@@ -9,7 +9,6 @@ import ctxprob.sampling
 from ctxprob import (
     CountsRecord,
     DegenerateContextError,
-    EmptyEnsembleError,
     EnsembleSizes,
     KolmogorovModel,
     LambdaPair,
@@ -18,7 +17,6 @@ from ctxprob import (
     TheoryKind,
     TransitionMatrix,
     ValidationError,
-    ZeroFiltrationError,
     analyze_estimated,
     estimate_lambda,
     estimate_statistics,
@@ -89,7 +87,7 @@ class TestSimulateCounts:
 
     def test_zero_filtration_is_rejected(self):
         model = QubitModel(alpha=0.0, phi=0.0, b_rotation=0.0)  # state = b1 exactly
-        with pytest.raises(ZeroFiltrationError):
+        with pytest.raises(DegenerateContextError, match="B-outcome 2 is zero"):
             simulate_counts(model, 100, seed=0)
 
     def test_sizes_must_be_positive(self):
@@ -215,7 +213,7 @@ class TestEstimateStatistics:
             a_counts_given=((0, 0), (5, 5)),
             seed=0,
         )
-        with pytest.raises(EmptyEnsembleError):
+        with pytest.raises(DegenerateContextError, match="ensemble is empty"):
             estimate_statistics(counts)
 
 
