@@ -43,7 +43,6 @@ from ._validation import (
     out_of_range,
     require_distribution,
     require_finite,
-    require_probability,
     shown,
     sum_residual,
     where,
@@ -204,12 +203,6 @@ class Phase:
     @property
     def is_trigonometric(self) -> bool:
         return self.kind is PhaseKind.TRIGONOMETRIC
-
-    def coefficient(self) -> float:
-        """The interference coefficient this phase parametrizes."""
-        if self.is_trigonometric:
-            return math.cos(self.theta)
-        return self.sign * math.cosh(self.theta)
 
 
 @dataclass(frozen=True)
@@ -415,36 +408,17 @@ def regimes(m1, m2, eps: float):
     return tuple(zip(_REGIMES, (*both, below1 & above2, below2 & above1)))
 
 
-RawMatrix = TransitionMatrix | Sequence[Sequence[float]]
-
-
-def check_double_stochastic(matrix: RawMatrix, tol: float = TOL_EXACT) -> BalanceReport:
+def check_double_stochastic(matrix: TransitionMatrix, tol: float = TOL_EXACT) -> BalanceReport:
     """Check double stochasticity: row sums *and* column sums equal one.
 
     Equal column sums express statistical balance: the two filtered
     preparations jointly produce each A-outcome with total weight one, so
     neither outcome is systematically overproduced.
-
-    A :class:`TransitionMatrix` was validated when it was built.  Any other
-    2x2 matrix only needs entries in [0, 1]: its row sums are free, so a
-    failed row-sum law comes back as a residual rather than a construction
-    error.
     """
     tol = require_finite(tol, "tolerance")
     if tol < 0.0:
         raise ValidationError(f"tolerance must be >= 0, got {tol}")
-    if isinstance(matrix, TransitionMatrix):
-        rows = matrix.rows
-    else:
-        shape = "balance checks need a 2x2 matrix"
-        rows = tuple(as_pair(row, shape) for row in as_pair(matrix, shape))
-        rows = tuple(
-            tuple(
-                require_probability(entry, f"entry[{i + 1}][{j + 1}]", tol=0.0)
-                for j, entry in enumerate(row)
-            )
-            for i, row in enumerate(rows)
-        )
+    rows = matrix.rows
     row_res = (sum_residual(rows[0][0], rows[0][1]), sum_residual(rows[1][0], rows[1][1]))
     col_res = (sum_residual(rows[0][0], rows[1][0]), sum_residual(rows[0][1], rows[1][1]))
     rows_ok = all(r <= tol for r in row_res)
