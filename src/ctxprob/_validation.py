@@ -35,7 +35,11 @@ _SHOWN.maxlong = _SHOWN.maxstring = _SHOWN.maxother = 24
 
 def shown(value: Any) -> str:
     """``repr(value)`` for a message, cut with ``...`` to at most 80 characters."""
-    text = _SHOWN.repr(value)
+    return cut(_SHOWN.repr(value))
+
+
+def cut(text: str) -> str:
+    """``text`` for a message, cut with ``...`` to at most 80 characters."""
     return text if len(text) <= 80 else text[:77] + "..."
 
 

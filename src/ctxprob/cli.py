@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._validation import TOL_EXACT, as_pair, require_distribution
+from ._validation import TOL_EXACT, as_pair, cut, require_distribution, shown
 from .calculus import (
     EPS_CLASS_DEFAULT,
     LambdaPair,
@@ -108,11 +108,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _unparsable(what: str, text: str, exc: ValueError) -> ValidationError:
+    """The error for flag ``text`` that ``float`` or ``int`` refused with ``exc``."""
+    return ValidationError(f"cannot parse {what} {shown(text)}: {cut(str(exc))}")
+
+
 def _parse_float_list(text: str, name: str, count: int | None = None) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"cannot parse {name} {text!r}: {exc}") from exc
+        raise _unparsable(name, text, exc) from exc
     if count is not None and len(values) != count:
         raise ValidationError(f"{name} needs exactly {count} comma-separated values")
     return values
@@ -121,7 +126,7 @@ def _parse_float_list(text: str, name: str, count: int | None = None) -> list[fl
 def _check_sweep_size(points: int, what: str) -> None:
     if points > MAX_SWEEP_POINTS:
         raise ValidationError(
-            f"{what} has {points} points; a sweep takes at most {MAX_SWEEP_POINTS} points"
+            f"{what} has {shown(points)} points; a sweep takes at most {MAX_SWEEP_POINTS} points"
         )
 
 
@@ -130,11 +135,11 @@ def _parse_grid(text: str, name: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValidationError(f"{name} grid must be 'start:stop:count', got {text!r}")
+            raise ValidationError(f"{name} grid must be 'start:stop:count', got {shown(text)}")
         try:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise ValidationError(f"cannot parse {name} grid {text!r}: {exc}") from exc
+            raise _unparsable(f"{name} grid", text, exc) from exc
         if count < 1:
             raise ValidationError(f"{name} grid is empty")
         _check_sweep_size(count, f"{name} grid")
@@ -164,7 +169,7 @@ def _parse_points(text: str) -> KolmogorovModel:
             a_values.append(int(parts[1]))
             b_values.append(int(parts[2]))
         except ValueError as exc:
-            raise ValidationError(f"cannot parse point {chunk!r}: {exc}") from exc
+            raise _unparsable("point", chunk, exc) from exc
     return KolmogorovModel(
         weights=tuple(weights), a_values=tuple(a_values), b_values=tuple(b_values)
     )
@@ -223,7 +228,7 @@ def _cmd_analyze(args: argparse.Namespace) -> list[str]:
 def _simulate_model(args: argparse.Namespace) -> Model:
     if args.preset is not None:
         if args.preset not in PRESETS:
-            raise ValidationError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
+            raise ValidationError(f"unknown preset {shown(args.preset)}; have {sorted(PRESETS)}")
         model = PRESETS[args.preset]
         family = model_to_dict(model)["family"]
         if args.model is not None and args.model != family:

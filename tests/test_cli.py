@@ -672,6 +672,23 @@ def test_an_oversized_value_is_echoed_in_one_short_line(stem, path, value, tmp_p
         assert len(lines) == 1 and len(lines[0]) <= 200, lines
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--family", "synthetic", "--lambda1", "0:1:" + "9" * 300],
+        ["simulate", "--preset", "e" + "1" * 300],
+        ["simulate", "--model", "synthetic", "--lambda", "x" * 300 + ",1"],
+        ["sweep", "--family", "qubit", "--alpha", "1," + "y" * 300],
+        ["simulate", "--model", "classical", "--points", "0.5:" + "z" * 300 + ":1"],
+    ],
+    ids=["grid-count", "preset", "float-list", "grid-list", "point"],
+)
+def test_an_oversized_flag_value_is_echoed_in_one_short_line(argv, capsys):
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200, lines
+
+
 @pytest.mark.parametrize("command", ["analyze", "reconstruct", "balance"])
 class TestUnreadableInput:
     def test_bytes_that_are_not_utf8(self, command, tmp_path, capsys):
