@@ -627,6 +627,9 @@ EXIT_STATUSES = {
 def test_the_table_names_every_error_class():
     names = {cls.__name__ for cls in EXIT_STATUSES}
     assert names == {*ctxprob.errors.__all__, "_UnlabelledError"}
+    # One class per exit status: a class that shares its row with another is one too many.
+    statuses = [EXIT_STATUSES[getattr(ctxprob.errors, name)] for name in ctxprob.errors.__all__]
+    assert len(set(statuses)) == len(statuses)
 
 
 @pytest.mark.parametrize("error", list(EXIT_STATUSES), ids=lambda cls: cls.__name__)

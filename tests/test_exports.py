@@ -1,6 +1,7 @@
 """Public names: every name ``ctxprob.__all__`` or a public module's ``__all__``
 lists resolves.  The module lists are the only source of the package's.  No
-module imports a name it does not use."""
+module or test imports a name it does not use, and the package raises every
+error class it lists."""
 
 import ast
 import importlib
@@ -12,6 +13,10 @@ import pytest
 import ctxprob
 
 MODULES = [m.name for m in pkgutil.iter_modules(ctxprob.__path__) if not m.name.startswith("_")]
+PACKAGE = Path(ctxprob.__file__).parent
+TESTS = Path(__file__).parent
+SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py")),
+           *sorted(TESTS.glob("golden/*.py"))]
 
 
 def test_every_exported_name_resolves():
@@ -54,8 +59,11 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", sorted(Path(ctxprob.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path",
+    SOURCES,
+    ids=lambda path: path.name if path.parent == PACKAGE else str(path.relative_to(TESTS.parent)),
+)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -63,3 +71,25 @@ def test_no_module_imports_a_name_it_does_not_use(path):
 def test_an_unused_import_is_found():
     source = "import math\nimport os.path\nfrom re import compile, sub\n__all__ = ['sub']\n"
     assert unused_imports(source) == ["compile", "math", "os"]
+
+
+def raised_names(source: str) -> set[str]:
+    """Names that ``source`` raises, as ``raise Name`` or ``raise Name(...)``."""
+    raised = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    return raised
+
+
+def test_the_package_raises_every_error_class_it_lists():
+    raised = set().union(*(raised_names(path.read_text(encoding="utf-8"))
+                           for path in PACKAGE.glob("*.py")))
+    assert set(ctxprob.errors.__all__) - {"CtxprobError"} <= raised
+
+
+def test_a_raised_class_is_found():
+    source = "raise ValueError\nraise KeyError(1) from None\nraise\nraise errors.Custom()\n"
+    assert raised_names(source) == {"ValueError", "KeyError"}
