@@ -1,6 +1,7 @@
 """Finite-ensemble simulation, frequency estimation, bootstrap inference."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ class TestBootstrapKernel:
         inversions = []
 
         def counted(*path):
-            calls.append(path)
+            calls.append((path, threading.get_ident()))
             return substream(*path)
 
         def counted_inversion(*args, **kwargs):
@@ -297,8 +298,8 @@ class TestBootstrapKernel:
             calls.clear()
             inversions.clear()
             estimate_lambda(counts, replicates=replicates, seed=9)
-            # (seed, ROLE_BOOTSTRAP_EXPERIMENT = 8, experiment)
-            assert calls == [(9, 8, j) for j in range(4)]
+            # (seed, ROLE_BOOTSTRAP_EXPERIMENT = 8, experiment), all derived on this thread
+            assert calls == [((9, 8, j), threading.get_ident()) for j in range(4)]
             # every replicate goes through one call of the shared column inversion
             assert inversions == [(2, replicates)]
 
@@ -312,6 +313,41 @@ class TestBootstrapKernel:
                 longer = _bootstrap_frequencies(counts, replicates + 500, seed=9)
                 assert prefix.shape == (4, replicates)
                 assert np.array_equal(prefix, longer[:, :replicates])
+
+    @pytest.mark.parametrize("n, tallies, replicates", [
+        # numpy's inversion sampler: n * min(p, 1 - p) <= 30 for every tally
+        (75, (10, 20, 30, 5), 1000),
+        # its BTPE sampler
+        (10**6, (300000, 500000, 700000, 123456), 1000),
+        (10**6, (300000, 500000, 700000, 123456), 1),
+    ])
+    def test_same_bytes_as_the_serial_draw(self, n, tallies, replicates):
+        k1, k2, k3, k4 = tallies
+        counts = CountsRecord(n_context=n, a_counts=(k1, n - k1), n_filtration=n,
+                              b_counts=(k2, n - k2), n_filtered=(n, n),
+                              a_counts_given=((k3, n - k3), (k4, n - k4)), seed=0)
+        serial = np.stack([substream(7, 8, j).binomial(n, k / n, size=replicates) / n
+                           for j, k in enumerate(tallies)])
+        drawn = _bootstrap_frequencies(counts, replicates, seed=7)
+        assert drawn.dtype == serial.dtype and drawn.shape == serial.shape
+        assert drawn.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_a_failed_draw_is_raised(self, monkeypatch, failing):
+        # row 0 is drawn on the calling thread, row 2 on the second one
+        counts = simulate_counts(E1_MODEL, 1000, seed=4)
+        substream = ctxprob.sampling.substream
+
+        class Failing:
+            def binomial(self, n, p, size):
+                raise RuntimeError(f"draw of experiment {failing} failed")
+
+        def failing_at(seed, role, j):
+            return Failing() if j == failing else substream(seed, role, j)
+
+        monkeypatch.setattr(ctxprob.sampling, "substream", failing_at)
+        with pytest.raises(RuntimeError, match=f"draw of experiment {failing} failed"):
+            estimate_lambda(counts, replicates=100, seed=9)
 
 
 class TestConvergenceStudy:
