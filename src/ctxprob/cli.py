@@ -102,6 +102,32 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):  # noqa: D102 - as argparse's, cut
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {cut(' '.join(extras))}")
+        return args
+
+    # argparse's "invalid choice" and "invalid <type> value" errors echo the
+    # refused token as its repr; these show it through ``shown`` instead.
+    def _get_value(self, action, arg_string):
+        try:
+            return super()._get_value(action, arg_string)
+        except argparse.ArgumentError as exc:
+            raise _bounded(exc, arg_string)
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            raise _bounded(exc, value)
+
+
+def _bounded(exc: argparse.ArgumentError, value) -> argparse.ArgumentError:
+    """``exc`` with its first echo of ``value`` shown as ``shown`` shows it."""
+    exc.message = exc.message.replace(repr(value), shown(value), 1)
+    return exc
+
 
 # ---------------------------------------------------------------------------
 # Flag parsing helpers

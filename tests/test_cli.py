@@ -692,6 +692,25 @@ def test_an_oversized_flag_value_is_echoed_in_one_short_line(argv, capsys):
     assert len(lines) == 1 and len(lines[0]) <= 200, lines
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["x" * 300],
+        ["simulate", "--model", "x" * 300],
+        ["sweep", "--family", "x" * 300],
+        ["simulate", "--model", "qubit", "--alpha", "y" * 300],
+        ["sweep", "--family", "classical", "--count", "z" * 300],
+        ["simulate", "--preset", "e1", "w" * 300],
+    ],
+    ids=["command", "model-choice", "family-choice", "float", "int", "unrecognized"],
+)
+def test_an_oversized_token_in_a_usage_error_is_echoed_short(argv, capsys):
+    # argparse's own messages: the usage lines, then one error line
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: ") and len(lines[-1]) <= 200, lines
+
+
 @pytest.mark.parametrize("command", ["analyze", "reconstruct", "balance"])
 class TestUnreadableInput:
     def test_bytes_that_are_not_utf8(self, command, tmp_path, capsys):
