@@ -88,9 +88,10 @@ _SWEEP_FIXED_COLUMNS = [
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1, and with any token that
-    starts with a minus sign and a digit or a point read as a value, so every flag
-    takes ``--flag -1e-3`` as it takes ``--flag=-1e-3``."""
+    """argparse with usage errors mapped to exit code 1, with the tokens its errors
+    echo cut short as other messages cut them, and with any token that starts with a
+    minus sign and a digit or a point read as a value, so every flag takes
+    ``--flag -1e-3`` as it takes ``--flag=-1e-3``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -102,31 +103,27 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
-    def parse_args(self, args=None, namespace=None):  # noqa: D102 - as argparse's, cut
+    def parse_args(self, args=None, namespace=None):  # noqa: D102 - argparse's, leftovers cut
         args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {cut(' '.join(extras))}")
         return args
 
     # argparse's "invalid choice" and "invalid <type> value" errors echo the
-    # refused token as its repr; these show it through ``shown`` instead.
+    # refused token as its repr; these two hooks show it as ``shown`` does.
     def _get_value(self, action, arg_string):
         try:
             return super()._get_value(action, arg_string)
         except argparse.ArgumentError as exc:
-            raise _bounded(exc, arg_string)
+            exc.message = exc.message.replace(repr(arg_string), shown(arg_string), 1)
+            raise
 
     def _check_value(self, action, value):
         try:
             super()._check_value(action, value)
         except argparse.ArgumentError as exc:
-            raise _bounded(exc, value)
-
-
-def _bounded(exc: argparse.ArgumentError, value) -> argparse.ArgumentError:
-    """``exc`` with its first echo of ``value`` shown as ``shown`` shows it."""
-    exc.message = exc.message.replace(repr(value), shown(value), 1)
-    return exc
+            exc.message = exc.message.replace(repr(value), shown(value), 1)
+            raise
 
 
 # ---------------------------------------------------------------------------
