@@ -103,7 +103,7 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
-    def parse_args(self, args=None, namespace=None):  # noqa: D102 - argparse's, leftovers cut
+    def parse_args(self, args=None, namespace=None):  # noqa: D102 - argparse hook
         args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {cut(' '.join(extras))}")
