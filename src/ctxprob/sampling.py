@@ -61,7 +61,7 @@ __all__ = [
 #: Names the bootstrap stream layout in reports; changes with the layout.
 BOOTSTRAP_STREAM = "bootstrap-experiment"
 
-#: Most replicates one bootstrap draws; a fresh process that draws 10^6 peaks near 211 MB.
+#: Most replicates one bootstrap draws; a fresh process that draws 10^6 peaks near 160 MB.
 MAX_BOOTSTRAP_REPLICATES = 10**6
 
 #: Coverage of the percentile-bootstrap interval of :func:`estimate_lambda`.
@@ -252,6 +252,24 @@ def _bootstrap_frequencies(counts: CountsRecord, replicates: int, seed: int) -> 
     return frequencies
 
 
+def _linear_percentile(row: np.ndarray, percent: float) -> float:
+    """``np.percentile(row, percent)`` of an ascending 1-D ``row``, ``0 <= percent < 100``.
+
+    numpy's default "linear" rule, Hyndman and Fan's type 7: the order statistics at
+    ``floor(v)`` and the next one, ``v = (n - 1) * percent / 100``, interpolated with
+    the arithmetic of numpy's ``_lerp``, so the result has the same bytes.  The row
+    holds no ``-0.0``, which numpy's partition may order either way around ``0.0``:
+    a bootstrap sample is ``0.0`` or ``deviation / weight`` with a nonzero deviation.
+    """
+    n = row.size
+    v = (n - 1) * (percent / 100)
+    i = int(v)
+    a, b = row[i], row[min(i + 1, n - 1)]
+    d = b - a
+    g = v - i
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def estimate_lambda(
     counts: CountsRecord,
     replicates: int = 1000,
@@ -263,11 +281,13 @@ def estimate_lambda(
     :func:`estimate_statistics` directly.  Each
     bootstrap replicate redraws all four tallies from their estimated
     binomial laws (equivalent to resampling the underlying ensembles), one
-    substream per experiment, and all replicates are re-inverted in one array
-    pass through ``invert_column``, the rule of :func:`lambda_from_statistics`.
-    At most :data:`MAX_BOOTSTRAP_REPLICATES` are drawn.  The CI is the
-    :data:`CONFIDENCE` percentile interval of the surviving replicates,
-    widened if needed so that it contains the point estimate.  A percentile
+    substream per experiment, and the replicates are re-inverted one outcome
+    column at a time through ``invert_column``, the rule of
+    :func:`lambda_from_statistics`.  At most :data:`MAX_BOOTSTRAP_REPLICATES`
+    are drawn.  ``stderr`` comes from the surviving replicates in draw order.
+    The CI is the :data:`CONFIDENCE` interval of numpy's linear percentile of
+    the same survivors, sorted once for both bounds, widened if needed so that
+    it contains the point estimate.  A percentile
     bootstrap stays meaningful near degenerate statistics where error
     propagation through the inversion's denominator does not.
     """
@@ -281,13 +301,15 @@ def estimate_lambda(
     seed = require_seed(seed)
     lambda_hat = lambda_from_statistics(stats)
 
-    # Both outcome columns at once: row j of q, ta, tb is outcome j + 1 of every replicate.
+    # One outcome column at a time: the second column's frequencies are one minus the first's.
     q1, p1, t11, t21 = _bootstrap_frequencies(counts, replicates, seed)
-    q, ta, tb = (np.stack((x, 1.0 - x)) for x in (q1, t11, t21))
-    samples, failed_columns, _, _ = invert_column(
-        q, p1, 1.0 - p1, ta, tb, sqrt=np.sqrt, where=np.where
+    p2 = 1.0 - p1
+    lam1, failed_1, _, _ = invert_column(q1, p1, p2, t11, t21, sqrt=np.sqrt, where=np.where)
+    lam2, failed_2, _, _ = invert_column(
+        1.0 - q1, p1, p2, 1.0 - t11, 1.0 - t21, sqrt=np.sqrt, where=np.where
     )
-    degenerate = failed_columns.any(axis=0)
+    samples = np.stack((lam1, lam2))
+    degenerate = failed_1 | failed_2
     failed = int(degenerate.sum())
     if failed == replicates:
         raise DegenerateContextError(
@@ -295,11 +317,14 @@ def estimate_lambda(
         )
     if failed:
         samples = samples[:, ~degenerate]
+    # np.std sums pairwise, so its last bits depend on the order: take it before the sort.
+    stderr = tuple(float(s) for s in samples.std(axis=1, ddof=1)) if samples.shape[1] > 1 else (0.0, 0.0)
+    samples.sort(axis=1)
     tail = 100.0 * (1.0 - CONFIDENCE) / 2.0
-    low, high = np.percentile(samples, (tail, 100.0 - tail), axis=1)
+    low, high = ([_linear_percentile(row, percent) for row in samples]
+                 for percent in (tail, 100.0 - tail))
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
     ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
-    stderr = tuple(float(s) for s in samples.std(axis=1, ddof=1)) if samples.shape[1] > 1 else (0.0, 0.0)
     return LambdaEstimate(
         lambda_hat=lambda_hat,
         ci_low=ci_low,

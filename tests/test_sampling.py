@@ -2,6 +2,7 @@
 
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,11 @@ from ctxprob import (
     simulate_counts,
 )
 from ctxprob._rng import ROLE_STUDY, substream
-from ctxprob.sampling import _bootstrap_frequencies
+from ctxprob.calculus import invert_column
+from ctxprob.io import ExperimentFile
+from ctxprob.sampling import CONFIDENCE, _bootstrap_frequencies, _linear_percentile
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 E1_MODEL = QubitModel(alpha=math.pi / 6, phi=math.pi / 2, b_rotation=math.pi / 4)
 E2_MODEL = KolmogorovModel(
@@ -274,8 +279,9 @@ class TestEstimateLambda:
 
 
 class TestBootstrapKernel:
-    """Stream layout of the bootstrap draws.  The inversion of the replicates is
-    the shared column inversion, tested in ``test_calculus.TestInvertColumn``."""
+    """Stream layout of the bootstrap draws.  The replicates are inverted one outcome
+    column at a time by the shared column inversion, tested in
+    ``test_calculus.TestInvertColumn``."""
 
     def test_one_substream_per_experiment(self, monkeypatch):
         counts = simulate_counts(E1_MODEL, 1000, seed=4)
@@ -300,8 +306,8 @@ class TestBootstrapKernel:
             estimate_lambda(counts, replicates=replicates, seed=9)
             # (seed, ROLE_BOOTSTRAP_EXPERIMENT = 8, experiment), all derived on this thread
             assert calls == [((9, 8, j), threading.get_ident()) for j in range(4)]
-            # every replicate goes through one call of the shared column inversion
-            assert inversions == [(2, replicates)]
+            # every replicate goes through the shared column inversion, once per outcome column
+            assert inversions == [(replicates,), (replicates,)]
 
     def test_fewer_replicates_draw_a_prefix(self):
         # numpy draws Binomial(n, p) by inversion when n*min(p, 1-p) <= 30, as for
@@ -348,6 +354,87 @@ class TestBootstrapKernel:
         monkeypatch.setattr(ctxprob.sampling, "substream", failing_at)
         with pytest.raises(RuntimeError, match=f"draw of experiment {failing} failed"):
             estimate_lambda(counts, replicates=100, seed=9)
+
+
+def stacked_reduction(counts, replicates, seed):
+    """``(ci_low, ci_high, stderr, failed)`` of the bootstrap reduced in the stacked form:
+    both outcome columns in one ``(2, R)`` ``invert_column`` call, ``np.percentile`` of the
+    survivors and their ``std``.  ``ci_low`` is ``None`` if every replicate is degenerate."""
+    lambda_hat = lambda_from_statistics(estimate_statistics(counts))
+    q1, p1, t11, t21 = _bootstrap_frequencies(counts, replicates, seed)
+    q, ta, tb = (np.stack((x, 1.0 - x)) for x in (q1, t11, t21))
+    samples, failed_columns, _, _ = invert_column(
+        q, p1, 1.0 - p1, ta, tb, sqrt=np.sqrt, where=np.where
+    )
+    degenerate = failed_columns.any(axis=0)
+    failed = int(degenerate.sum())
+    if failed == replicates:
+        return None, None, None, failed
+    if failed:
+        samples = samples[:, ~degenerate]
+    tail = 100.0 * (1.0 - CONFIDENCE) / 2.0
+    low, high = np.percentile(samples, (tail, 100.0 - tail), axis=1)
+    ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
+    ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
+    stderr = tuple(float(s) for s in samples.std(axis=1, ddof=1)) if samples.shape[1] > 1 else (0.0, 0.0)
+    return ci_low, ci_high, stderr, failed
+
+
+class TestBootstrapInterval:
+    """The interval is read from one sort of the survivors, and ``stderr`` from the
+    unsorted survivors, with the bytes of ``np.percentile`` and of the stacked form."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "survivors"])
+    def test_linear_percentile_is_numpys(self, kind):
+        rng = np.random.default_rng(11)
+        tail = 100.0 * (1.0 - CONFIDENCE) / 2.0
+        sizes = [*range(1, 60), 97, 100, 101, 999, 1000, 1001, 2048, 4001]
+        for n in sizes:
+            for _ in range(3):
+                row = rng.normal(scale=rng.choice([1e-3, 1.0, 50.0]), size=n)
+                if kind == "ties":
+                    # + 0.0 turns a rounded -0.0 into 0.0, as no bootstrap sample is -0.0
+                    row = np.round(row, int(rng.integers(0, 3))) + 0.0
+                elif kind == "survivors":
+                    row = rng.normal(size=n + int(rng.integers(1, n + 2)))
+                    row = row[rng.random(row.size) < 0.7][:n]
+                if row.size == 0:
+                    continue
+                ascending = np.sort(row)
+                # both tails, and the median, where g = 0.5 exactly for even n
+                for percent in (tail, 100.0 - tail, 50.0):
+                    expected = np.percentile(row, percent, method="linear")
+                    got = _linear_percentile(ascending, percent)
+                    assert np.float64(got).tobytes() == expected.tobytes(), (n, percent)
+
+    def test_same_bytes_as_the_stacked_reduction(self):
+        files = sorted(GOLDEN_INPUTS.glob("*counts*.json"))
+        analyzed, with_failures = [], []
+        for path in files:
+            try:  # only the inputs that analyze: a bootstrap needs a point estimate
+                counts = ExperimentFile.loads(path.read_text()).counts
+                lambda_from_statistics(estimate_statistics(counts))
+            except (ValidationError, DegenerateContextError):
+                continue
+            analyzed.append(path.name)
+            for replicates in (1, 2, 200, 1000, 10**4):
+                case = (path.name, replicates)
+                ci_low, ci_high, stderr, failed = stacked_reduction(counts, replicates, counts.seed)
+                if failed:
+                    with_failures.append((*case, failed))
+                if ci_low is None:
+                    with pytest.raises(DegenerateContextError, match="were degenerate"):
+                        estimate_lambda(counts, replicates=replicates, seed=counts.seed)
+                    continue
+                estimate = estimate_lambda(counts, replicates=replicates, seed=counts.seed)
+                assert estimate.ci_low == ci_low, case
+                assert estimate.ci_high == ci_high, case
+                assert estimate.stderr == stderr, case
+                assert estimate.failed_replicates == failed, case
+        assert len(analyzed) == 6 and "sparse_counts.json" in analyzed
+        # survivors after a degenerate mask, and inputs whose every replicate is degenerate
+        assert ("sparse_counts.json", 1000, 292) in with_failures
+        assert ("sparse_counts.json", 2, 2) in with_failures
 
 
 class TestConvergenceStudy:
