@@ -453,6 +453,8 @@ def phase_terms(value: float, trig_tol: float = 0.0) -> tuple[PhaseKind, float, 
     """``(kind, theta, sign)`` of one coefficient's :class:`Phase`, unbuilt.
 
     Python floats only: numpy's ``arccos``/``arccosh`` can differ in the last bit.
+    :func:`ctxprob.report.analyze_block` applies the same rule to a whole column
+    as array masks and keeps ``math.acos``/``math.acosh`` for the angles.
     """
     magnitude = abs(value)
     if magnitude <= 1.0 + trig_tol and magnitude >= 1.0:

@@ -35,8 +35,10 @@ from .models import (
     Model,
     QubitModel,
     SyntheticModel,
+    born,
     exact_statistics,
-    qubit_probabilities,
+    qubit_basis,
+    qubit_state,
     random_classical_rows,
     random_model,
 )
@@ -305,8 +307,15 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
             for values in itertools.product(*grids):
                 QubitModel(*values)
         columns = [axis.ravel() for axis in np.meshgrid(*grids, indexing="ij")]
-        points = itertools.starmap(qubit_probabilities, itertools.product(*grids))
-        block = np.fromiter(points, (float, 8), len(columns[0]))
+        # Point (state s, basis k) is row s * len(bases) + k of the grid product.
+        states = list(itertools.starmap(qubit_state, itertools.product(*grids[:2])))
+        bases = list(itertools.starmap(qubit_basis, itertools.product(*grids[2:])))
+        block = np.empty((len(states), len(bases), 8))
+        for j in (0, 1):
+            block[:, :, j] = [[born(basis[j], psi) for basis in bases] for psi in states]
+        block[:, :, 2:6] = [[abs(z) ** 2 for vector in basis for z in vector] for basis in bases]
+        block[:, :, 6:8] = np.array([[abs(z) ** 2 for z in psi] for psi in states])[:, None]
+        block = block.reshape(-1, 8)
         return names, columns, block, lambda i: QubitModel(*[c[i].item() for c in columns])
     if args.family == "synthetic":
         if args.lambda1 is None:

@@ -173,14 +173,28 @@ def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
     return _statistics_of(*classical_probabilities(model.weights, model.a_values, model.b_values))
 
 
-def qubit_probabilities(alpha: float, phi: float, b_rotation: float, b_phase: float) -> tuple:
-    """Unvalidated ``(p1, p2, t11, t12, t21, t22, q1, q2)`` of :func:`qubit_statistics`."""
-    psi = (complex(math.cos(alpha)), cmath.exp(1j * phi) * math.sin(alpha))
+def qubit_state(alpha: float, phi: float) -> tuple[complex, complex]:
+    """The state ``(cos alpha, e^{i phi} sin alpha)`` of a :class:`QubitModel`."""
+    return (complex(math.cos(alpha)), cmath.exp(1j * phi) * math.sin(alpha))
+
+
+def qubit_basis(b_rotation: float, b_phase: float) -> tuple[tuple, tuple]:
+    """The two vectors of a :class:`QubitModel`'s B basis."""
     c, s = math.cos(b_rotation), math.sin(b_rotation)
     chi = cmath.exp(1j * b_phase)
-    basis = ((complex(c), chi * s), (-s / chi, complex(c)))
-    prior = [abs(b[0].conjugate() * psi[0] + b[1].conjugate() * psi[1]) ** 2 for b in basis]
-    return (*prior, *[abs(z) ** 2 for b in basis for z in b], abs(psi[0]) ** 2, abs(psi[1]) ** 2)
+    return ((complex(c), chi * s), (-s / chi, complex(c)))
+
+
+def born(vector: tuple, psi: tuple) -> float:
+    """``|<vector|psi>|^2``."""
+    return abs(vector[0].conjugate() * psi[0] + vector[1].conjugate() * psi[1]) ** 2
+
+
+def qubit_probabilities(alpha: float, phi: float, b_rotation: float, b_phase: float) -> tuple:
+    """Unvalidated ``(p1, p2, t11, t12, t21, t22, q1, q2)`` of :func:`qubit_statistics`."""
+    psi, basis = qubit_state(alpha, phi), qubit_basis(b_rotation, b_phase)
+    return (*[born(b, psi) for b in basis], *[abs(z) ** 2 for b in basis for z in b],
+            abs(psi[0]) ** 2, abs(psi[1]) ** 2)
 
 
 def qubit_statistics(model: QubitModel) -> ContextStatistics:

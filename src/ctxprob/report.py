@@ -9,6 +9,7 @@ balance residuals of the transition matrix, the normalization residual, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -32,7 +33,6 @@ from .calculus import (
     classify_theory,
     normalization_residual,
     phase_parametrization,
-    phase_terms,
     regimes,
 )
 from .sampling import (
@@ -129,6 +129,11 @@ def analyze_block(
     kinds and largest column residuals.  Row 0 and the first failing row are
     replayed through :func:`analyze_exact`, which raises the scalar path's errors.
     ``block`` is clipped in place, so no second copy of it is held.
+
+    A verdict is the code of the first of :func:`regimes` that holds, and the kind
+    column is an object array of the kind names indexed by code, 8 bytes a row.
+    The angles take :func:`phase_terms`' rule as array masks, then ``math.acos``
+    and ``math.acosh`` on Python floats, so they keep the scalar path's last bits.
     """
     bad = out_of_range(block, TOL_EXACT).any(axis=1)
     # clip_probability's rule, written into the block.
@@ -144,14 +149,19 @@ def analyze_block(
         raise RuntimeError(f"row {bad.argmax()} fails an array check but no scalar check")
 
     eps = float(eps_class)
-    verdicts, conditions = zip(*regimes(*np.abs(lam).T, eps))
-    kinds = np.select(conditions, [v.kind.value for v in verdicts], TheoryKind.BOUNDARY.value)
-    trig_tol = np.where(np.isin(kinds, [kind.value for kind in _LIFTABLE]), eps, 0.0).tolist()
-    thetas = [
-        np.array([phase_terms(value, trig)[1] for value, trig in zip(column, trig_tol)])
-        for column in lam.T.tolist()
-    ]
-    return [*block.T, *lam.T, *thetas, kinds, sum_residual(ta, tb).max(axis=1)]
+    magnitude = np.abs(lam)
+    verdicts, conditions = zip(*regimes(*magnitude.T, eps))
+    codes = np.select(conditions, range(len(verdicts)), len(verdicts))
+    kinds = [*(v.kind for v in verdicts), TheoryKind.BOUNDARY]
+    trig_tol = np.array([eps if kind in _LIFTABLE else 0.0 for kind in kinds])[codes, None]
+    # phase_terms' rule: 1 <= |lambda| <= 1 + trig_tol is clamped to sign(lambda).
+    clamp = (magnitude <= 1.0 + trig_tol) & (magnitude >= 1.0)
+    trig = clamp | (magnitude <= 1.0)
+    thetas = np.empty_like(lam)
+    thetas[trig] = list(map(math.acos, np.where(clamp, np.copysign(1.0, lam), lam)[trig].tolist()))
+    thetas[~trig] = list(map(math.acosh, magnitude[~trig].tolist()))
+    names = np.array([kind.value for kind in kinds], object)[codes]
+    return [*block.T, *lam.T, *thetas.T, names, sum_residual(ta, tb).max(axis=1)]
 
 
 def analyze_estimated(

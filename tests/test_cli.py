@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -21,12 +22,18 @@ import ctxprob
 from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix, exact_statistics
 from ctxprob._validation import clip_probability
 from ctxprob.cli import _csv_chunks, _parse, _sweep_block, build_parser, main
-from ctxprob.models import random_model
+from ctxprob.models import qubit_probabilities, random_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 COMMANDS = ["analyze", "simulate", "sweep", "reconstruct", "balance"]
 COMMAND_CASES = [case for case in GOLDEN_CASES if case["argv"] and case["argv"][0] in COMMANDS]
+
+# Qubit angles: both signed zeros, repeats, and angles beyond 2 pi either way.
+ANGLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.7, 2 * math.pi, 7.0, -9.5]),
+    st.floats(-20.0, 20.0),
+)
 
 E1_STATS = ContextStatistics(
     (0.5, 0.5), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.75, 0.25)
@@ -302,6 +309,23 @@ class TestSweep:
                         *stats.outcome]
             assert [clip_probability(value).hex() for value in row] == list(
                 map(float.hex, expected))
+
+    @given(axes=st.lists(st.lists(ANGLE, min_size=1, max_size=3), min_size=4, max_size=4))
+    @example(axes=[[0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0], [-0.0]])
+    @example(axes=[[0.3, 0.3], [7.0], [1.1, 1.1, 13.0], [-7.0, 2.0]])
+    @example(axes=[[0.4], [0.2], [0.9], [2.5]])
+    @settings(max_examples=60, deadline=None)
+    def test_qubit_block_rows_are_the_models_statistics(self, axes):
+        args = argparse.Namespace(
+            family="qubit", **{name: ",".join(map(repr, values)) for name, values in
+                               zip(["alpha", "phi", "b_rotation", "b_phase"], axes)})
+        _, columns, block, _ = _sweep_block(args)
+        points = list(itertools.product(*axes))
+        assert [list(map(float.hex, row)) for row in zip(*(c.tolist() for c in columns))] == [
+            list(map(float.hex, point)) for point in points]
+        for point, row in zip(points, block.tolist(), strict=True):
+            assert list(map(float.hex, row)) == list(
+                map(float.hex, qubit_probabilities(*point)))
 
     @given(seed=st.integers(0, 2**64 - 1), before=st.lists(st.integers(0, 150), min_size=2,
                                                           max_size=2),

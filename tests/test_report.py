@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxprob import ContextStatistics, CtxprobError, TransitionMatrix, analyze_exact
@@ -64,6 +64,13 @@ def bits(values):
     edge=st.sampled_from([None, "zero", "below-one", "above-one"]),
     tol=st.sampled_from([1e-9, 0.0, 1e-3]),
 )
+# Each branch of the phase rule: a classical verdict at eps_class > 1 whose
+# |lambda| = 1.1 is clamped to 1, |lambda| == 1 with no tolerance, a negative
+# hyperbolic coefficient, and one coefficient of each kind.
+@example(block=[[0.5, 0.5, 0.8, 0.2, 0.2, 0.8, 0.94, 0.06]], eps=1.5, edge=None, tol=1e-9)
+@example(block=[[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 0.0]], eps=0.0, edge=None, tol=1e-9)
+@example(block=[[0.5, 0.5, 0.8, 0.2, 0.2, 0.8, 0.0, 1.0]], eps=1e-6, edge=None, tol=1e-9)
+@example(block=[[0.5, 0.5, 0.9, 0.1, 0.5, 0.5, 0.432, 0.568]], eps=1e-6, edge=None, tol=1e-9)
 @settings(max_examples=600, deadline=None)
 def test_rows_equal_analyze_exact(block, eps, edge, tol):
     # ``tol`` reaches only the reference's balance verdict, which no row holds.
