@@ -446,23 +446,22 @@ def phase_parametrization(lam: LambdaPair, *, trig_tol: float = 0.0) -> PhasePai
     (clamping to the endpoint), for coefficients known to be trigonometric up
     to numerical or statistical noise.
     """
-    return PhasePair(*(Phase(*phase_terms(value, trig_tol)) for value in lam))
+    branches = ((value, *phase_branch(value, trig_tol)) for value in lam)
+    return PhasePair(*(
+        Phase(PhaseKind.TRIGONOMETRIC, math.acos(argument)) if trigonometric
+        else Phase(PhaseKind.HYPERBOLIC, math.acosh(argument), 1 if value > 0 else -1)
+        for value, trigonometric, argument in branches
+    ))
 
 
-def phase_terms(value: float, trig_tol: float = 0.0) -> tuple[PhaseKind, float, int]:
-    """``(kind, theta, sign)`` of one coefficient's :class:`Phase`, unbuilt.
-
-    Python floats only: numpy's ``arccos``/``arccosh`` can differ in the last bit.
-    :func:`ctxprob.report.analyze_block` applies the same rule to a whole column
-    as array masks and keeps ``math.acos``/``math.acosh`` for the angles.
-    """
+def phase_branch(value, trig_tol=0.0, where=where, copysign=math.copysign):
+    """``(trigonometric, argument)``: :func:`phase_parametrization`'s branch, and the value
+    that ``acos`` or ``acosh`` takes.  Floats, or arrays with ``where=numpy.where``,
+    ``copysign=numpy.copysign``; the angles come from ``math`` either way."""
     magnitude = abs(value)
-    if magnitude <= 1.0 + trig_tol and magnitude >= 1.0:
-        value = math.copysign(1.0, value)
-        magnitude = 1.0
-    if magnitude <= 1.0:
-        return PhaseKind.TRIGONOMETRIC, math.acos(value), 1
-    return PhaseKind.HYPERBOLIC, math.acosh(magnitude), 1 if value > 0 else -1
+    clamp = (magnitude <= 1.0 + trig_tol) & (magnitude >= 1.0)
+    trig = clamp | (magnitude <= 1.0)
+    return trig, where(clamp, copysign(1.0, value), where(trig, value, magnitude))
 
 
 def normalization_residual(stats: ContextStatistics, lam: LambdaPair) -> float:

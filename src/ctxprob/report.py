@@ -32,6 +32,7 @@ from .calculus import (
     lambda_from_statistics,
     classify_theory,
     normalization_residual,
+    phase_branch,
     phase_parametrization,
     regimes,
 )
@@ -69,8 +70,8 @@ class AnalysisReport:
         """The amplitude lift; None outside the classical and trigonometric regimes."""
         if self.theory_class.kind not in _LIFTABLE:
             return None
-        # A classical verdict with eps_class > 1 admits |lambda| > 1, which the
-        # phases clamp to |lambda| = 1 (a trigonometric verdict needs
+        # A classical verdict with eps_class > 1 admits |lambda| > 1, which
+        # phase_branch clamps to |lambda| = 1 (a trigonometric verdict needs
         # |lambda| <= 1 - eps_class, so the clamp never acts on it).  The
         # clamp shifts the lifted norm by at most the total overshoot.
         overshoot = sum(max(0.0, abs(value) - 1.0) for value in self.lambda_point)
@@ -132,8 +133,8 @@ def analyze_block(
 
     A verdict is the code of the first of :func:`regimes` that holds, and the kind
     column is an object array of the kind names indexed by code, 8 bytes a row.
-    The angles take :func:`phase_terms`' rule as array masks, then ``math.acos``
-    and ``math.acosh`` on Python floats, so they keep the scalar path's last bits.
+    The angles take :func:`phase_branch`, the scalar path's rule, on whole columns,
+    then ``math.acos`` and ``math.acosh`` on Python floats, so they keep its last bits.
     """
     bad = out_of_range(block, TOL_EXACT).any(axis=1)
     # clip_probability's rule, written into the block.
@@ -154,12 +155,10 @@ def analyze_block(
     codes = np.select(conditions, range(len(verdicts)), len(verdicts))
     kinds = [*(v.kind for v in verdicts), TheoryKind.BOUNDARY]
     trig_tol = np.array([eps if kind in _LIFTABLE else 0.0 for kind in kinds])[codes, None]
-    # phase_terms' rule: 1 <= |lambda| <= 1 + trig_tol is clamped to sign(lambda).
-    clamp = (magnitude <= 1.0 + trig_tol) & (magnitude >= 1.0)
-    trig = clamp | (magnitude <= 1.0)
+    trig, argument = phase_branch(lam, trig_tol, where=np.where, copysign=np.copysign)
     thetas = np.empty_like(lam)
-    thetas[trig] = list(map(math.acos, np.where(clamp, np.copysign(1.0, lam), lam)[trig].tolist()))
-    thetas[~trig] = list(map(math.acosh, magnitude[~trig].tolist()))
+    thetas[trig] = list(map(math.acos, argument[trig].tolist()))
+    thetas[~trig] = list(map(math.acosh, argument[~trig].tolist()))
     names = np.array([kind.value for kind in kinds], object)[codes]
     return [*block.T, *lam.T, *thetas.T, names, sum_residual(ta, tb).max(axis=1)]
 

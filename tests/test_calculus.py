@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctxprob import (
@@ -31,7 +31,7 @@ from ctxprob import (
     predict_outcome,
     random_model,
 )
-from ctxprob.calculus import invert_column
+from ctxprob.calculus import invert_column, phase_branch
 
 HALF = TransitionMatrix(((0.5, 0.5), (0.5, 0.5)))
 E2_T = TransitionMatrix(((0.2, 0.8), (0.6, 0.4)))
@@ -453,6 +453,55 @@ class TestPhaseParametrization:
             coefficient = (math.cos(phase.theta) if phase.is_trigonometric
                            else phase.sign * math.cosh(phase.theta))
             assert coefficient == pytest.approx(lam, abs=1e-9)
+
+
+def branch_edges(tol):
+    """+-0, +-1 and +-(1 + tol), each with the floats on either side."""
+    return [sign * x for point in (0.0, 1.0, 1.0 + tol)
+            for x in (math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf))
+            for sign in (1.0, -1.0)]
+
+
+def reference_branch(value, tol):
+    """The phase rule written out as branches."""
+    magnitude = abs(value)
+    if 1.0 <= magnitude <= 1.0 + tol:
+        return True, math.copysign(1.0, value)
+    if magnitude <= 1.0:
+        return True, value
+    return False, magnitude
+
+
+@st.composite
+def branch_inputs(draw):
+    """A ``(value, trig_tol)`` pair, the value often on an edge of the rule.  A
+    negative tolerance clamps nothing, and |value| = 1 is then trigonometric."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 1.5, -0.5]) | st.floats(-1.0, 2.0))
+    return draw(st.floats(-4.0, 4.0) | st.sampled_from(branch_edges(tol))), tol
+
+
+class TestPhaseBranch:
+    """``phase_branch`` is the one phase rule: ``phase_parametrization`` applies it
+    to floats, ``analyze_block`` to arrays."""
+
+    @given(st.lists(branch_inputs(), min_size=1, max_size=10))
+    # The edges at each tolerance.  No analysis reaches |value| just above 1 + tol at tol > 0.
+    @example([(value, 0.0) for value in branch_edges(0.0)])
+    @example([(value, 1e-9) for value in branch_edges(1e-9)])
+    @example([(value, 1.5) for value in branch_edges(1.5)])
+    @example([(value, -0.5) for value in branch_edges(-0.5)])
+    @settings(max_examples=500)
+    def test_float_and_array_forms_agree(self, rows):
+        values, tols = map(np.array, zip(*rows))
+        trig, argument = phase_branch(values, tols, where=np.where, copysign=np.copysign)
+        for (value, tol), row_trig, row_argument in zip(rows, trig.tolist(), argument.tolist()):
+            scalar_trig, scalar_argument = phase_branch(value, tol)
+            expected_trig, expected_argument = reference_branch(value, tol)
+            assert (scalar_trig, scalar_argument.hex()) == (row_trig, row_argument.hex())
+            assert (scalar_trig, scalar_argument.hex()) == (expected_trig, expected_argument.hex())
+            phase = phase_parametrization(LambdaPair(value, value), trig_tol=tol).phase1
+            angle = math.acos if scalar_trig else math.acosh
+            assert (phase.is_trigonometric, phase.theta) == (scalar_trig, angle(scalar_argument))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,14 @@ def test_first_failing_row_raises_before_later_rows():
         analyze_block(np.array(block), lambda i: statistics(block[i]))
 
 
+def test_a_row_the_array_checks_reject_must_fail_its_scalar_check():
+    good = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25]
+    unnormalized = [0.5, 0.6, 0.5, 0.5, 0.5, 0.5, 0.75, 0.25]
+    # statistics_of disagrees with the block, so row 1 passes its replay
+    with pytest.raises(RuntimeError, match="^row 1 fails an array check but no scalar check$"):
+        analyze_block(np.array([good, unnormalized]), lambda i: statistics(good))
+
+
 def test_a_report_without_amplitudes_has_no_born_residual():
     hyperbolic = ContextStatistics(
         (0.5, 0.5), TransitionMatrix(((0.8, 0.2), (0.2, 0.8))), (1.0, 0.0)
