@@ -77,10 +77,10 @@ def require_finite(x: Any, name: str) -> float:
     return value
 
 
-def require_probability(x: Any, name: str, *, tol: float = TOL_EXACT) -> float:
-    """Validate a single probability, clipping excursions within ``tol``."""
+def require_probability(x: Any, name: str) -> float:
+    """Validate a single probability, clipping excursions within ``TOL_EXACT``."""
     value = require_finite(x, name)
-    if out_of_range(value, tol):
+    if out_of_range(value, TOL_EXACT):
         raise ValidationError(f"{name} must be in [0, 1], got {value}")
     return clip_probability(value)
 

@@ -45,7 +45,7 @@ from .models import (
 from .report import (
     analyze_block, analyze_estimated, analyze_exact, balance_to_dict, report_to_dict
 )
-from .sampling import _EXPERIMENTS, EnsembleSizes, estimate_statistics, simulate_counts
+from .sampling import estimate_statistics, simulate_counts
 
 __all__ = ["main", "entry_point", "PRESETS"]
 
@@ -289,8 +289,8 @@ def _simulate_model(args: argparse.Namespace) -> Model:
 
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     model = _simulate_model(args)
-    n = [args.n if m is None else m for m in (getattr(args, e.option) for e in _EXPERIMENTS)]
-    counts = simulate_counts(model, EnsembleSizes(n[0], n[1], n[2:]), args.seed)
+    sizes = (args.n_context, args.n_filtration, args.n_filtered_1, args.n_filtered_2)
+    counts = simulate_counts(model, [args.n if n is None else n for n in sizes], args.seed)
     return [ExperimentFile(counts=counts, model=model, note=args.note).dumps()]
 
 

@@ -38,7 +38,9 @@ from ._rng import (
     ROLE_BOOTSTRAP_EXPERIMENT,
     substream,
 )
-from ._validation import as_pair, require_ensemble_size, require_positive_int, require_seed, shown
+from ._validation import (
+    as_pair, as_tuple, require_ensemble_size, require_positive_int, require_seed, shown
+)
 from .calculus import (
     ContextStatistics,
     LambdaPair,
@@ -50,7 +52,6 @@ from .errors import DegenerateContextError, ValidationError
 from .models import Model, exact_statistics
 
 __all__ = [
-    "EnsembleSizes",
     "CountsRecord",
     "LambdaEstimate",
     "simulate_counts",
@@ -69,35 +70,14 @@ CONFIDENCE = 0.95
 
 
 #: The four experiments in the order of roles 1-4 and of the bootstrap's ``j``: each one's
-#: role and its name in estimate_statistics, EnsembleSizes, CountsRecord and ``simulate --n-*``.
-_Experiment = namedtuple("_Experiment", "role label size tally option")
+#: role and its names in estimate_statistics, simulate_counts' sizes and CountsRecord.
+_Experiment = namedtuple("_Experiment", "role label size tally")
 _EXPERIMENTS = tuple(_Experiment(*row) for row in (
-    (ROLE_A_ON_CONTEXT, "A-on-context", "a_on_context", "a_counts", "n_context"),
-    (ROLE_B_ON_CONTEXT, "B-on-context", "b_on_context", "b_counts", "n_filtration"),
-    (ROLE_A_ON_FILTERED_1, "A-on-filtered-1", "a_on_filtered[1]", "a_counts_given[1]",
-     "n_filtered_1"),
-    (ROLE_A_ON_FILTERED_2, "A-on-filtered-2", "a_on_filtered[2]", "a_counts_given[2]",
-     "n_filtered_2"),
+    (ROLE_A_ON_CONTEXT, "A-on-context", "a_on_context", "a_counts"),
+    (ROLE_B_ON_CONTEXT, "B-on-context", "b_on_context", "b_counts"),
+    (ROLE_A_ON_FILTERED_1, "A-on-filtered-1", "a_on_filtered[1]", "a_counts_given[1]"),
+    (ROLE_A_ON_FILTERED_2, "A-on-filtered-2", "a_on_filtered[2]", "a_counts_given[2]"),
 ))
-
-
-@dataclass(frozen=True)
-class EnsembleSizes:
-    """Sizes of the three experiments' ensembles, set independently."""
-
-    a_on_context: int
-    b_on_context: int
-    a_on_filtered: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        filtered = as_pair(self.a_on_filtered, "a_on_filtered needs one size per filtered context")
-        object.__setattr__(self, "a_on_filtered", filtered)
-        for experiment, n in zip(_EXPERIMENTS, (self.a_on_context, self.b_on_context, *filtered)):
-            require_ensemble_size(require_positive_int(n, experiment.size), experiment.size)
-
-    @classmethod
-    def uniform(cls, n: int) -> "EnsembleSizes":
-        return cls(a_on_context=n, b_on_context=n, a_on_filtered=(n, n))
 
 
 @dataclass(frozen=True)
@@ -167,18 +147,22 @@ class LambdaEstimate:
         )
 
 
-def simulate_counts(
-    model: Model, sizes: EnsembleSizes | int, seed: int
-) -> CountsRecord:
+def simulate_counts(model: Model, sizes: int | tuple[int, ...], seed: int) -> CountsRecord:
     """Simulate the three experiments against a model's exact statistics.
 
-    Each experiment draws from its own ``(seed, role)`` substream, so the
-    record is a deterministic function of ``(model, sizes, seed)``.  Raises
-    :class:`DegenerateContextError` if a filtered ensemble is impossible to
-    prepare (a filtration probability of zero).
+    ``sizes`` is one ensemble size for every experiment, or four sizes in the
+    order of roles 1-4: A on the context, B on the context, and A on filtered
+    contexts 1 and 2.  Each experiment draws from its own ``(seed, role)``
+    substream, so the record is a deterministic function of ``(model, sizes,
+    seed)``.  Raises :class:`DegenerateContextError` if a filtered ensemble
+    is impossible to prepare (a filtration probability of zero).
     """
-    if isinstance(sizes, int):
-        sizes = EnsembleSizes.uniform(sizes)
+    shape = "ensemble sizes must be one integer or four, one per experiment"
+    ns = (sizes,) * len(_EXPERIMENTS) if isinstance(sizes, int) else as_tuple(sizes, shape)
+    if len(ns) != len(_EXPERIMENTS):
+        raise ValidationError(shape)
+    for experiment, n in zip(_EXPERIMENTS, ns):
+        require_ensemble_size(require_positive_int(n, experiment.size), experiment.size)
     seed = require_seed(seed)
     stats = exact_statistics(model)
     if min(stats.prior) <= 0.0:
@@ -187,7 +171,6 @@ def simulate_counts(
             f"filtration probability of B-outcome {empty + 1} is zero; "
             f"its filtered ensemble cannot be prepared"
         )
-    ns = (sizes.a_on_context, sizes.b_on_context, *sizes.a_on_filtered)
     ps = (stats.outcome[0], stats.prior[0], *(row[0] for row in stats.transition.rows))
     ks = [int(substream(seed, e.role).binomial(n, p)) for e, n, p in zip(_EXPERIMENTS, ns, ps)]
     pairs = [(k, n - k) for k, n in zip(ks, ns)]

@@ -1,7 +1,7 @@
 """Public names: every name ``ctxprob.__all__`` or a public module's ``__all__``
 lists resolves.  The module lists are the only source of the package's.  No
-module or test imports a name it does not use, and the package raises every
-error class it lists."""
+module or test imports a name it does not use, no module imports a private name
+of a sibling, and the package raises every error class it lists."""
 
 import ast
 import importlib
@@ -71,6 +71,23 @@ def test_no_module_imports_a_name_it_does_not_use(path):
 def test_an_unused_import_is_found():
     source = "import math\nimport os.path\nfrom re import compile, sub\n__all__ = ['sub']\n"
     assert unused_imports(source) == ["compile", "math", "os"]
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore-prefixed names that ``source`` imports from a sibling module."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_a_sibling(path):
+    assert private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_private_sibling_import_is_found():
+    source = "from ._rng import substream\nfrom .sampling import _EXPERIMENTS, simulate_counts\n"
+    assert private_sibling_imports(source) == ["_EXPERIMENTS"]
 
 
 def raised_names(source: str) -> set[str]:

@@ -25,7 +25,6 @@ import pytest
 
 from ctxprob import (
     ContextStatistics,
-    EnsembleSizes,
     InfeasibleLambdaError,
     KolmogorovModel,
     LambdaPair,
@@ -46,7 +45,7 @@ from ctxprob.cli import PRESETS
 PINNED = Path(__file__).resolve().parent / "pinned_values.json"
 SEEDS = range(200)
 CLASSICAL_SEEDS = [*range(200), *range(2**32 - 2, 2**32 + 2), 2**64 - 2]
-SIMULATION_SIZES = EnsembleSizes(1000, 2000, (3000, 4000))
+SIMULATION_SIZES = (1000, 2000, 3000, 4000)
 SIMULATION_SEEDS = range(20)
 SYNTHETIC_KINDS = (ModelKind.SYNTHETIC_TRIGONOMETRIC, ModelKind.SYNTHETIC_HYPERBOLIC)
 

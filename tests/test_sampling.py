@@ -11,7 +11,6 @@ import ctxprob.sampling
 from ctxprob import (
     CountsRecord,
     DegenerateContextError,
-    EnsembleSizes,
     KolmogorovModel,
     LambdaPair,
     QubitModel,
@@ -72,8 +71,8 @@ def e2_proportional_counts(n=10000):
 
 class TestSimulateCounts:
     def test_determinism(self):
-        first = simulate_counts(E1_MODEL, EnsembleSizes.uniform(1000), seed=7)
-        second = simulate_counts(E1_MODEL, EnsembleSizes.uniform(1000), seed=7)
+        first = simulate_counts(E1_MODEL, 1000, seed=7)
+        second = simulate_counts(E1_MODEL, 1000, seed=7)
         assert first == second
 
     def test_seed_changes_draws(self):
@@ -82,13 +81,13 @@ class TestSimulateCounts:
         assert first != second
 
     def test_unit_ensembles_give_one_hot_tallies(self):
-        counts = simulate_counts(E1_MODEL, EnsembleSizes.uniform(1), seed=3)
+        counts = simulate_counts(E1_MODEL, 1, seed=3)
         for pair in (counts.a_counts, counts.b_counts, *counts.a_counts_given):
             assert sorted(pair) == [0, 1]
 
     def test_large_run_lands_within_three_sigma(self):
         # binomial sigma at p=0.75, n=1e6 is ~4.3e-4; freeze the 3-sigma band
-        counts = simulate_counts(E1_MODEL, EnsembleSizes.uniform(10**6), seed=7)
+        counts = simulate_counts(E1_MODEL, 10**6, seed=7)
         assert abs(counts.a_counts[0] / 10**6 - 0.75) < 0.0013
 
     def test_zero_filtration_is_rejected(self):
@@ -97,8 +96,8 @@ class TestSimulateCounts:
             simulate_counts(model, 100, seed=0)
 
     def test_sizes_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            EnsembleSizes.uniform(0)
+        with pytest.raises(ValidationError, match="^a_on_context must be >= 1, got 0$"):
+            simulate_counts(E1_MODEL, 0, seed=0)
 
     def test_tallies_must_sum_to_sizes(self):
         with pytest.raises(ValidationError):
@@ -132,13 +131,19 @@ class TestSimulateCounts:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             CountsRecord(**{**record, **fields})
 
-    def test_non_pair_filtered_sizes_are_invalid(self):
-        with pytest.raises(ValidationError, match="^a_on_filtered needs one size per filtered"):
-            EnsembleSizes(10, 10, 5)
+    @pytest.mark.parametrize("sizes", [10.0, None, "10", (10, 10, 5), (10,) * 5],
+                             ids=["float", "none", "string", "three", "five"])
+    def test_sizes_not_one_int_or_four_are_invalid(self, sizes):
+        shape = "^ensemble sizes must be one integer or four, one per experiment$"
+        with pytest.raises(ValidationError, match=shape):
+            simulate_counts(E1_MODEL, sizes, seed=0)
+
+    def test_four_equal_sizes_are_one_size(self):
+        assert simulate_counts(E1_MODEL, [10, 10, 10, 10], 3) == simulate_counts(E1_MODEL, 10, 3)
 
     def test_string_ensemble_size_is_invalid(self):
         with pytest.raises(ValidationError, match="^a_on_context must be an integer, got '10'$"):
-            EnsembleSizes("10", 10, (10, 10))
+            simulate_counts(E1_MODEL, ("10", 10, 10, 10), seed=0)
 
     @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
     def test_boolean_ensemble_size_is_rejected(self, field):
@@ -158,11 +163,11 @@ class TestSimulateCounts:
         # numpy's binomial draw takes a C long: 2^63 - 1 is drawn, 2^63 refused.
         sizes = [1, 1, 1, 1]
         sizes[position] = 2**63 - 1
-        counts = simulate_counts(E1_MODEL, EnsembleSizes(*sizes[:2], tuple(sizes[2:])), 3)
+        counts = simulate_counts(E1_MODEL, sizes, 3)
         assert 2**63 - 1 in (counts.n_context, counts.n_filtration, *counts.n_filtered)
         sizes[position] = 2**63
         with pytest.raises(ValidationError, match="at most 2\\^63 - 1"):
-            EnsembleSizes(*sizes[:2], tuple(sizes[2:]))
+            simulate_counts(E1_MODEL, sizes, 3)
 
     @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
     def test_counts_ensemble_sizes_are_bounded(self, field):
