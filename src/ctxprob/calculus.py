@@ -92,10 +92,16 @@ class DichotomicObservable:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError("observable name must be a nonempty string")
-        must = f"observable {shown(self.name)} labels must be two nonempty strings, got "
-        labels = as_tuple(self.value_labels, must + shown(self.value_labels))
-        if len(labels) != 2 or not all(isinstance(v, str) and v for v in labels):
-            raise ValidationError(must + shown(labels))
+        try:
+            labels = as_tuple(self.value_labels, "")
+        except ValidationError:
+            labels = None
+        # The message is built only on failure: every file load makes two observables.
+        if labels is None or len(labels) != 2 or not all(isinstance(v, str) and v for v in labels):
+            got = shown(self.value_labels if labels is None else labels)
+            raise ValidationError(
+                f"observable {shown(self.name)} labels must be two nonempty strings, got {got}"
+            )
         if labels[0] == labels[1]:
             raise ValidationError(
                 f"observable {shown(self.name)} labels must be distinct, got {shown(labels)}"

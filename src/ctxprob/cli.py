@@ -12,9 +12,11 @@ for fixed inputs and seeds).  Angles are radians.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import re
+import shutil
 import sys
 from typing import Iterable, Iterator
 
@@ -93,10 +95,15 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1, with the tokens its errors
     echo cut short as other messages cut them, and with any token that starts with a
     minus sign and a digit or a point read as a value, so every flag takes
-    ``--flag -1e-3`` as it takes ``--flag=-1e-3``."""
+    ``--flag -1e-3`` as it takes ``--flag=-1e-3``.  The help text wraps to the
+    terminal width read once, when the parser is built."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, formatter_class=argparse.HelpFormatter, **kwargs):
+        # argparse builds a formatter for every flag added, and each formatter
+        # left to itself asks the terminal its width: ask once, as it would.
+        width = shutil.get_terminal_size().columns - 2
+        formatter_class = functools.partial(formatter_class, width=width)
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
         # argparse's own pattern takes only plain negative numbers, not "-1e-3"
         # or "-1:1:3"; no ctxprob option looks like a negative number.
         self._negative_number_matcher = re.compile(r"-[0-9.]")

@@ -300,7 +300,9 @@ def estimate_lambda(
         )
     if failed:
         samples = samples[:, ~degenerate]
-    # np.std sums pairwise, so its last bits depend on the order: take it before the sort.
+    # np.std's last bits depend on the order it sums in: take it before the sort.  The
+    # mask above leaves the survivors in F order, which np.std sums in another order than
+    # the pairwise one of a C-ordered row; the golden counts cases pin the bytes.
     stderr = tuple(float(s) for s in samples.std(axis=1, ddof=1)) if samples.shape[1] > 1 else (0.0, 0.0)
     samples.sort(axis=1)
     tail = 100.0 * (1.0 - CONFIDENCE) / 2.0

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -868,6 +869,23 @@ class TestParser:
     def test_parse_agrees_with_the_full_parser(self, argv, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         assert _outcome(_parse, argv) == _outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("command, parsers", [(None, 6), *((c, 1) for c in COMMANDS)])
+    def test_each_parser_asks_the_terminal_width_once(self, command, parsers, monkeypatch):
+        # argparse alone asks once for every flag added: 49 times for the full parser.
+        asked = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: asked.append(a) or size(*a))
+        build_parser(command)
+        assert len(asked) == parsers
+
+    def test_help_wraps_to_the_width_of_each_call(self, monkeypatch, capsys):
+        helps = []
+        for columns in ("40", "132"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(["simulate", "--help"]) == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] != helps[1]
 
 
 @pytest.mark.parametrize("module", ["ctxprob", "ctxprob.cli"])

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from ctxprob import _validation
 from ctxprob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -44,6 +45,31 @@ def test_golden_case(case, capsys, monkeypatch):
     assert captured.out.encode("utf-8") == expected.with_suffix(".out").read_bytes()
     err = expected.with_suffix(".err").read_bytes() if code else b""
     assert captured.err.encode("utf-8") == err
+
+
+def test_no_successful_case_builds_a_message(capsys, monkeypatch):
+    # Messages are built only to be raised: every module's ``shown`` counts its calls.
+    original, calls = _validation.shown, []
+
+    def counting(value):
+        calls.append(value)
+        return original(value)
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.partition(".")[0] == "ctxprob" and vars(module).get("shown") is original]
+    assert {"ctxprob._validation", "ctxprob.calculus", "ctxprob.io"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "shown", counting)
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")
+    succeeding = [case for case in CASES if case["exit"] == 0]
+    for case in succeeding:
+        assert main(list(case["argv"])) == 0, case["name"]
+        captured = capsys.readouterr()
+        expected = (GOLDEN / "expected" / case["name"]).with_suffix(".out").read_bytes()
+        assert (captured.out.encode("utf-8"), captured.err) == (expected, ""), case["name"]
+    assert len(succeeding) == 48
+    assert calls == []
 
 
 def test_corpus_writer_writes_the_committed_corpus():
