@@ -2,8 +2,9 @@
 
 The ``require_*`` helpers raise :class:`~ctxprob.errors.ValidationError` on
 contract violations and return cleaned-up Python floats/ints otherwise.
-Probabilities may stray outside [0, 1] by at most ``tol`` (floating-point
-noise) and are clipped back, by rules that also take numpy arrays.
+Probabilities may stray outside [0, 1] by at most ``TOL_EXACT`` (floating-point
+noise) and are clipped back.  Of the rules, only :func:`out_of_range` and
+:func:`sum_residual` also take numpy arrays.
 """
 
 from __future__ import annotations

@@ -230,9 +230,10 @@ def _load_experiment(path: str) -> ExperimentFile:
         with open(path, "r", encoding="utf-8") as handle:
             return ExperimentFile.loads(handle.read())
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        reason = exc.strerror or cut(str(exc))
+        raise ValidationError(f"cannot read {cut(repr(path))}: {reason}") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"{cut(repr(path))} is not UTF-8 text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ctxprob: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
-        print(f"ctxprob: i/o error: {exc}", file=sys.stderr)
+        print(f"ctxprob: i/o error: {cut(str(exc))}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -140,28 +140,6 @@ class ModelKind(str, Enum):
     SYNTHETIC_HYPERBOLIC = "synthetic-hyperbolic"
 
 
-def _statistics_of(p1, p2, t11, t12, t21, t22, q1, q2) -> ContextStatistics:
-    """Validated statistics of one ``(p1, p2, t11, t12, t21, t22, q1, q2)`` row."""
-    return ContextStatistics((p1, p2), TransitionMatrix(((t11, t12), (t21, t22))), (q1, q2))
-
-
-def classical_probabilities(weights, a_values, b_values) -> tuple:
-    """Unvalidated ``(p1, p2, t11, t12, t21, t22, q1, q2)`` of :func:`classical_statistics`."""
-    b_weight = [0.0, 0.0]
-    joint = [[0.0, 0.0], [0.0, 0.0]]  # [b][a]
-    a_weight = [0.0, 0.0]
-    for w, a, b in zip(weights, a_values, b_values):
-        b_weight[b] += w
-        joint[b][a] += w
-        a_weight[a] += w
-    if min(b_weight) <= 0.0:
-        empty = b_weight.index(min(b_weight))
-        raise DegenerateContextError(
-            f"B-outcome {empty + 1} has zero probability; filtration impossible"
-        )
-    return (*b_weight, *(joint[b][a] / b_weight[b] for b in (0, 1) for a in (0, 1)), *a_weight)
-
-
 def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
     """Exact statistics of a finite classical model by brute-force conditioning.
 
@@ -170,7 +148,20 @@ def classical_statistics(model: KolmogorovModel) -> ContextStatistics:
     :class:`DegenerateContextError` when a B-outcome has zero total weight, since
     the corresponding filtered ensemble cannot be prepared.
     """
-    return _statistics_of(*classical_probabilities(model.weights, model.a_values, model.b_values))
+    b_weight = [0.0, 0.0]
+    joint = [[0.0, 0.0], [0.0, 0.0]]  # [b][a]
+    a_weight = [0.0, 0.0]
+    for w, a, b in zip(model.weights, model.a_values, model.b_values):
+        b_weight[b] += w
+        joint[b][a] += w
+        a_weight[a] += w
+    if min(b_weight) <= 0.0:
+        empty = b_weight.index(min(b_weight))
+        raise DegenerateContextError(
+            f"B-outcome {empty + 1} has zero probability; filtration impossible"
+        )
+    rows = [[weight / b_weight[b] for weight in joint[b]] for b in (0, 1)]
+    return ContextStatistics(b_weight, TransitionMatrix(rows), a_weight)
 
 
 def qubit_state(alpha: float, phi: float) -> tuple[complex, complex]:
@@ -190,13 +181,6 @@ def born(vector: tuple, psi: tuple) -> float:
     return abs(vector[0].conjugate() * psi[0] + vector[1].conjugate() * psi[1]) ** 2
 
 
-def qubit_probabilities(alpha: float, phi: float, b_rotation: float, b_phase: float) -> tuple:
-    """Unvalidated ``(p1, p2, t11, t12, t21, t22, q1, q2)`` of :func:`qubit_statistics`."""
-    psi, basis = qubit_state(alpha, phi), qubit_basis(b_rotation, b_phase)
-    return (*[born(b, psi) for b in basis], *[abs(z) ** 2 for b in basis for z in b],
-            abs(psi[0]) ** 2, abs(psi[1]) ** 2)
-
-
 def qubit_statistics(model: QubitModel) -> ContextStatistics:
     """Exact measurement statistics of a pure two-level state.
 
@@ -205,9 +189,11 @@ def qubit_statistics(model: QubitModel) -> ContextStatistics:
     completeness of both bases, and the implied coefficients are
     trigonometric.
     """
-    return _statistics_of(
-        *qubit_probabilities(model.alpha, model.phi, model.b_rotation, model.b_phase)
-    )
+    psi = qubit_state(model.alpha, model.phi)
+    basis = qubit_basis(model.b_rotation, model.b_phase)
+    return ContextStatistics([born(b, psi) for b in basis],
+                             TransitionMatrix([[abs(z) ** 2 for z in b] for b in basis]),
+                             [abs(z) ** 2 for z in psi])
 
 
 def synthesize_statistics(model: SyntheticModel) -> ContextStatistics:
@@ -267,15 +253,16 @@ def classical_chunk(chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 def random_classical_rows(seeds: range) -> np.ndarray:
-    """The ``(len(seeds), 8)`` block of :func:`classical_probabilities` of
-    ``random_model("classical", s)`` for each seed ``s`` of a nonempty range of
-    consecutive seeds, bit for bit.
+    """The unvalidated ``(len(seeds), 8)`` block ``(p1, p2, t11, t12, t21, t22, q1, q2)``
+    of ``random_model("classical", s)`` for each seed ``s`` of a nonempty range of
+    consecutive seeds: bit for bit what :func:`classical_statistics` computes
+    before its validation clips it.
 
     The first and the last seed are checked, so an out-of-range seed is reported
     as the first such seed in order.  Each draw chunk is tallied at once:
     ``np.bincount`` adds each model's weights in index order, as the scalar loop
     does.  Every draw has a point in each filtration, so no row has the zero
-    B-weight that :func:`classical_probabilities` refuses.
+    B-weight that :func:`classical_statistics` refuses.
     """
     require_seed(seeds.start)
     require_seed(min(seeds[-1], 2**64))  # 2^64 is the first bad seed, if the range reaches it

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,11 +47,8 @@ _LIFTABLE = (TheoryKind.CLASSICAL, TheoryKind.TRIGONOMETRIC)
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """One analysis of ``stats``.
-
-    The normalization residual and the amplitude lift are computed when
-    first read, so callers that never read them do not pay for them.
-    """
+    """One analysis of ``stats``; ``amplitudes`` and ``born_residual`` are None
+    outside the classical and trigonometric regimes."""
 
     stats: ContextStatistics
     lambda_point: LambdaPair
@@ -60,28 +56,9 @@ class AnalysisReport:
     phases: PhasePair
     theory_class: TheoryClass
     balance: BalanceReport
-
-    @cached_property
-    def normalization_residual(self) -> float:
-        return normalization_residual(self.stats, self.lambda_point)
-
-    @cached_property
-    def amplitudes(self) -> AmplitudePair | None:
-        """The amplitude lift; None outside the classical and trigonometric regimes."""
-        if self.theory_class.kind not in _LIFTABLE:
-            return None
-        # A classical verdict with eps_class > 1 admits |lambda| > 1, which
-        # phase_branch clamps to |lambda| = 1 (a trigonometric verdict needs
-        # |lambda| <= 1 - eps_class, so the clamp never acts on it).  The
-        # clamp shifts the lifted norm by at most the total overshoot.
-        overshoot = sum(max(0.0, abs(value) - 1.0) for value in self.lambda_point)
-        return lift_to_amplitudes(self.stats, self.phases, norm_tol=TOL_EXACT + overshoot)
-
-    @cached_property
-    def born_residual(self) -> float | None:
-        if self.amplitudes is None:
-            return None
-        return born_residual(self.amplitudes, self.stats.outcome)
+    normalization_residual: float
+    amplitudes: AmplitudePair | None
+    born_residual: float | None
 
 
 def _assemble(
@@ -92,16 +69,21 @@ def _assemble(
     eps_class: float,
     tol: float,
 ) -> AnalysisReport:
-    return AnalysisReport(
-        stats=stats,
-        lambda_point=lam,
-        lambda_estimate=estimate,
-        phases=phase_parametrization(
-            lam, trig_tol=eps_class if verdict.kind in _LIFTABLE else 0.0
-        ),
-        theory_class=verdict,
-        balance=check_double_stochastic(stats.transition, tol),
-    )
+    liftable = verdict.kind in _LIFTABLE
+    phases = phase_parametrization(lam, trig_tol=eps_class if liftable else 0.0)
+    balance = check_double_stochastic(stats.transition, tol)
+    residual = normalization_residual(stats, lam)
+    amplitudes = born = None
+    if liftable:
+        # A classical verdict with eps_class > 1 admits |lambda| > 1, which
+        # phase_branch clamps to |lambda| = 1 (a trigonometric verdict needs
+        # |lambda| <= 1 - eps_class, so the clamp never acts on it).  The
+        # clamp shifts the lifted norm by at most the total overshoot.
+        overshoot = sum(max(0.0, abs(value) - 1.0) for value in lam)
+        amplitudes = lift_to_amplitudes(stats, phases, norm_tol=TOL_EXACT + overshoot)
+        born = born_residual(amplitudes, stats.outcome)
+    return AnalysisReport(stats, lam, estimate, phases, verdict, balance, residual, amplitudes,
+                          born)
 
 
 def analyze_exact(

@@ -20,10 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctxprob
-from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix, exact_statistics
+from ctxprob import (ContextStatistics, ExperimentFile, QubitModel, TransitionMatrix,
+                     exact_statistics)
 from ctxprob._validation import clip_probability
 from ctxprob.cli import _csv_chunks, _parse, _sweep_block, build_parser, main
-from ctxprob.models import qubit_probabilities, random_model
+from ctxprob.models import random_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -324,9 +325,13 @@ class TestSweep:
         points = list(itertools.product(*axes))
         assert [list(map(float.hex, row)) for row in zip(*(c.tolist() for c in columns))] == [
             list(map(float.hex, point)) for point in points]
+        # The block is unvalidated: compare it clipped, as analyze_block reads it.
         for point, row in zip(points, block.tolist(), strict=True):
-            assert list(map(float.hex, row)) == list(
-                map(float.hex, qubit_probabilities(*point)))
+            stats = exact_statistics(QubitModel(*point))
+            expected = [*stats.prior, *stats.transition.rows[0], *stats.transition.rows[1],
+                        *stats.outcome]
+            assert [clip_probability(value).hex() for value in row] == list(
+                map(float.hex, expected))
 
     @given(seed=st.integers(0, 2**64 - 1), before=st.lists(st.integers(0, 150), min_size=2,
                                                           max_size=2),
@@ -764,6 +769,31 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith(f"ctxprob: invalid input: {message}")
         assert err.count("\n") == 1
+
+    def test_a_path_is_shown_as_its_repr(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("a\nb.json").write_bytes(b"\xff")
+        assert main([command, "a\nb.json"]) == 1
+        assert main([command, "a\nc.json"]) == 1
+        assert capsys.readouterr().err == (
+            "ctxprob: invalid input: 'a\\nb.json' is not UTF-8 text: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n"
+            "ctxprob: invalid input: cannot read 'a\\nc.json': No such file or directory\n")
+
+    def test_a_long_path_is_cut(self, command, tmp_path, capsys):
+        path = str(tmp_path / ("x" * 5000))
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ctxprob: invalid input: cannot read {repr(path)[:77]}...: ")
+        assert err.count("\n") == 1 and len(err) <= 141
+
+
+def test_an_unwritable_long_output_path_is_cut(tmp_path, capsys):
+    output = str(tmp_path / "missing-dir" / ("y" * 3000))
+    assert main(["analyze", str(GOLDEN / "inputs" / "e1_exact.json"), "--output", output]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctxprob: i/o error: [Errno 2] No such file or directory: ")
+    assert err.count("\n") == 1 and len(err) == len("ctxprob: i/o error: ") + 81
 
 
 def _outcome(parse, argv):

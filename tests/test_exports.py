@@ -1,7 +1,8 @@
 """Public names: every name ``ctxprob.__all__`` or a public module's ``__all__``
 lists resolves.  The module lists are the only source of the package's.  No
 module or test imports a name it does not use, no module imports a private name
-of a sibling, and the package raises every error class it lists."""
+of a sibling, every top-level definition of the package is read or listed, and
+the package raises every error class it lists."""
 
 import ast
 import importlib
@@ -71,6 +72,49 @@ def test_no_module_imports_a_name_it_does_not_use(path):
 def test_an_unused_import_is_found():
     source = "import math\nimport os.path\nfrom re import compile, sub\n__all__ = ['sub']\n"
     assert unused_imports(source) == ["compile", "math", "os"]
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level ``def`` and ``class`` of ``sources`` (module
+    name to source) that no module reads outside its own body and its module's
+    ``__all__`` does not list."""
+    defined, listed, read = [], set(), set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = node.name
+                defined.append((module, owner))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                listed |= {(module, leaf.value) for leaf in ast.walk(node.value)
+                           if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)}
+            for leaf in ast.walk(node):
+                if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
+                    name = leaf.id
+                elif isinstance(leaf, ast.Attribute):
+                    name = leaf.attr
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return [f"{module}.{name}" for module, name in defined
+            if name not in read and (module, name) not in listed]
+
+
+def test_every_definition_is_read_or_listed():
+    assert dead_definitions({path.stem: path.read_text(encoding="utf-8")
+                             for path in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_a_dead_definition_is_found():
+    sources = {
+        "a": "def used(): pass\ndef dead(): pass\ndef recursive(): return recursive()\n"
+             "class Listed: pass\n__all__ = ['Listed']\n",
+        "b": "from .a import used\nused()\ndef Listed(): pass\n",
+    }
+    assert dead_definitions(sources) == ["a.dead", "a.recursive", "b.Listed"]
 
 
 def private_sibling_imports(source: str) -> list[str]:

@@ -25,7 +25,6 @@ from ctxprob import (
     random_model,
     synthesize_statistics,
 )
-from ctxprob.models import classical_probabilities
 
 E2_MODEL = KolmogorovModel(
     weights=(0.06, 0.24, 0.42, 0.28), a_values=(0, 1, 0, 1), b_values=(0, 0, 1, 1)
@@ -62,11 +61,9 @@ class TestClassicalStatistics:
 
     def test_probabilities_raise_the_statistics_error(self):
         model = KolmogorovModel(weights=(0.5, 0.5), a_values=(0, 1), b_values=(0, 0))
-        with pytest.raises(DegenerateContextError, match="zero probability") as helper:
-            classical_probabilities(model.weights, model.a_values, model.b_values)
         with pytest.raises(DegenerateContextError, match="zero probability") as statistics:
             classical_statistics(model)
-        assert str(helper.value) == str(statistics.value) == (
+        assert str(statistics.value) == (
             "B-outcome 2 has zero probability; filtration impossible"
         )
 

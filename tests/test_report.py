@@ -1,5 +1,6 @@
 """Columnar analysis: ``analyze_block`` equals ``analyze_exact`` row by row."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxprob import ContextStatistics, CtxprobError, TransitionMatrix, analyze_exact
+from ctxprob import (ContextStatistics, CtxprobError, TransitionMatrix, analyze_exact,
+                     report_to_dict)
 from ctxprob.calculus import interference_terms
 from ctxprob.report import analyze_block
 
@@ -142,3 +144,17 @@ def test_a_report_without_amplitudes_has_no_born_residual():
     )
     report = analyze_exact(hyperbolic)
     assert report.amplitudes is None and report.born_residual is None
+
+
+@pytest.mark.parametrize("transition, outcome, lifted", [
+    (((0.5, 0.5), (0.5, 0.5)), (0.75, 0.25), True),
+    (((0.8, 0.2), (0.2, 0.8)), (1.0, 0.0), False),
+], ids=["e1", "e3"])
+def test_the_report_holds_every_value_its_payload_writes(transition, outcome, lifted):
+    report = analyze_exact(ContextStatistics((0.5, 0.5), TransitionMatrix(transition), outcome))
+    fields, payload = dataclasses.asdict(report), report_to_dict(report)
+    assert fields["normalization_residual"] == payload["normalization_residual"]
+    assert fields["born_residual"] == payload.get("born_residual")
+    psi = fields["amplitudes"] and [[z.real, z.imag] for z in fields["amplitudes"]["psi"]]
+    assert psi == payload.get("amplitudes", {}).get("psi")
+    assert (psi is not None) is lifted
