@@ -577,7 +577,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ctxprob: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
-        print(f"ctxprob: i/o error: {cut(str(exc))}", file=sys.stderr)
+        if exc.errno is None or exc.filename is None:
+            reason = cut(str(exc))
+        else:  # cut the path alone, so that the errno text does not shorten it
+            reason = f"[Errno {exc.errno}] {exc.strerror}: {cut(repr(exc.filename))}"
+        print(f"ctxprob: i/o error: {reason}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Any
 
 from ._validation import as_pair, shown
@@ -62,9 +64,69 @@ DEFAULT_OBSERVABLES = (
 )
 
 
+#: One level of the canonical indent.
+_INDENT = "  "
+
+
 def canonical_dumps(payload: Any) -> str:
-    """Serialize to canonical JSON text (deterministic bytes)."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Serialize to canonical JSON text (deterministic bytes).
+
+    The text is byte for byte ``json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, written here because ``json`` skips its C encoder
+    whenever ``indent`` is set.  :func:`_write` takes values of the exact builtin
+    JSON types itself; any other value, such as a float subclass, an ``IntEnum``,
+    a dict with non-str keys or a non-finite float, goes to ``json.dumps`` alone,
+    which writes it or raises as it would for the whole payload.  A container
+    that holds itself raises ``RecursionError``, where ``json`` raises ``ValueError``.
+    """
+    chunks: list[str] = []
+    _write(payload, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value: Any, newline: str, out) -> None:
+    """Pass the canonical text of ``value`` to ``out``; ``newline`` starts a line at its depth."""
+    kind = type(value)
+    if kind is str:
+        out(encode_basestring_ascii(value))
+    elif kind is int:
+        out(int.__repr__(value))
+    elif kind is float and isfinite(value):
+        out(float.__repr__(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out("{}")
+            return
+        inner = newline + _INDENT
+        start = "{" + inner
+        for key in sorted(value):
+            out(start)
+            out(encode_basestring_ascii(key))
+            out(": ")
+            _write(value[key], inner, out)
+            start = "," + inner
+        out(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out("[]")
+            return
+        inner = newline + _INDENT
+        start = "[" + inner
+        for item in value:
+            out(start)
+            _write(item, inner, out)
+            start = "," + inner
+        out(newline + "]")
+    else:
+        text = json.dumps(value, sort_keys=True, indent=_INDENT, allow_nan=False)
+        out(text.replace("\n", newline))
 
 
 def _require_keys(obj: dict, where: str, allowed: set, required: set | None = None) -> None:

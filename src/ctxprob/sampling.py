@@ -68,6 +68,11 @@ MAX_BOOTSTRAP_REPLICATES = 10**6
 #: Coverage of the percentile-bootstrap interval of :func:`estimate_lambda`.
 CONFIDENCE = 0.95
 
+#: Fewest replicates whose four bootstrap rows are drawn on two threads.  Measured
+#: on two CPUs, one thread draws faster below about 1500 replicates at n = 100 and
+#: below about 2500-3000 at n = 10^4 and 10^6.
+_TWO_THREADS_FROM = 2500
+
 
 #: The four experiments in the order of roles 1-4 and of the bootstrap's ``j``: each one's
 #: role and its names in estimate_statistics, simulate_counts' sizes and CountsRecord.
@@ -215,21 +220,28 @@ def _bootstrap_frequencies(counts: CountsRecord, replicates: int, seed: int) -> 
     any larger ``R``.  One call per ``(n, p)`` also lets numpy's binomial
     sampler set itself up once, not once per draw.
 
-    The four generators are derived here, in order; then a second thread draws
-    rows 2-3 while this one draws rows 0-1 (numpy's binomial releases the GIL).
-    Each row has its own generator and its own slot of the result, so its bytes
-    do not depend on which thread draws it or when.  An error of either half is
-    raised here, after both are done.
+    The four generators are derived here, in order.  Below
+    :data:`_TWO_THREADS_FROM` replicates this thread draws all four rows.  From
+    it up, a second thread draws rows 2-3 while this one draws rows 0-1
+    (numpy's binomial releases the GIL): starting the thread costs more than
+    half of a smaller draw.  Each row has its own generator and its own slot of
+    the result, so its bytes do not depend on which thread draws it or when.
+    An error of either half is raised here, after both are done.
     """
     draws = [(substream(seed, ROLE_BOOTSTRAP_EXPERIMENT, j), n, k)
              for j, (_, n, (k, _)) in enumerate(_tallies(counts))]
     frequencies = np.empty((len(draws), replicates))
-    errors, worker_errors = [], []
-    worker = threading.Thread(target=_draw_rows, args=(frequencies[2:], draws[2:], worker_errors))
-    worker.start()
-    _draw_rows(frequencies[:2], draws[:2], errors)
-    worker.join()
-    errors += worker_errors
+    errors = []
+    if replicates < _TWO_THREADS_FROM:
+        _draw_rows(frequencies, draws, errors)
+    else:
+        worker_errors = []
+        worker = threading.Thread(target=_draw_rows,
+                                  args=(frequencies[2:], draws[2:], worker_errors))
+        worker.start()
+        _draw_rows(frequencies[:2], draws[:2], errors)
+        worker.join()
+        errors += worker_errors
     if errors:
         raise errors[0]
     return frequencies

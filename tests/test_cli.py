@@ -791,9 +791,26 @@ class TestUnreadableInput:
 def test_an_unwritable_long_output_path_is_cut(tmp_path, capsys):
     output = str(tmp_path / "missing-dir" / ("y" * 3000))
     assert main(["analyze", str(GOLDEN / "inputs" / "e1_exact.json"), "--output", output]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ctxprob: i/o error: [Errno 2] No such file or directory: ")
-    assert err.count("\n") == 1 and len(err) == len("ctxprob: i/o error: ") + 81
+    assert capsys.readouterr().err == (
+        f"ctxprob: i/o error: [Errno 2] No such file or directory: {repr(output)[:77]}...\n"
+    )
+
+
+def test_an_unwritable_output_path_is_shown_whole(tmp_path, monkeypatch, capsys):
+    # the errno text does not count towards the 80 characters of the path
+    monkeypatch.chdir(tmp_path)
+    output = "results-2026-10-20/analysis-of-the-e1-instance.json"
+    assert main(["analyze", str(GOLDEN / "inputs" / "e1_exact.json"), "--output", output]) == 1
+    assert capsys.readouterr().err == (
+        f"ctxprob: i/o error: [Errno 2] No such file or directory: '{output}'\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_an_output_write_error_without_a_path_is_shown(capsys):
+    # a failed write names no file: the error is shown as str(exc)
+    assert main(["balance", str(GOLDEN / "inputs" / "e1_exact.json"), "--output", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "ctxprob: i/o error: [Errno 28] No space left on device\n"
 
 
 def _outcome(parse, argv):

@@ -105,7 +105,9 @@ def test_differential_check_of_the_same_tree_finds_nothing(differential, base_tr
 
 def test_differential_check_finds_a_planted_byte(differential, base_tree, capsys):
     io_py = base_tree / "src" / "ctxprob" / "io.py"
-    io_py.write_text(io_py.read_text().replace("indent=2", "indent=3"))
+    planted = io_py.read_text().replace('_INDENT = "  "', '_INDENT = "   "')
+    assert planted != io_py.read_text()
+    io_py.write_text(planted)
     assert differential.main(["--base", str(base_tree), "--cases", "24", "--seed", "3"]) == 1
     assert ": 0 differences;" not in capsys.readouterr().out
 

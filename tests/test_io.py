@@ -1,9 +1,13 @@
 """Experiment-file schema and canonical serialization."""
 
+import enum
+import functools
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctxprob import (
     ContextStatistics,
@@ -40,6 +44,29 @@ E3_MODEL = {
 }
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Real(float):
+    pass
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    _FLOATS, st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, 9999999999999998.0]),
+    st.text(), st.sampled_from(_Level), _FLOATS.map(_Real),
+)
+#: JSON values, with the values that canonical_dumps hands to json.dumps: an IntEnum, a
+#: float subclass and a dict with int keys.
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner),
+    st.dictionaries(st.integers(), inner),
+), max_leaves=20)
+
+
 class TestCanonicalJson:
     def test_key_order_is_normalized(self):
         a = canonical_dumps({"b": 1, "a": 2})
@@ -58,6 +85,31 @@ class TestCanonicalJson:
 
     def test_trailing_newline(self):
         assert canonical_dumps({}).endswith("\n")
+
+    @settings(max_examples=300)
+    @given(_JSON_VALUES)
+    @example("caf\u00e9 \u2603 \U0001f600 \x00\x1f\x7f\t\n\"\\")
+    @example([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-05,
+              9.999999999999999e-06, 1e308])
+    @example([2**64, -(2**64) - 1, 10**40, True, False, None, (1, ("a", ()))])
+    @example({"empty": [{}, [], ()], "deep": functools.reduce(lambda v, _: [v], range(60), {})})
+    @example({"fallback": [_Level.HIGH, _Real(0.5), {2: "b", 1: [_Level.LOW]}], "z": {"y": 1}})
+    def test_same_bytes_as_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert canonical_dumps(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, object(), {"x": [1.0, math.nan]}, [{"x": object()}],
+        {"x": _Real(math.inf)}, {1: math.nan},
+    ], ids=["nan", "inf", "-inf", "object", "nested-nan", "nested-object", "subclass-inf",
+            "int-key-nan"])
+    def test_same_error_as_json_dumps(self, value):
+        with pytest.raises(Exception) as expected:
+            json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(Exception) as raised:
+            canonical_dumps(value)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestModelDescriptors:

@@ -54,18 +54,15 @@ class TestClassicalStatistics:
         lam = lambda_from_statistics(classical_statistics(E2_MODEL))
         assert abs(lam.lambda1) <= 1e-12 and abs(lam.lambda2) <= 1e-12
 
-    def test_zero_filtration(self):
-        model = KolmogorovModel(weights=(1.0, 0.0), a_values=(0, 1), b_values=(0, 1))
-        with pytest.raises(DegenerateContextError, match="zero probability"):
+    @pytest.mark.parametrize("weights, b_values", [
+        ((1.0, 0.0), (0, 1)),  # the one point with b = 1 has weight zero
+        ((0.5, 0.5), (0, 0)),  # no point has b = 1
+    ], ids=["zero-weight-point", "no-point"])
+    def test_zero_filtration(self, weights, b_values):
+        model = KolmogorovModel(weights=weights, a_values=(0, 1), b_values=b_values)
+        with pytest.raises(DegenerateContextError) as raised:
             classical_statistics(model)
-
-    def test_probabilities_raise_the_statistics_error(self):
-        model = KolmogorovModel(weights=(0.5, 0.5), a_values=(0, 1), b_values=(0, 0))
-        with pytest.raises(DegenerateContextError, match="zero probability") as statistics:
-            classical_statistics(model)
-        assert str(statistics.value) == (
-            "B-outcome 2 has zero probability; filtration impossible"
-        )
+        assert str(raised.value) == "B-outcome 2 has zero probability; filtration impossible"
 
     def test_deterministic_coupling(self):
         model = KolmogorovModel(weights=(0.5, 0.5), a_values=(0, 1), b_values=(0, 1))

@@ -28,7 +28,9 @@ from ctxprob import (
 from ctxprob._rng import ROLE_STUDY, substream
 from ctxprob.calculus import invert_column
 from ctxprob.io import ExperimentFile
-from ctxprob.sampling import CONFIDENCE, _bootstrap_frequencies, _linear_percentile
+from ctxprob.sampling import (
+    _TWO_THREADS_FROM, CONFIDENCE, _bootstrap_frequencies, _linear_percentile
+)
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -331,21 +333,37 @@ class TestBootstrapKernel:
         # its BTPE sampler
         (10**6, (300000, 500000, 700000, 123456), 1000),
         (10**6, (300000, 500000, 700000, 123456), 1),
+        # both samplers with rows 2-3 drawn on the second thread
+        (75, (10, 20, 30, 5), _TWO_THREADS_FROM),
+        (10**6, (300000, 500000, 700000, 123456), _TWO_THREADS_FROM),
     ])
-    def test_same_bytes_as_the_serial_draw(self, n, tallies, replicates):
+    def test_same_bytes_as_the_serial_draw(self, monkeypatch, n, tallies, replicates):
         k1, k2, k3, k4 = tallies
         counts = CountsRecord(n_context=n, a_counts=(k1, n - k1), n_filtration=n,
                               b_counts=(k2, n - k2), n_filtered=(n, n),
                               a_counts_given=((k3, n - k3), (k4, n - k4)), seed=0)
         serial = np.stack([substream(7, 8, j).binomial(n, k / n, size=replicates) / n
                            for j, k in enumerate(tallies)])
+        draw_rows = ctxprob.sampling._draw_rows
+        drawn_on = []
+
+        def recorded(rows, draws, errors):
+            drawn_on.append((threading.get_ident() == caller, len(draws)))
+            draw_rows(rows, draws, errors)
+
+        caller = threading.get_ident()
+        monkeypatch.setattr(ctxprob.sampling, "_draw_rows", recorded)
         drawn = _bootstrap_frequencies(counts, replicates, seed=7)
         assert drawn.dtype == serial.dtype and drawn.shape == serial.shape
         assert drawn.tobytes() == serial.tobytes()
+        # (on the calling thread, rows drawn) of each _draw_rows call
+        two_threads = replicates >= _TWO_THREADS_FROM
+        assert sorted(drawn_on) == ([(False, 2), (True, 2)] if two_threads else [(True, 4)])
 
     @pytest.mark.parametrize("failing", [0, 2])
     def test_a_failed_draw_is_raised(self, monkeypatch, failing):
-        # row 0 is drawn on the calling thread, row 2 on the second one
+        # row 0 is drawn on the calling thread; row 2 on the second one from
+        # _TWO_THREADS_FROM replicates up, and on the calling thread below it
         counts = simulate_counts(E1_MODEL, 1000, seed=4)
         substream = ctxprob.sampling.substream
 
@@ -357,8 +375,9 @@ class TestBootstrapKernel:
             return Failing() if j == failing else substream(seed, role, j)
 
         monkeypatch.setattr(ctxprob.sampling, "substream", failing_at)
-        with pytest.raises(RuntimeError, match=f"draw of experiment {failing} failed"):
-            estimate_lambda(counts, replicates=100, seed=9)
+        for replicates in (100, _TWO_THREADS_FROM):
+            with pytest.raises(RuntimeError, match=f"draw of experiment {failing} failed"):
+                estimate_lambda(counts, replicates=replicates, seed=9)
 
 
 def stacked_reduction(counts, replicates, seed):
