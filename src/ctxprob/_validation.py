@@ -1,10 +1,13 @@
-"""Shared input-validation helpers.
+"""Shared input-validation helpers and the base of the value objects.
 
 The ``require_*`` helpers raise :class:`~ctxprob.errors.ValidationError` on
 contract violations and return cleaned-up Python floats/ints otherwise.
 Probabilities may stray outside [0, 1] by at most ``TOL_EXACT`` (floating-point
 noise) and are clipped back.  Of the rules, only :func:`out_of_range` and
 :func:`sum_residual` also take numpy arrays.
+
+:class:`Record` is the base of every value object of the package: each one
+validates its arguments in its own ``__init__`` and stores them once.
 """
 
 from __future__ import annotations
@@ -32,6 +35,37 @@ _SHOWN = reprlib.Repr()
 _SHOWN.maxlevel = 2
 _SHOWN.maxtuple = _SHOWN.maxlist = _SHOWN.maxdict = 4
 _SHOWN.maxlong = _SHOWN.maxstring = _SHOWN.maxother = 24
+
+
+class Record:
+    """An immutable record: ``==``, ``hash`` and ``repr`` by its fields, as a frozen
+    dataclass has them, with no code written when a subclass is defined.
+
+    A subclass's ``__init__`` checks its arguments and stores them with one call of
+    :meth:`_set`, in the order of its parameters, which is the field order.  The
+    fields stay in the instance ``__dict__``, so ``vars()`` reads them.
+    """
+
+    def _set(self, **fields: Any) -> None:
+        self.__dict__.update(fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def shown(value: Any) -> str:

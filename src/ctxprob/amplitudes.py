@@ -17,40 +17,35 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from ._validation import TOL_EXACT, as_pair, shown
+from ._validation import TOL_EXACT, Record, as_pair, shown
 from .calculus import ContextStatistics, PhasePair
 from .errors import InfeasibleLambdaError, ValidationError
 
 __all__ = ["AmplitudePair", "lift_to_amplitudes", "born_residual"]
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
+class AmplitudePair(Record):
     """Complex amplitudes (psi1, psi2), one per A-outcome.
 
     The squared moduli sum to one (inherited from outcome normalization);
     construction rejects pairs violating this within ``norm_tol``.
     """
 
-    psi: tuple[complex, complex]
-    phases: PhasePair
-    norm_tol: float = TOL_EXACT
-
-    def __post_init__(self) -> None:
+    def __init__(self, psi: tuple[complex, complex], phases: PhasePair,
+                 norm_tol: float = TOL_EXACT) -> None:
         shape = "amplitude pair must have exactly two components"
-        psi = as_pair(self.psi, shape)
+        psi = as_pair(psi, shape)
         try:
             psi = tuple(map(complex, psi))
         except (TypeError, ValueError):
             raise ValidationError(f"amplitudes must be complex numbers, got {shown(psi)}") from None
         norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
-        if abs(norm - 1.0) > self.norm_tol:
+        if abs(norm - 1.0) > norm_tol:
             raise ValidationError(
                 f"amplitudes must satisfy |psi1|^2 + |psi2|^2 = 1, got {norm}"
             )
-        object.__setattr__(self, "psi", psi)
+        self._set(psi=psi, phases=phases, norm_tol=norm_tol)
 
     def probabilities(self) -> tuple[float, float]:
         return (abs(self.psi[0]) ** 2, abs(self.psi[1]) ** 2)

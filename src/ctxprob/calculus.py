@@ -30,12 +30,12 @@ and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
 
 from ._validation import (
     TOL_DEGENERATE,
+    Record,
     TOL_EXACT,
     as_pair,
     as_tuple,
@@ -82,35 +82,30 @@ EPS_CLASS_DEFAULT = 1e-6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DichotomicObservable:
+class DichotomicObservable(Record):
     """A two-outcome observable: a name and an ordered pair of outcome labels."""
 
-    name: str
-    value_labels: tuple[str, str]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, value_labels: tuple[str, str]) -> None:
+        if not isinstance(name, str) or not name:
             raise ValidationError("observable name must be a nonempty string")
         try:
-            labels = as_tuple(self.value_labels, "")
+            labels = as_tuple(value_labels, "")
         except ValidationError:
             labels = None
         # The message is built only on failure: every file load makes two observables.
         if labels is None or len(labels) != 2 or not all(isinstance(v, str) and v for v in labels):
-            got = shown(self.value_labels if labels is None else labels)
+            got = shown(value_labels if labels is None else labels)
             raise ValidationError(
-                f"observable {shown(self.name)} labels must be two nonempty strings, got {got}"
+                f"observable {shown(name)} labels must be two nonempty strings, got {got}"
             )
         if labels[0] == labels[1]:
             raise ValidationError(
-                f"observable {shown(self.name)} labels must be distinct, got {shown(labels)}"
+                f"observable {shown(name)} labels must be distinct, got {shown(labels)}"
             )
-        object.__setattr__(self, "value_labels", labels)
+        self._set(name=name, value_labels=labels)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Record):
     """Row-stochastic 2x2 matrix of conditional outcome probabilities.
 
     ``rows[i][j]`` is the probability of A-outcome ``j`` measured on the
@@ -119,18 +114,14 @@ class TransitionMatrix:
     the column sums are *not* constrained here.
     """
 
-    rows: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        rows = as_pair(self.rows, "transition matrix must have exactly two rows")
-        clean = tuple(
+    def __init__(self, rows: tuple[tuple[float, float], tuple[float, float]]) -> None:
+        rows = as_pair(rows, "transition matrix must have exactly two rows")
+        self._set(rows=tuple(
             require_distribution(row, f"transition row {i + 1}") for i, row in enumerate(rows)
-        )
-        object.__setattr__(self, "rows", clean)
+        ))
 
 
-@dataclass(frozen=True)
-class ContextStatistics:
+class ContextStatistics(Record):
     """Complete probability data of one (context, A, B) triple.
 
     ``prior``: filtration probabilities of the two B-outcomes;
@@ -138,19 +129,16 @@ class ContextStatistics:
     ``outcome``: A-statistics of the unfiltered context.
     """
 
-    prior: tuple[float, float]
-    transition: TransitionMatrix
-    outcome: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prior", require_distribution(self.prior, "prior"))
-        if not isinstance(self.transition, TransitionMatrix):
-            object.__setattr__(self, "transition", TransitionMatrix(self.transition))
-        object.__setattr__(self, "outcome", require_distribution(self.outcome, "outcome"))
+    def __init__(self, prior: tuple[float, float], transition: TransitionMatrix,
+                 outcome: tuple[float, float]) -> None:
+        prior = require_distribution(prior, "prior")
+        if not isinstance(transition, TransitionMatrix):
+            transition = TransitionMatrix(transition)
+        self._set(prior=prior, transition=transition,
+                  outcome=require_distribution(outcome, "outcome"))
 
 
-@dataclass(frozen=True)
-class LambdaPair:
+class LambdaPair(Record):
     """Interference coefficients (lambda1, lambda2), one per A-outcome.
 
     Each coefficient is the deviation of the observed outcome probability
@@ -159,12 +147,9 @@ class LambdaPair:
     for genuine statistics, constrained only by outcome feasibility.
     """
 
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda1", require_finite(self.lambda1, "lambda1"))
-        object.__setattr__(self, "lambda2", require_finite(self.lambda2, "lambda2"))
+    def __init__(self, lambda1: float, lambda2: float) -> None:
+        self._set(lambda1=require_finite(lambda1, "lambda1"),
+                  lambda2=require_finite(lambda2, "lambda2"))
 
     def __iter__(self) -> Iterator[float]:
         yield self.lambda1
@@ -179,8 +164,7 @@ class PhaseKind(str, Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(Record):
     """One phase parameter: either ``cos(theta)`` or ``sign * cosh(theta)``.
 
     Trigonometric phases live on the principal branch ``theta in [0, pi]``,
@@ -188,35 +172,30 @@ class Phase:
     phase -> coefficient is a bijection and round trips exactly.
     """
 
-    kind: PhaseKind
-    theta: float
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        theta = require_finite(self.theta, "theta")
-        if self.kind is PhaseKind.TRIGONOMETRIC:
+    def __init__(self, kind: PhaseKind, theta: float, sign: int = 1) -> None:
+        theta = require_finite(theta, "theta")
+        if kind is PhaseKind.TRIGONOMETRIC:
             if not 0.0 <= theta <= math.pi:
                 raise ValidationError(f"trigonometric theta must be in [0, pi], got {theta}")
-            if self.sign != 1:
+            if sign != 1:
                 raise ValidationError("trigonometric phases carry no sign")
         else:
             if theta < 0.0:
                 raise ValidationError(f"hyperbolic theta must be >= 0, got {theta}")
-            if self.sign not in (-1, 1):
-                raise ValidationError(f"hyperbolic sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "theta", theta)
+            if sign not in (-1, 1):
+                raise ValidationError(f"hyperbolic sign must be +1 or -1, got {sign}")
+        self._set(kind=kind, theta=theta, sign=sign)
 
     @property
     def is_trigonometric(self) -> bool:
         return self.kind is PhaseKind.TRIGONOMETRIC
 
 
-@dataclass(frozen=True)
-class PhasePair:
+class PhasePair(Record):
     """Phase parametrizations of the two interference coefficients."""
 
-    phase1: Phase
-    phase2: Phase
+    def __init__(self, phase1: Phase, phase2: Phase) -> None:
+        self._set(phase1=phase1, phase2=phase2)
 
     def __iter__(self) -> Iterator[Phase]:
         yield self.phase1
@@ -235,8 +214,7 @@ class TheoryKind(str, Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class TheoryClass:
+class TheoryClass(Record):
     """Classification verdict for a coefficient pair.
 
     ``hyper_component`` (1-based) names the coefficient with magnitude above
@@ -244,24 +222,21 @@ class TheoryClass:
     sitting within the epsilon band around magnitude one.
     """
 
-    kind: TheoryKind
-    hyper_component: int | None = None
-    boundary_components: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.kind is TheoryKind.HYPER_TRIGONOMETRIC and self.hyper_component not in (1, 2):
+    def __init__(self, kind: TheoryKind, hyper_component: int | None = None,
+                 boundary_components: tuple[int, ...] = ()) -> None:
+        if kind is TheoryKind.HYPER_TRIGONOMETRIC and hyper_component not in (1, 2):
             raise ValidationError("hyper-trigonometric verdict needs hyper_component 1 or 2")
-        if self.kind is not TheoryKind.HYPER_TRIGONOMETRIC and self.hyper_component is not None:
+        if kind is not TheoryKind.HYPER_TRIGONOMETRIC and hyper_component is not None:
             raise ValidationError("hyper_component only applies to hyper-trigonometric verdicts")
-        if self.kind is TheoryKind.BOUNDARY and not self.boundary_components:
+        if kind is TheoryKind.BOUNDARY and not boundary_components:
             raise ValidationError("boundary verdict needs at least one boundary component")
-        if self.kind is not TheoryKind.BOUNDARY and self.boundary_components:
+        if kind is not TheoryKind.BOUNDARY and boundary_components:
             raise ValidationError("boundary_components only apply to boundary verdicts")
-        object.__setattr__(self, "boundary_components", tuple(self.boundary_components))
+        self._set(kind=kind, hyper_component=hyper_component,
+                  boundary_components=tuple(boundary_components))
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(Record):
     """Residuals of the stochasticity and statistical-balance laws.
 
     ``is_stochastic`` checks row sums only (additivity within each filtered
@@ -270,11 +245,11 @@ class BalanceReport:
     ``is_stochastic``.
     """
 
-    row_residuals: tuple[float, float]
-    column_residuals: tuple[float, float]
-    is_stochastic: bool
-    is_double_stochastic: bool
-    tolerance: float
+    def __init__(self, row_residuals: tuple[float, float], column_residuals: tuple[float, float],
+                 is_stochastic: bool, is_double_stochastic: bool, tolerance: float) -> None:
+        self._set(row_residuals=row_residuals, column_residuals=column_residuals,
+                  is_stochastic=is_stochastic, is_double_stochastic=is_double_stochastic,
+                  tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ for fixed inputs and seeds).  Angles are radians.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
+import os
 import re
 import shutil
+import stat
 import sys
 from typing import Iterable, Iterator
 
@@ -53,6 +56,7 @@ __all__ = ["main", "entry_point", "PRESETS"]
 
 EXIT_OK = 0
 EXIT_INVALID = 1
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 #: Named reference instances usable as ``simulate --preset <name>``.
 PRESETS: dict[str, Model] = {
@@ -217,12 +221,42 @@ def _family_flags(args: argparse.Namespace, families: dict, family: str | None) 
 
 
 def _write_output(texts: Iterable[str], path: str | None) -> None:
-    """Write ``texts`` in turn to ``path``, or to stdout if it is None."""
+    """Write ``texts`` in turn to ``path``, or to stdout if it is None.
+
+    Where ``path`` is a regular file or nothing, it ends up holding all of the text
+    or what it held before: the text goes to a new file in its directory, which
+    replaces it after the last chunk and is removed on any error or interrupt.
+    The new file gets the mode ``open(path, "w")`` would leave.  Anything else at
+    ``path``, such as a symlink, a device or a FIFO, is written straight through,
+    as is a path whose directory takes no new file; ``open`` then names ``path``
+    in its error.
+    """
     if path is None:
         sys.stdout.writelines(texts)
-    else:
+        return
+    try:
+        mode = os.lstat(path).st_mode
+    except OSError:
+        mode = None
+    fd = None
+    if mode is None or stat.S_ISREG(mode):
+        temp = os.path.join(os.path.dirname(path), f".ctxprob-{os.urandom(6).hex()}.tmp")
+        with contextlib.suppress(OSError):
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    if fd is None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(texts)
+        return
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            handle.writelines(texts)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def _load_experiment(path: str) -> ExperimentFile:
@@ -576,6 +610,9 @@ def main(argv: list[str] | None = None) -> int:
     except CtxprobError as exc:
         print(f"ctxprob: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except KeyboardInterrupt:
+        print("ctxprob: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except OSError as exc:
         if exc.errno is None or exc.filename is None:
             reason = cut(str(exc))

@@ -32,12 +32,11 @@ Writing the same value therefore always produces identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Any
 
-from ._validation import as_pair, shown
+from ._validation import Record, as_pair, shown
 from .calculus import ContextStatistics, DichotomicObservable
 from .errors import ValidationError
 from .models import KolmogorovModel, Model, QubitModel, SyntheticModel
@@ -257,24 +256,19 @@ def counts_from_dict(payload: dict) -> CountsRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentFile:
+class ExperimentFile(Record):
     """In-memory form of one experiment file (exact or counts, never both)."""
 
-    observables: tuple[DichotomicObservable, DichotomicObservable] = DEFAULT_OBSERVABLES
-    exact: ContextStatistics | None = None
-    counts: CountsRecord | None = None
-    model: Model | None = None
-    note: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.exact is None) == (self.counts is None):
+    def __init__(self, observables: tuple[DichotomicObservable, ...] = DEFAULT_OBSERVABLES,
+                 exact: ContextStatistics | None = None, counts: CountsRecord | None = None,
+                 model: Model | None = None, note: str | None = None) -> None:
+        if (exact is None) == (counts is None):
             raise ValidationError("experiment file needs exactly one of 'exact' or 'counts'")
         two = "experiment file needs exactly two observables"
-        observables = as_pair(self.observables, two)
+        observables = as_pair(observables, two)
         if not all(isinstance(o, DichotomicObservable) for o in observables):
             raise ValidationError(two)
-        object.__setattr__(self, "observables", observables)
+        self._set(observables=observables, exact=exact, counts=counts, model=model, note=note)
 
     def to_dict(self) -> dict:
         payload: dict[str, Any] = {

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from ._rng import ROLE_MODEL, ROLE_MODEL_CLASSICAL_CHUNK, substream
 from ._validation import (
     TOL_EXACT,
+    Record,
     as_pair,
     as_tuple,
     require_distribution,
@@ -65,36 +65,29 @@ _MAX_POINTS = 16
 CLASSICAL_CHUNK_MODELS = 64
 
 
-@dataclass(frozen=True)
-class KolmogorovModel:
+class KolmogorovModel(Record):
     """Finite classical probability space with two dichotomic random variables.
 
     Parallel tuples: ``weights[k]`` is the probability of elementary event
     ``k``, ``a_values[k]`` / ``b_values[k]`` its A/B outcome indices (0 or 1).
     """
 
-    weights: tuple[float, ...]
-    a_values: tuple[int, ...]
-    b_values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, weights: tuple[float, ...], a_values: tuple[int, ...],
+                 b_values: tuple[int, ...]) -> None:
         seq = "weights, a_values and b_values must be sequences"
-        weights = tuple(require_probability(w, "weight") for w in as_tuple(self.weights, seq))
+        weights = tuple(require_probability(w, "weight") for w in as_tuple(weights, seq))
         if not weights:
             raise ValidationError("model needs at least one elementary event")
         if abs(sum(weights) - 1.0) > TOL_EXACT:
             raise ValidationError(f"weights must sum to 1, got {sum(weights)}")
-        a_values = tuple(require_outcome_index(a, "a_value") for a in as_tuple(self.a_values, seq))
-        b_values = tuple(require_outcome_index(b, "b_value") for b in as_tuple(self.b_values, seq))
+        a_values = tuple(require_outcome_index(a, "a_value") for a in as_tuple(a_values, seq))
+        b_values = tuple(require_outcome_index(b, "b_value") for b in as_tuple(b_values, seq))
         if not len(weights) == len(a_values) == len(b_values):
             raise ValidationError("weights, a_values and b_values must have equal length")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "a_values", a_values)
-        object.__setattr__(self, "b_values", b_values)
+        self._set(weights=weights, a_values=a_values, b_values=b_values)
 
 
-@dataclass(frozen=True)
-class QubitModel:
+class QubitModel(Record):
     """Pure two-level state and measurement bases, all phases in radians.
 
     State ``cos(alpha)|a1> + exp(i*phi)*sin(alpha)|a2>`` in the A-eigenbasis;
@@ -103,31 +96,25 @@ class QubitModel:
     chart for two-level measurement statistics.
     """
 
-    alpha: float
-    phi: float
-    b_rotation: float
-    b_phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "phi", "b_rotation", "b_phase"):
-            object.__setattr__(self, name, require_finite(getattr(self, name), name))
+    def __init__(self, alpha: float, phi: float, b_rotation: float,
+                 b_phase: float = 0.0) -> None:
+        self._set(alpha=require_finite(alpha, "alpha"), phi=require_finite(phi, "phi"),
+                  b_rotation=require_finite(b_rotation, "b_rotation"),
+                  b_phase=require_finite(b_phase, "b_phase"))
 
 
-@dataclass(frozen=True)
-class SyntheticModel:
+class SyntheticModel(Record):
     """Generator triple (prior, transition, target coefficients)."""
 
-    prior: tuple[float, float]
-    transition: TransitionMatrix
-    target_lambda: LambdaPair
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prior", require_distribution(self.prior, "prior"))
-        if not isinstance(self.transition, TransitionMatrix):
-            object.__setattr__(self, "transition", TransitionMatrix(self.transition))
-        if not isinstance(self.target_lambda, LambdaPair):
-            pair = as_pair(self.target_lambda, "target_lambda must have exactly two components")
-            object.__setattr__(self, "target_lambda", LambdaPair(*pair))
+    def __init__(self, prior: tuple[float, float], transition: TransitionMatrix,
+                 target_lambda: LambdaPair) -> None:
+        prior = require_distribution(prior, "prior")
+        if not isinstance(transition, TransitionMatrix):
+            transition = TransitionMatrix(transition)
+        if not isinstance(target_lambda, LambdaPair):
+            pair = as_pair(target_lambda, "target_lambda must have exactly two components")
+            target_lambda = LambdaPair(*pair)
+        self._set(prior=prior, transition=transition, target_lambda=target_lambda)
 
 
 Model = KolmogorovModel | QubitModel | SyntheticModel

@@ -10,12 +10,11 @@ balance residuals of the transition matrix, the normalization residual, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._validation import TOL_EXACT, out_of_range, sum_residual
+from ._validation import TOL_EXACT, Record, out_of_range, sum_residual
 from .amplitudes import AmplitudePair, born_residual, lift_to_amplitudes
 from .calculus import (
     EPS_CLASS_DEFAULT,
@@ -45,20 +44,18 @@ __all__ = ["AnalysisReport", "analyze_exact", "analyze_estimated", "report_to_di
 _LIFTABLE = (TheoryKind.CLASSICAL, TheoryKind.TRIGONOMETRIC)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """One analysis of ``stats``; ``amplitudes`` and ``born_residual`` are None
     outside the classical and trigonometric regimes."""
 
-    stats: ContextStatistics
-    lambda_point: LambdaPair
-    lambda_estimate: LambdaEstimate | None
-    phases: PhasePair
-    theory_class: TheoryClass
-    balance: BalanceReport
-    normalization_residual: float
-    amplitudes: AmplitudePair | None
-    born_residual: float | None
+    def __init__(self, stats: ContextStatistics, lambda_point: LambdaPair,
+                 lambda_estimate: LambdaEstimate | None, phases: PhasePair,
+                 theory_class: TheoryClass, balance: BalanceReport, normalization_residual: float,
+                 amplitudes: AmplitudePair | None, born_residual: float | None) -> None:
+        self._set(stats=stats, lambda_point=lambda_point, lambda_estimate=lambda_estimate,
+                  phases=phases, theory_class=theory_class, balance=balance,
+                  normalization_residual=normalization_residual, amplitudes=amplitudes,
+                  born_residual=born_residual)
 
 
 def _assemble(

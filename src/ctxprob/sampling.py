@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from ._rng import (
     substream,
 )
 from ._validation import (
-    as_pair, as_tuple, require_ensemble_size, require_positive_int, require_seed, shown
+    Record, as_pair, as_tuple, require_ensemble_size, require_positive_int, require_seed, shown
 )
 from .calculus import (
     ContextStatistics,
@@ -85,25 +84,19 @@ _EXPERIMENTS = tuple(_Experiment(*row) for row in (
 ))
 
 
-@dataclass(frozen=True)
-class CountsRecord:
+class CountsRecord(Record):
     """Raw tallies of the three experiments, plus the seed that produced them."""
 
-    n_context: int
-    a_counts: tuple[int, int]
-    n_filtration: int
-    b_counts: tuple[int, int]
-    n_filtered: tuple[int, int]
-    a_counts_given: tuple[tuple[int, int], tuple[int, int]]
-    seed: int
-
-    def __post_init__(self) -> None:
-        require_seed(self.seed)
+    def __init__(self, n_context: int, a_counts: tuple[int, int], n_filtration: int,
+                 b_counts: tuple[int, int], n_filtered: tuple[int, int],
+                 a_counts_given: tuple[tuple[int, int], tuple[int, int]], seed: int) -> None:
+        require_seed(seed)
         shape = "counts need exactly two filtered contexts"
-        object.__setattr__(self, "n_filtered", as_pair(self.n_filtered, shape))
-        object.__setattr__(self, "a_counts_given", as_pair(self.a_counts_given, shape))
+        n_filtered = as_pair(n_filtered, shape)
+        a_counts_given = as_pair(a_counts_given, shape)
         pairs = []
-        for experiment, total, pair in _tallies(self):
+        for experiment, total, pair in zip(_EXPERIMENTS, (n_context, n_filtration, *n_filtered),
+                                           (a_counts, b_counts, *a_counts_given)):
             label = experiment.tally
             pair = as_pair(pair, f"{label} must be a pair of nonnegative integers")
             if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in pair):
@@ -116,9 +109,9 @@ class CountsRecord:
                     f"{label} must sum to its ensemble size {total}, got {shown(pair)}"
                 )
             pairs.append(pair)
-        object.__setattr__(self, "a_counts", pairs[0])
-        object.__setattr__(self, "b_counts", pairs[1])
-        object.__setattr__(self, "a_counts_given", tuple(pairs[2:]))
+        self._set(n_context=n_context, a_counts=pairs[0], n_filtration=n_filtration,
+                  b_counts=pairs[1], n_filtered=n_filtered, a_counts_given=tuple(pairs[2:]),
+                  seed=seed)
 
 
 def _tallies(counts: CountsRecord):
@@ -127,8 +120,7 @@ def _tallies(counts: CountsRecord):
                (counts.a_counts, counts.b_counts, *counts.a_counts_given))
 
 
-@dataclass(frozen=True)
-class LambdaEstimate:
+class LambdaEstimate(Record):
     """Point estimate of the interference coefficients with bootstrap CI.
 
     The interval has coverage :data:`CONFIDENCE`.  ``failed_replicates``
@@ -137,13 +129,11 @@ class LambdaEstimate:
     report.
     """
 
-    lambda_hat: LambdaPair
-    ci_low: tuple[float, float]
-    ci_high: tuple[float, float]
-    stderr: tuple[float, float]
-    replicates: int
-    seed: int
-    failed_replicates: int
+    def __init__(self, lambda_hat: LambdaPair, ci_low: tuple[float, float],
+                 ci_high: tuple[float, float], stderr: tuple[float, float], replicates: int,
+                 seed: int, failed_replicates: int) -> None:
+        self._set(lambda_hat=lambda_hat, ci_low=ci_low, ci_high=ci_high, stderr=stderr,
+                  replicates=replicates, seed=seed, failed_replicates=failed_replicates)
 
     def half_widths(self) -> tuple[float, float]:
         return (

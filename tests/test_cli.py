@@ -808,9 +808,80 @@ def test_an_unwritable_output_path_is_shown_whole(tmp_path, monkeypatch, capsys)
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
 def test_an_output_write_error_without_a_path_is_shown(capsys):
-    # a failed write names no file: the error is shown as str(exc)
+    # a failed write names no file: the error is shown as str(exc); a device is
+    # written straight through, so no file is made beside it
+    before = sorted(os.listdir("/dev"))
     assert main(["balance", str(GOLDEN / "inputs" / "e1_exact.json"), "--output", "/dev/full"]) == 1
     assert capsys.readouterr().err == "ctxprob: i/o error: [Errno 28] No space left on device\n"
+    assert sorted(os.listdir("/dev")) == before
+
+
+class TestOutputIsAllOrNothing:
+    SWEEP = ["sweep", "--family", "synthetic", "--lambda1", "-0.9:0.9:20"]
+
+    @pytest.fixture
+    def failing_chunks(self, monkeypatch):
+        """Make a sweep's CSV writer raise ``error`` after ``k`` chunks of 3 rows."""
+        monkeypatch.setattr(ctxprob.cli, "SWEEP_CHUNK_ROWS", 3)
+
+        def install(error, k):
+            def chunks(*args):
+                yield from itertools.islice(_csv_chunks(*args), k)
+                raise error
+
+            monkeypatch.setattr(ctxprob.cli, "_csv_chunks", chunks)
+
+        return install
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("earlier", [None, b"earlier,bytes\n"], ids=["absent", "present"])
+    @pytest.mark.parametrize("error, code, err", [
+        (OSError(28, "No space left on device"), 1,
+         "ctxprob: i/o error: [Errno 28] No space left on device\n"),
+        (KeyboardInterrupt(), 130, "ctxprob: interrupted\n"),
+    ], ids=["enospc", "sigint"])
+    def test_a_failed_write_leaves_the_target_as_it_was(self, failing_chunks, tmp_path, capsys,
+                                                        k, earlier, error, code, err):
+        target = tmp_path / "sweep.csv"
+        if earlier is not None:
+            target.write_bytes(earlier)
+        failing_chunks(error, k)
+        assert main([*self.SWEEP, "--output", str(target)]) == code
+        assert capsys.readouterr() == ("", err)
+        assert os.listdir(tmp_path) == ([] if earlier is None else ["sweep.csv"])
+        if earlier is not None:
+            assert target.read_bytes() == earlier
+
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_has_the_mode_open_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            assert main([*self.SWEEP, "--output", str(tmp_path / "new.csv")]) == 0
+            with open(tmp_path / "reference.csv", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        modes = [(tmp_path / name).stat().st_mode for name in ("new.csv", "reference.csv")]
+        assert modes[0] == modes[1]
+
+    def test_a_replaced_file_is_whole_and_keeps_its_mode(self, tmp_path, capsys):
+        target = tmp_path / "sweep.csv"
+        target.write_bytes(b"earlier,bytes\n" * 100)
+        target.chmod(0o640)
+        assert main([*self.SWEEP, "--output", str(target)]) == 0
+        assert main(self.SWEEP) == 0
+        assert target.read_text() == capsys.readouterr().out
+        assert target.stat().st_mode & 0o7777 == 0o640
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "sweep.csv", tmp_path / "link.csv"
+        target.write_bytes(b"earlier,bytes\n")
+        link.symlink_to(target)
+        assert main([*self.SWEEP, "--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_text().startswith("target_lambda1,")
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "sweep.csv"]
 
 
 def _outcome(parse, argv):

@@ -2,11 +2,15 @@
 lists resolves.  The module lists are the only source of the package's.  No
 module or test imports a name it does not use, no module imports a private name
 of a sibling, every top-level definition of the package is read or listed, and
-the package raises every error class it lists."""
+the package raises every error class it lists.  No module imports
+``dataclasses``, and importing the CLI loads it not at all."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +158,37 @@ def test_the_package_raises_every_error_class_it_lists():
 def test_a_raised_class_is_found():
     source = "raise ValueError\nraise KeyError(1) from None\nraise\nraise errors.Custom()\n"
     assert raised_names(source) == {"ValueError", "KeyError"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level packages of the absolute imports of ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+# A frozen dataclass writes and compiles its methods each time its module is
+# imported; the package's records share ``_validation.Record`` instead.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_an_import_of_dataclasses_is_found():
+    sources = ["import os, dataclasses as dc\n", "from dataclasses import dataclass\n",
+               "def f():\n    import dataclasses.x\n", "from .dataclasses import y\n"]
+    assert ["dataclasses" in imported_modules(source) for source in sources] == [
+        True, True, True, False]
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # numpy does not import it either, so a CLI call never pays for it.
+    code = "import sys, ctxprob.cli; print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "['numpy']\n"), proc.stderr

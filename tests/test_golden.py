@@ -12,7 +12,9 @@ The corpus writer must still write the committed corpus, and
 copy of it, but must find one planted byte.  Its allow list must pass a
 planted difference that an entry names, and fail one that no entry names.
 The line tracer ``golden/uncovered.py`` must run and list the statements that
-a test file leaves unrun.
+a test file leaves unrun.  The input fuzzer ``golden/fuzz_inputs.py`` must find
+no break of the error contract in three inputs, and must find a planted
+unbounded echo.
 """
 
 import importlib.util
@@ -147,3 +149,52 @@ def test_line_tracer_lists_unrun_statements():
     files = {line.split(":")[0] for line in listed}
     summary = f"uncovered: {len(listed)} statements in {len(files)} files"
     assert result.stdout.splitlines()[-1] == summary
+
+
+@pytest.fixture
+def fuzzer(monkeypatch):
+    """``fuzz_inputs.py`` as a module."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("fuzz_inputs", GOLDEN / "fuzz_inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# One exact, one counts and one synthetic-model input; the full run is on demand.
+FUZZED = ["--inputs", "e1_exact", "e2_counts", "e3_exact"]
+
+
+def test_fuzzed_inputs_keep_the_error_contract(fuzzer, capsys):
+    assert fuzzer.main(FUZZED) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and " 0 contract breaks; sha256 " in out
+
+
+@pytest.mark.parametrize("code, err, problem", [
+    (0, "", None),
+    (1, "ctxprob: invalid input: x\n", None),
+    (4, "", "exit 4"),
+    ("raised KeyError()", "", "exit"),
+    (0, "warning\n", "stderr on success"),
+    (1, "", "not one stderr line"),
+    (1, "a\nb\n", "not one stderr line"),
+    (2, "x" * 161 + "\n", "stderr line of 161 characters"),
+])
+def test_the_fuzzer_finds_each_contract_break(fuzzer, code, err, problem):
+    found = fuzzer.broken(code, err)
+    assert found is None if problem is None else found.startswith(problem)
+
+
+def test_the_fuzzer_finds_a_planted_unbounded_echo(base_tree):
+    validation = base_tree / "src" / "ctxprob" / "_validation.py"
+    source = validation.read_text()
+    planted = source.replace("return cut(_SHOWN.repr(value))", "return repr(value)")
+    assert planted != source
+    validation.write_text(planted)
+    env = {**os.environ, "PYTHONPATH": str(base_tree / "src")}
+    argv = [sys.executable, str(GOLDEN / "fuzz_inputs.py"), "--inputs", "e2_counts"]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert " 0 contract breaks;" not in result.stdout
+    assert "stderr line of " in result.stdout

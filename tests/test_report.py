@@ -1,6 +1,5 @@
 """Columnar analysis: ``analyze_block`` equals ``analyze_exact`` row by row."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -152,9 +151,9 @@ def test_a_report_without_amplitudes_has_no_born_residual():
 ], ids=["e1", "e3"])
 def test_the_report_holds_every_value_its_payload_writes(transition, outcome, lifted):
     report = analyze_exact(ContextStatistics((0.5, 0.5), TransitionMatrix(transition), outcome))
-    fields, payload = dataclasses.asdict(report), report_to_dict(report)
+    fields, payload = vars(report), report_to_dict(report)
     assert fields["normalization_residual"] == payload["normalization_residual"]
     assert fields["born_residual"] == payload.get("born_residual")
-    psi = fields["amplitudes"] and [[z.real, z.imag] for z in fields["amplitudes"]["psi"]]
+    psi = report.amplitudes and [[z.real, z.imag] for z in report.amplitudes.psi]
     assert psi == payload.get("amplitudes", {}).get("psi")
     assert (psi is not None) is lifted
