@@ -29,11 +29,10 @@ class AmplitudePair(Record):
     """Complex amplitudes (psi1, psi2), one per A-outcome.
 
     The squared moduli sum to one (inherited from outcome normalization);
-    construction rejects pairs violating this within ``norm_tol``.
+    construction rejects pairs violating this within ``TOL_EXACT``.
     """
 
-    def __init__(self, psi: tuple[complex, complex], phases: PhasePair,
-                 norm_tol: float = TOL_EXACT) -> None:
+    def __init__(self, psi: tuple[complex, complex], phases: PhasePair) -> None:
         shape = "amplitude pair must have exactly two components"
         psi = as_pair(psi, shape)
         try:
@@ -41,27 +40,23 @@ class AmplitudePair(Record):
         except (TypeError, ValueError):
             raise ValidationError(f"amplitudes must be complex numbers, got {shown(psi)}") from None
         norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
-        if abs(norm - 1.0) > norm_tol:
+        if abs(norm - 1.0) > TOL_EXACT:
             raise ValidationError(
                 f"amplitudes must satisfy |psi1|^2 + |psi2|^2 = 1, got {norm}"
             )
-        self._set(psi=psi, phases=phases, norm_tol=norm_tol)
+        self._set(psi=psi, phases=phases)
 
     def probabilities(self) -> tuple[float, float]:
         return (abs(self.psi[0]) ** 2, abs(self.psi[1]) ** 2)
 
 
-def lift_to_amplitudes(
-    stats: ContextStatistics, phases: PhasePair, *, norm_tol: float = TOL_EXACT
-) -> AmplitudePair:
+def lift_to_amplitudes(stats: ContextStatistics, phases: PhasePair) -> AmplitudePair:
     """Build the amplitude pair for trigonometric statistics.
 
     ``psi_j = sqrt(p1*t1j) + exp(i*theta_j)*sqrt(p2*t2j)``.  With phases
     taken from the statistics' own coefficients, ``|psi_j|^2`` equals the
     observed outcome probability (the Born rule holds by construction).
     Raises :class:`InfeasibleLambdaError` if either phase is hyperbolic.
-    ``norm_tol`` loosens the normalization check on the result, for phases
-    that only match the statistics up to statistical noise.
     """
     if not phases.all_trigonometric:
         raise InfeasibleLambdaError(
@@ -73,7 +68,7 @@ def lift_to_amplitudes(
         a = math.sqrt(p1 * stats.transition.rows[0][j])
         b = math.sqrt(p2 * stats.transition.rows[1][j])
         psi.append(a + cmath.exp(1j * phase.theta) * b)
-    return AmplitudePair(psi=(psi[0], psi[1]), phases=phases, norm_tol=norm_tol)
+    return AmplitudePair(psi=(psi[0], psi[1]), phases=phases)
 
 
 def born_residual(amplitudes: AmplitudePair, outcome: tuple[float, float]) -> float:

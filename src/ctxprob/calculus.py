@@ -344,7 +344,7 @@ def lambda_from_statistics(stats: ContextStatistics) -> LambdaPair:
 def classify_theory(lam: LambdaPair, eps_class: float = EPS_CLASS_DEFAULT) -> TheoryClass:
     """Classify a coefficient pair into its measurement-theory regime.
 
-    * classical: both magnitudes within ``eps_class`` of zero;
+    * classical: both magnitudes within ``eps_class`` of zero and not of one;
     * trigonometric: both magnitudes at most ``1 - eps_class``;
     * hyperbolic: both magnitudes at least ``1 + eps_class``;
     * hyper-trigonometric: one of each;
@@ -368,8 +368,9 @@ def classify_theory(lam: LambdaPair, eps_class: float = EPS_CLASS_DEFAULT) -> Th
 
 
 def _bands(m, eps: float):
-    """Band tests of one magnitude: ``(m <= eps, m <= 1 - eps, m >= 1 + eps)``."""
-    return m <= eps, m <= 1.0 - eps, m >= 1.0 + eps
+    """Band tests of one magnitude: ``(m <= min(eps, 1 - eps), m <= 1 - eps, m >= 1 + eps)``."""
+    below = m <= 1.0 - eps
+    return (m <= eps) & below, below, m >= 1.0 + eps
 
 
 _REGIMES = (
@@ -418,16 +419,13 @@ def check_double_stochastic(matrix: TransitionMatrix, tol: float = TOL_EXACT) ->
 check_row_stochastic = check_double_stochastic
 
 
-def phase_parametrization(lam: LambdaPair, *, trig_tol: float = 0.0) -> PhasePair:
+def phase_parametrization(lam: LambdaPair) -> PhasePair:
     """Represent each coefficient as ``cos(theta)`` or ``sign * cosh(theta)``.
 
     Magnitudes at most one map to the principal branch ``theta = arccos(lambda)
     in [0, pi]``; larger magnitudes map to ``(sign, arccosh|lambda|)``.
-    ``trig_tol`` widens the trigonometric branch to ``|lambda| <= 1 + trig_tol``
-    (clamping to the endpoint), for coefficients known to be trigonometric up
-    to numerical or statistical noise.
     """
-    branches = ((value, *phase_branch(value, trig_tol)) for value in lam)
+    branches = ((value, *phase_branch(value)) for value in lam)
     return PhasePair(*(
         Phase(PhaseKind.TRIGONOMETRIC, math.acos(argument)) if trigonometric
         else Phase(PhaseKind.HYPERBOLIC, math.acosh(argument), 1 if value > 0 else -1)
@@ -435,14 +433,13 @@ def phase_parametrization(lam: LambdaPair, *, trig_tol: float = 0.0) -> PhasePai
     ))
 
 
-def phase_branch(value, trig_tol=0.0, where=where, copysign=math.copysign):
+def phase_branch(value, where=where):
     """``(trigonometric, argument)``: :func:`phase_parametrization`'s branch, and the value
-    that ``acos`` or ``acosh`` takes.  Floats, or arrays with ``where=numpy.where``,
-    ``copysign=numpy.copysign``; the angles come from ``math`` either way."""
+    that ``acos`` or ``acosh`` takes.  Floats, or arrays with ``where=numpy.where``; the
+    angles come from ``math`` either way."""
     magnitude = abs(value)
-    clamp = (magnitude <= 1.0 + trig_tol) & (magnitude >= 1.0)
-    trig = clamp | (magnitude <= 1.0)
-    return trig, where(clamp, copysign(1.0, value), where(trig, value, magnitude))
+    trig = magnitude <= 1.0
+    return trig, where(trig, value, magnitude)
 
 
 def normalization_residual(stats: ContextStatistics, lam: LambdaPair) -> float:

@@ -63,21 +63,14 @@ def _assemble(
     lam: LambdaPair,
     estimate: LambdaEstimate | None,
     verdict: TheoryClass,
-    eps_class: float,
     tol: float,
 ) -> AnalysisReport:
-    liftable = verdict.kind in _LIFTABLE
-    phases = phase_parametrization(lam, trig_tol=eps_class if liftable else 0.0)
+    phases = phase_parametrization(lam)
     balance = check_double_stochastic(stats.transition, tol)
     residual = normalization_residual(stats, lam)
     amplitudes = born = None
-    if liftable:
-        # A classical verdict with eps_class > 1 admits |lambda| > 1, which
-        # phase_branch clamps to |lambda| = 1 (a trigonometric verdict needs
-        # |lambda| <= 1 - eps_class, so the clamp never acts on it).  The
-        # clamp shifts the lifted norm by at most the total overshoot.
-        overshoot = sum(max(0.0, abs(value) - 1.0) for value in lam)
-        amplitudes = lift_to_amplitudes(stats, phases, norm_tol=TOL_EXACT + overshoot)
+    if verdict.kind in _LIFTABLE:
+        amplitudes = lift_to_amplitudes(stats, phases)
         born = born_residual(amplitudes, stats.outcome)
     return AnalysisReport(stats, lam, estimate, phases, verdict, balance, residual, amplitudes,
                           born)
@@ -92,7 +85,7 @@ def analyze_exact(
     """Analyze analytically known statistics."""
     lam = lambda_from_statistics(stats)
     verdict = classify_theory(lam, eps_class)
-    return _assemble(stats, lam, None, verdict, eps_class, tol)
+    return _assemble(stats, lam, None, verdict, tol)
 
 
 def analyze_block(
@@ -128,13 +121,11 @@ def analyze_block(
     if bad.any():
         raise RuntimeError(f"row {bad.argmax()} fails an array check but no scalar check")
 
-    eps = float(eps_class)
     magnitude = np.abs(lam)
-    verdicts, conditions = zip(*regimes(*magnitude.T, eps))
+    verdicts, conditions = zip(*regimes(*magnitude.T, float(eps_class)))
     codes = np.select(conditions, range(len(verdicts)), len(verdicts))
     kinds = [*(v.kind for v in verdicts), TheoryKind.BOUNDARY]
-    trig_tol = np.array([eps if kind in _LIFTABLE else 0.0 for kind in kinds])[codes, None]
-    trig, argument = phase_branch(lam, trig_tol, where=np.where, copysign=np.copysign)
+    trig, argument = phase_branch(lam, where=np.where)
     thetas = np.empty_like(lam)
     thetas[trig] = list(map(math.acos, argument[trig].tolist()))
     thetas[~trig] = list(map(math.acosh, argument[~trig].tolist()))
@@ -161,7 +152,7 @@ def analyze_estimated(
     estimate = estimate_lambda(counts, replicates=replicates, seed=seed)
     eps = max(estimate.half_widths()) if eps_class is None else eps_class
     verdict = classify_theory(estimate.lambda_hat, eps)
-    return _assemble(estimate_statistics(counts), estimate.lambda_hat, estimate, verdict, eps, tol)
+    return _assemble(estimate_statistics(counts), estimate.lambda_hat, estimate, verdict, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_balance_phase_identity():
             if not check_double_stochastic(stats.transition, 1e-9).is_double_stochastic:
                 continue
             lam = lambda_from_statistics(stats)
-            phases = phase_parametrization(lam, trig_tol=1e-9)
+            phases = phase_parametrization(lam)
             assert phases.all_trigonometric, seed
             residual = abs(math.cos(phases.phase1.theta) + math.cos(phases.phase2.theta))
             worst = max(worst, residual)

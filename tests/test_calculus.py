@@ -272,7 +272,7 @@ class TestLambdaFromStatistics:
 
 def expected_kind(l1, l2, eps):
     m1, m2 = abs(l1), abs(l2)
-    if max(m1, m2) <= eps:
+    if max(m1, m2) <= min(eps, 1 - eps):
         return TheoryKind.CLASSICAL
     if m1 <= 1 - eps and m2 <= 1 - eps:
         return TheoryKind.TRIGONOMETRIC
@@ -355,13 +355,19 @@ class TestClassifyTheory:
         assert verdict.kind is TheoryKind.BOUNDARY
         assert verdict.boundary_components == (1,)
 
+    def test_band_above_half_reads_magnitudes_near_both_ends_as_boundary(self):
+        # At eps 0.6 the bands around 0 and 1 overlap, and 0.6 lies in both.
+        verdict = classify_theory(LambdaPair(0.6, -0.6), 0.6)
+        assert verdict.kind is TheoryKind.BOUNDARY
+        assert verdict.boundary_components == (1, 2)
+
     def test_exhaustive_grid(self):
         grid = (-2.0, -1.25, -1.0, -0.5, 0.0, 0.5, 1.0, 1.25, 2.0)
-        eps = 1e-9
-        for l1 in grid:
-            for l2 in grid:
-                verdict = classify_theory(LambdaPair(l1, l2), eps)
-                assert verdict.kind is expected_kind(l1, l2, eps), (l1, l2)
+        for eps in (1e-9, 0.6, 1.5):
+            for l1 in grid:
+                for l2 in grid:
+                    verdict = classify_theory(LambdaPair(l1, l2), eps)
+                    assert verdict.kind is expected_kind(l1, l2, eps), (l1, l2, eps)
 
     def test_eps_band_widens_classical(self):
         assert classify_theory(LambdaPair(1e-7, -1e-7), 1e-6).kind is TheoryKind.CLASSICAL
@@ -436,15 +442,6 @@ class TestPhaseParametrization:
         pair = phase_parametrization(LambdaPair(0.0, 0.0))
         assert pair.phase1.theta == pytest.approx(math.pi / 2, abs=1e-15)
 
-    def test_trig_tolerance_clamps_near_one(self):
-        noisy = LambdaPair(1.0 + 5e-10, -1.0 - 5e-10)
-        pair = phase_parametrization(noisy, trig_tol=1e-9)
-        assert pair.all_trigonometric
-        assert pair.phase1.theta == 0.0
-        assert pair.phase2.theta == pytest.approx(math.pi, abs=1e-15)
-        strict = phase_parametrization(noisy)
-        assert not strict.all_trigonometric
-
     @given(lam1=st.floats(-5.0, 5.0), lam2=st.floats(-5.0, 5.0))
     @settings(max_examples=300)
     def test_coefficient_round_trip(self, lam1, lam2):
@@ -455,51 +452,37 @@ class TestPhaseParametrization:
             assert coefficient == pytest.approx(lam, abs=1e-9)
 
 
-def branch_edges(tol):
-    """+-0, +-1 and +-(1 + tol), each with the floats on either side."""
-    return [sign * x for point in (0.0, 1.0, 1.0 + tol)
+def branch_edges():
+    """+-0 and +-1, each with the floats on either side."""
+    return [sign * x for point in (0.0, 1.0)
             for x in (math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf))
             for sign in (1.0, -1.0)]
 
 
-def reference_branch(value, tol):
+def reference_branch(value):
     """The phase rule written out as branches."""
     magnitude = abs(value)
-    if 1.0 <= magnitude <= 1.0 + tol:
-        return True, math.copysign(1.0, value)
     if magnitude <= 1.0:
         return True, value
     return False, magnitude
-
-
-@st.composite
-def branch_inputs(draw):
-    """A ``(value, trig_tol)`` pair, the value often on an edge of the rule.  A
-    negative tolerance clamps nothing, and |value| = 1 is then trigonometric."""
-    tol = draw(st.sampled_from([0.0, 1e-9, 1.5, -0.5]) | st.floats(-1.0, 2.0))
-    return draw(st.floats(-4.0, 4.0) | st.sampled_from(branch_edges(tol))), tol
 
 
 class TestPhaseBranch:
     """``phase_branch`` is the one phase rule: ``phase_parametrization`` applies it
     to floats, ``analyze_block`` to arrays."""
 
-    @given(st.lists(branch_inputs(), min_size=1, max_size=10))
-    # The edges at each tolerance.  No analysis reaches |value| just above 1 + tol at tol > 0.
-    @example([(value, 0.0) for value in branch_edges(0.0)])
-    @example([(value, 1e-9) for value in branch_edges(1e-9)])
-    @example([(value, 1.5) for value in branch_edges(1.5)])
-    @example([(value, -0.5) for value in branch_edges(-0.5)])
+    @given(st.lists(st.floats(-4.0, 4.0) | st.sampled_from(branch_edges()),
+                    min_size=1, max_size=10))
+    @example(branch_edges())
     @settings(max_examples=500)
-    def test_float_and_array_forms_agree(self, rows):
-        values, tols = map(np.array, zip(*rows))
-        trig, argument = phase_branch(values, tols, where=np.where, copysign=np.copysign)
-        for (value, tol), row_trig, row_argument in zip(rows, trig.tolist(), argument.tolist()):
-            scalar_trig, scalar_argument = phase_branch(value, tol)
-            expected_trig, expected_argument = reference_branch(value, tol)
+    def test_float_and_array_forms_agree(self, values):
+        trig, argument = phase_branch(np.array(values), where=np.where)
+        for value, row_trig, row_argument in zip(values, trig.tolist(), argument.tolist()):
+            scalar_trig, scalar_argument = phase_branch(value)
+            expected_trig, expected_argument = reference_branch(value)
             assert (scalar_trig, scalar_argument.hex()) == (row_trig, row_argument.hex())
             assert (scalar_trig, scalar_argument.hex()) == (expected_trig, expected_argument.hex())
-            phase = phase_parametrization(LambdaPair(value, value), trig_tol=tol).phase1
+            phase = phase_parametrization(LambdaPair(value, value)).phase1
             angle = math.acos if scalar_trig else math.acosh
             assert (phase.is_trigonometric, phase.theta) == (scalar_trig, angle(scalar_argument))
 

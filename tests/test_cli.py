@@ -144,10 +144,12 @@ class TestAnalyze:
         out = str(tmp_path / "run.json")
         assert main(["simulate", "--preset", "e1", "--n", "50000", "--seed", "5",
                      "--output", out]) == 0
-        # a half-unit band swallows coefficients of magnitude ~0.5
+        # a band above one half puts coefficients of magnitude ~0.5 within it of both
+        # 0 and 1: boundary, not classical
         code, report = run_json(capsys, ["analyze", out, "--eps-class", "0.51"])
         assert code == 0
-        assert report["theory_class"]["kind"] == "classical"
+        assert report["theory_class"] == {"kind": "boundary", "boundary_components": [1, 2]}
+        assert "amplitudes" not in report
 
     def test_oversized_bootstrap_is_refused_before_any_draw(self, tmp_path, monkeypatch,
                                                             capsys):
@@ -506,20 +508,22 @@ class TestReconstruct:
         assert main(["reconstruct", out]) == 1
 
     def test_agrees_with_analyze_beyond_unit_band(self, exact_file, capsys):
-        # eps_class > 1 reads |lambda| > 1 as classical; both commands then lift
-        # the clamped phases under the same normalization bound.
+        # eps_class > 1 puts |lambda| > 1 within the band of both 0 and 1: both
+        # commands read boundary, and neither lifts.
         stats = ContextStatistics(
             (0.1, 0.9), TransitionMatrix(((0.05, 0.95), (0.85, 0.15))), (0.53, 0.47)
         )
         path = exact_file(stats)
         code, report = run_json(capsys, ["analyze", path, "--eps-class", "2.5"])
         assert code == 0
-        assert report["theory_class"]["kind"] == "classical"
-        code, payload = run_json(capsys, ["reconstruct", path, "--eps-class", "2.5"])
-        assert code == 0
-        assert payload["amplitudes"] == report["amplitudes"]
-        assert payload["born_residual"] == report["born_residual"]
-        assert payload["lambda"] == report["lambda"]["point"]
+        assert report["theory_class"] == {"kind": "boundary", "boundary_components": [1, 2]}
+        assert max(map(abs, report["lambda"]["point"])) > 1.0
+        assert "amplitudes" not in report and "born_residual" not in report
+        assert main(["reconstruct", path, "--eps-class", "2.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ctxprob: infeasible data: statistics classify as boundary; "
+                                "no amplitude lift exists\n")
 
 
 class TestBalance:

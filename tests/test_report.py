@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxprob import (ContextStatistics, CtxprobError, TransitionMatrix, analyze_exact,
-                     report_to_dict)
+from ctxprob import (TOL_EXACT, ContextStatistics, CtxprobError, TheoryKind, TransitionMatrix,
+                     analyze_exact, report_to_dict)
 from ctxprob.calculus import interference_terms
 from ctxprob.report import analyze_block
 
@@ -65,9 +65,9 @@ def bits(values):
     edge=st.sampled_from([None, "zero", "below-one", "above-one"]),
     tol=st.sampled_from([1e-9, 0.0, 1e-3]),
 )
-# Each branch of the phase rule: a classical verdict at eps_class > 1 whose
-# |lambda| = 1.1 is clamped to 1, |lambda| == 1 with no tolerance, a negative
-# hyperbolic coefficient, and one coefficient of each kind.
+# Each branch of the phase rule: |lambda| = 1.1 inside a band above 1 (a
+# boundary verdict), |lambda| == 1, a negative hyperbolic coefficient, and one
+# coefficient of each kind.
 @example(block=[[0.5, 0.5, 0.8, 0.2, 0.2, 0.8, 0.94, 0.06]], eps=1.5, edge=None, tol=1e-9)
 @example(block=[[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 0.0]], eps=0.0, edge=None, tol=1e-9)
 @example(block=[[0.5, 0.5, 0.8, 0.2, 0.2, 0.8, 0.0, 1.0]], eps=1e-6, edge=None, tol=1e-9)
@@ -108,6 +108,25 @@ def test_rows_equal_analyze_exact(block, eps, edge, tol):
     else:
         got = analyze_block(np.array(block), statistics_of, eps_class=eps)
         assert [bits(column.tolist()) for column in got] == [bits(c) for c in zip(*expected)]
+
+
+@given(row=rows(), eps=st.floats(0.0, 3.0))
+# |lambda| = 1.1 and 1.05 at eps 2.5: a band that reaches 1 once read them as classical.
+@example(row=[0.5, 0.5, 0.8, 0.2, 0.2, 0.8, 0.94, 0.06], eps=2.5)
+@example(row=[0.1, 0.9, 0.05, 0.95, 0.85, 0.15, 0.53, 0.47], eps=2.5)
+@settings(max_examples=600, deadline=None)
+def test_a_liftable_verdict_lies_in_the_unit_interval_and_lifts_exactly(row, eps):
+    try:
+        report = analyze_exact(statistics(row), eps_class=eps)
+    except CtxprobError:
+        return
+    if report.theory_class.kind not in (TheoryKind.CLASSICAL, TheoryKind.TRIGONOMETRIC):
+        assert report.amplitudes is None
+        return
+    assert max(map(abs, report.lambda_point)) <= 1.0
+    norm = sum(abs(z) ** 2 for z in report.amplitudes.psi)
+    assert abs(norm - 1.0) <= TOL_EXACT
+    assert report.born_residual <= TOL_EXACT
 
 
 @pytest.mark.parametrize(
