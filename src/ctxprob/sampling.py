@@ -293,7 +293,6 @@ def estimate_lambda(
     lam2, failed_2, _, _ = invert_column(
         1.0 - q1, p1, p2, 1.0 - t11, 1.0 - t21, sqrt=np.sqrt, where=np.where
     )
-    samples = np.stack((lam1, lam2))
     degenerate = failed_1 | failed_2
     failed = int(degenerate.sum())
     if failed == replicates:
@@ -301,10 +300,10 @@ def estimate_lambda(
             f"all {replicates} bootstrap replicates were degenerate"
         )
     if failed:
-        samples = samples[:, ~degenerate]
-    # np.std's last bits depend on the order it sums in: take it before the sort.  The
-    # mask above leaves the survivors in F order, which np.std sums in another order than
-    # the pairwise one of a C-ordered row; the golden counts cases pin the bytes.
+        lam1, lam2 = lam1[~degenerate], lam2[~degenerate]
+    # np.std's last bits depend on the order it sums in: take it before the sort, on
+    # C-ordered rows, which it sums pairwise whether or not replicates were dropped.
+    samples = np.stack((lam1, lam2))
     stderr = tuple(float(s) for s in samples.std(axis=1, ddof=1)) if samples.shape[1] > 1 else (0.0, 0.0)
     samples.sort(axis=1)
     tail = 100.0 * (1.0 - CONFIDENCE) / 2.0

@@ -380,22 +380,27 @@ class TestBootstrapKernel:
                 estimate_lambda(counts, replicates=replicates, seed=9)
 
 
-def stacked_reduction(counts, replicates, seed):
-    """``(ci_low, ci_high, stderr, failed)`` of the bootstrap reduced in the stacked form:
-    both outcome columns in one ``(2, R)`` ``invert_column`` call, ``np.percentile`` of the
-    survivors and their ``std``.  ``ci_low`` is ``None`` if every replicate is degenerate."""
-    lambda_hat = lambda_from_statistics(estimate_statistics(counts))
+def stacked_survivors(counts, replicates, seed):
+    """``(survivors, failed)`` of the bootstrap in the stacked form: both outcome columns
+    in one ``(2, R)`` ``invert_column`` call, the degenerate replicates masked out."""
     q1, p1, t11, t21 = _bootstrap_frequencies(counts, replicates, seed)
     q, ta, tb = (np.stack((x, 1.0 - x)) for x in (q1, t11, t21))
     samples, failed_columns, _, _ = invert_column(
         q, p1, 1.0 - p1, ta, tb, sqrt=np.sqrt, where=np.where
     )
     degenerate = failed_columns.any(axis=0)
-    failed = int(degenerate.sum())
+    return samples[:, ~degenerate], int(degenerate.sum())
+
+
+def stacked_reduction(counts, replicates, seed):
+    """``(ci_low, ci_high, stderr, failed)`` of the bootstrap reduced in the stacked form:
+    ``np.percentile`` of the survivors and the ``std`` of a C-ordered copy of them.
+    ``ci_low`` is ``None`` if every replicate is degenerate."""
+    lambda_hat = lambda_from_statistics(estimate_statistics(counts))
+    samples, failed = stacked_survivors(counts, replicates, seed)
     if failed == replicates:
         return None, None, None, failed
-    if failed:
-        samples = samples[:, ~degenerate]
+    samples = np.ascontiguousarray(samples)
     tail = 100.0 * (1.0 - CONFIDENCE) / 2.0
     low, high = np.percentile(samples, (tail, 100.0 - tail), axis=1)
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
@@ -459,6 +464,16 @@ class TestBootstrapInterval:
         # survivors after a degenerate mask, and inputs whose every replicate is degenerate
         assert ("sparse_counts.json", 1000, 292) in with_failures
         assert ("sparse_counts.json", 2, 2) in with_failures
+
+
+    def test_stderr_does_not_depend_on_the_survivors_layout(self):
+        # The mask leaves the 708 survivors of 1000 in F order, which np.std sums in
+        # another order than a C-ordered row.
+        counts = ExperimentFile.loads((GOLDEN_INPUTS / "sparse_counts.json").read_text()).counts
+        survivors, failed = stacked_survivors(counts, 1000, counts.seed)
+        assert failed == 292 and not survivors.flags.c_contiguous
+        expected = np.ascontiguousarray(survivors).std(axis=1, ddof=1).tolist()
+        assert estimate_lambda(counts, replicates=1000, seed=counts.seed).stderr == tuple(expected)
 
 
 class TestConvergenceStudy:
