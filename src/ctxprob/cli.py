@@ -34,7 +34,7 @@ from .calculus import (
     interference_terms,
 )
 from .errors import CtxprobError, DegenerateContextError, InfeasibleLambdaError, ValidationError
-from .io import ExperimentFile, canonical_dumps, model_to_dict
+from .io import ExperimentFile, model_to_dict
 from .models import (
     KolmogorovModel,
     Model,
@@ -48,7 +48,7 @@ from .models import (
     random_model,
 )
 from .report import (
-    analyze_block, analyze_estimated, analyze_exact, balance_to_dict, report_to_dict
+    analyze_block, analyze_estimated, analyze_exact, balance_to_dict, report_json, report_to_dict
 )
 from .sampling import estimate_statistics, simulate_counts
 
@@ -289,7 +289,7 @@ def _cmd_analyze(args: argparse.Namespace) -> list[str]:
             eps_class=args.eps_class,
             tol=args.tolerance,
         )
-    return [canonical_dumps(report_to_dict(report))]
+    return [report_json(report_to_dict(report))]
 
 
 def _simulate_model(args: argparse.Namespace) -> Model:
@@ -436,7 +436,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> list[str]:
         "amplitudes": full["amplitudes"],
         "born_residual": full["born_residual"],
     }
-    return [canonical_dumps(payload)]
+    return [report_json(payload)]
 
 
 def _cmd_balance(args: argparse.Namespace) -> list[str]:
@@ -446,7 +446,7 @@ def _cmd_balance(args: argparse.Namespace) -> list[str]:
     else:
         transition = estimate_statistics(experiment.counts).transition
     report = check_double_stochastic(transition, args.tolerance)
-    return [canonical_dumps(balance_to_dict(report))]
+    return [report_json(balance_to_dict(report))]
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,19 @@ from .calculus import (
     phase_parametrization,
     regimes,
 )
+from .io import canonical_dumps
 from .sampling import (
     BOOTSTRAP_STREAM, CONFIDENCE, CountsRecord, LambdaEstimate, estimate_lambda,
     estimate_statistics,
 )
 
-__all__ = ["AnalysisReport", "analyze_exact", "analyze_estimated", "report_to_dict"]
+__all__ = ["REPORT_FORMAT_VERSION", "AnalysisReport", "analyze_exact", "analyze_estimated",
+           "report_to_dict"]
+
+#: The ``format_version`` of the JSON reports of ``analyze``, ``reconstruct`` and
+#: ``balance``; README's format history says what each version changed.  Experiment
+#: files carry their own, ``io.FORMAT_VERSION``.
+REPORT_FORMAT_VERSION = 1
 
 _LIFTABLE = (TheoryKind.CLASSICAL, TheoryKind.TRIGONOMETRIC)
 
@@ -174,6 +181,11 @@ def _class_to_dict(verdict: TheoryClass) -> dict:
     if verdict.boundary_components:
         payload["boundary_components"] = list(verdict.boundary_components)
     return payload
+
+
+def report_json(payload: dict) -> str:
+    """Canonical JSON text of one report ``payload``, with its ``format_version``."""
+    return canonical_dumps({**payload, "format_version": REPORT_FORMAT_VERSION})
 
 
 def balance_to_dict(balance: BalanceReport) -> dict:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxprob import _validation
+from ctxprob import REPORT_FORMAT_VERSION, _validation
 from ctxprob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -72,6 +72,16 @@ def test_no_successful_case_builds_a_message(capsys, monkeypatch):
         assert (captured.out.encode("utf-8"), captured.err) == (expected, ""), case["name"]
     assert len(succeeding) == 48
     assert calls == []
+
+
+def test_every_json_report_carries_the_report_format_version():
+    # Experiment files carry io.FORMAT_VERSION instead.
+    reports = [case for case in CASES if case["exit"] == 0 and "--help" not in case["argv"]
+               and case["argv"][0] in ("analyze", "reconstruct", "balance")]
+    assert len(reports) == 27
+    for case in reports:
+        text = (GOLDEN / "expected" / case["name"]).with_suffix(".out").read_text("utf-8")
+        assert json.loads(text)["format_version"] == REPORT_FORMAT_VERSION, case["name"]
 
 
 def test_corpus_writer_writes_the_committed_corpus():
