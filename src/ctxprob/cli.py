@@ -57,6 +57,7 @@ __all__ = ["main", "entry_point", "PRESETS"]
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout's reader is gone, as after `| head -1`
 
 #: Named reference instances usable as ``simulate --preset <name>``.
 PRESETS: dict[str, Model] = {
@@ -614,6 +615,8 @@ def main(argv: list[str] | None = None) -> int:
         print("ctxprob: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args.output is None:
+            return EXIT_BROKEN_PIPE  # no one reads the output, and no line is owed
         if exc.errno is None or exc.filename is None:
             reason = cut(str(exc))
         else:  # cut the path alone, so that the errno text does not shorten it
@@ -623,7 +626,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # What stdout still buffers goes to /dev/null, so the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

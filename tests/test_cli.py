@@ -857,6 +857,18 @@ class TestOutputIsAllOrNothing:
             assert target.read_bytes() == earlier
 
 
+    @pytest.mark.parametrize("to_output", [False, True], ids=["stdout", "output"])
+    def test_a_broken_pipe_is_quiet_on_stdout_only(self, failing_chunks, tmp_path, capsys,
+                                                   to_output):
+        failing_chunks(BrokenPipeError(32, "Broken pipe"), 3)
+        target = ["--output", str(tmp_path / "sweep.csv")] if to_output else []
+        code = main([*self.SWEEP, *target])
+        err = capsys.readouterr().err
+        if to_output:
+            assert (code, err) == (1, "ctxprob: i/o error: [Errno 32] Broken pipe\n")
+        else:
+            assert (code, err) == (141, "")
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_a_new_file_has_the_mode_open_gives(self, tmp_path, umask):
         previous = os.umask(umask)
@@ -1008,6 +1020,24 @@ class TestParser:
             assert main(["simulate", "--help"]) == 0
             helps.append(capsys.readouterr().out)
         assert helps[0] != helps[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "synthetic", "--lambda1", "0:0.9:200000"],  # fails mid-write
+    ["balance", str(GOLDEN / "inputs" / "e1_exact.json")],  # fails at the flush
+], ids=["sweep", "balance"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    src = str(Path(ctxprob.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `| head -1` leaves it, but before any byte is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ctxprob", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("module", ["ctxprob", "ctxprob.cli"])
