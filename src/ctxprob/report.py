@@ -131,12 +131,11 @@ def analyze_block(
     magnitude = np.abs(lam)
     verdicts, conditions = zip(*regimes(*magnitude.T, float(eps_class)))
     codes = np.select(conditions, range(len(verdicts)), len(verdicts))
-    kinds = [*(v.kind for v in verdicts), TheoryKind.BOUNDARY]
     trig, argument = phase_branch(lam, where=np.where)
     thetas = np.empty_like(lam)
     thetas[trig] = list(map(math.acos, argument[trig].tolist()))
     thetas[~trig] = list(map(math.acosh, argument[~trig].tolist()))
-    names = np.array([kind.value for kind in kinds], object)[codes]
+    names = np.array([*(v.kind.value for v in verdicts), TheoryKind.BOUNDARY.value], object)[codes]
     return [*block.T, *lam.T, *thetas.T, names, sum_residual(ta, tb).max(axis=1)]
 
 
