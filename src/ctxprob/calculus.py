@@ -219,7 +219,7 @@ class TheoryClass(Record):
 
     ``hyper_component`` (1-based) names the coefficient with magnitude above
     one in the mixed regime; ``boundary_components`` lists the coefficients
-    sitting within the epsilon band around magnitude one.
+    neither at most ``1 - eps`` nor at least ``1 + eps`` in magnitude.
     """
 
     def __init__(self, kind: TheoryKind, hyper_component: int | None = None,
@@ -348,8 +348,8 @@ def classify_theory(lam: LambdaPair, eps_class: float = EPS_CLASS_DEFAULT) -> Th
     * trigonometric: both magnitudes at most ``1 - eps_class``;
     * hyperbolic: both magnitudes at least ``1 + eps_class``;
     * hyper-trigonometric: one of each;
-    * boundary: anything else, listing the components within ``eps_class``
-      of magnitude one.
+    * boundary: anything else, listing the components in neither of the two
+      bands above, by the same :func:`_bands` tests.
 
     The verdict is a pure function of ``(lam, eps_class)``.
     """
@@ -360,11 +360,8 @@ def classify_theory(lam: LambdaPair, eps_class: float = EPS_CLASS_DEFAULT) -> Th
     for verdict, holds in regimes(*magnitudes, eps):
         if holds:
             return verdict
-    near_one = tuple(j + 1 for j, m in enumerate(magnitudes) if abs(m - 1.0) < eps)
-    if not near_one:
-        # Rounding can leave |m - 1| == eps between the bands (eps 1, |lambda| 1e-20 and 3).
-        near_one = tuple(j + 1 for j, m in enumerate(magnitudes) if not any(_bands(m, eps)[1:]))
-    return TheoryClass(TheoryKind.BOUNDARY, boundary_components=near_one)
+    between = tuple(j + 1 for j, m in enumerate(magnitudes) if not any(_bands(m, eps)[1:]))
+    return TheoryClass(TheoryKind.BOUNDARY, boundary_components=between)
 
 
 def _bands(m, eps: float):

@@ -46,7 +46,7 @@ __all__ = ["REPORT_FORMAT_VERSION", "AnalysisReport", "analyze_exact", "analyze_
 #: The ``format_version`` of the JSON reports of ``analyze``, ``reconstruct`` and
 #: ``balance``; README's format history says what each version changed.  Experiment
 #: files carry their own, ``io.FORMAT_VERSION``.
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 _LIFTABLE = (TheoryKind.CLASSICAL, TheoryKind.TRIGONOMETRIC)
 

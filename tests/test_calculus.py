@@ -65,6 +65,16 @@ def consistent_statistics(p1, t11, t21, lam1):
     )
 
 
+def near_band_edges(eps):
+    """Signed coefficients within 1e-15 of the band edges ``eps``, ``1 - eps`` and ``1 + eps``."""
+    return st.builds(
+        lambda edge, offset, sign: sign * (edge + offset),
+        st.sampled_from((eps, 1.0 - eps, 1.0 + eps)),
+        st.floats(-1e-15, 1e-15),
+        st.sampled_from((1.0, -1.0)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # predict_outcome
 # ---------------------------------------------------------------------------
@@ -350,10 +360,37 @@ class TestClassifyTheory:
         assert both.boundary_components == (1, 2)
 
     def test_boundary_between_the_bands_at_eps_one(self):
-        # |1e-20 - 1| rounds to eps = 1: component 1 lies in no band, yet not within eps of one.
+        # 1e-20 is neither at most 1 - eps = 0 nor at least 1 + eps = 2: component 1 lies
+        # in no band, and 3.0 lies in the band above one.
         verdict = classify_theory(LambdaPair(1e-20, 3.0), 1.0)
         assert verdict.kind is TheoryKind.BOUNDARY
         assert verdict.boundary_components == (1,)
+
+    @pytest.mark.parametrize("lam, eps, components", [
+        ((-1.0999999999999992, 0.9), 0.1, (1,)),
+        ((0.9, 1.0), 0.1, (2,)),
+        ((-0.8000000000000005, -1.2), 0.2, (1,)),
+    ])
+    def test_boundary_lists_no_component_that_lies_in_a_band(self, lam, eps, components):
+        # 0.9 <= 1 - 0.1 and 1.2 >= 1 + 0.2 hold in floats, although |m - 1| < eps does too.
+        verdict = classify_theory(LambdaPair(*lam), eps)
+        assert verdict.kind is TheoryKind.BOUNDARY
+        assert verdict.boundary_components == components
+
+    @given(st.floats(0.0, 3.0).flatmap(
+        lambda eps: st.tuples(st.just(eps), near_band_edges(eps), near_band_edges(eps))
+    ))
+    @example((0.1, -1.0999999999999992, 0.9))
+    @settings(max_examples=1000)
+    def test_boundary_components_are_the_components_in_no_band(self, drawn):
+        eps, lam1, lam2 = drawn
+        verdict = classify_theory(LambdaPair(lam1, lam2), eps)
+        in_no_band = tuple(
+            j + 1 for j, m in enumerate((abs(lam1), abs(lam2)))
+            if not (m <= 1.0 - eps or m >= 1.0 + eps)
+        )
+        assert (verdict.kind is TheoryKind.BOUNDARY) == bool(in_no_band)
+        assert verdict.boundary_components == in_no_band
 
     def test_band_above_half_reads_magnitudes_near_both_ends_as_boundary(self):
         # At eps 0.6 the bands around 0 and 1 overlap, and 0.6 lies in both.
