@@ -260,15 +260,16 @@ class BalanceReport(Record):
 def interference_terms(p1, p2, ta, tb, sqrt=math.sqrt):
     """Classical term and interference weight of one outcome.
 
-    Returns ``(p1*ta + p2*tb, 2*sqrt(p1*p2*ta*tb))`` for the filtration
+    Returns ``(p1*ta + p2*tb, 2*sqrt((p1*p2)*(ta*tb)))`` for the filtration
     probabilities and the two transition entries ``ta``, ``tb`` of one
     column, so that ``q = classical + weight*lambda``.  This is the only place
-    the transformation is written out.  The arguments are Python floats, or
-    numpy arrays that broadcast together with ``sqrt=numpy.sqrt``; both
-    square roots are correctly rounded, so the scalar and array forms agree
-    bit for bit.
+    the transformation is written out.  Relabelling B swaps ``(p1, ta)`` with
+    ``(p2, tb)``; both terms keep their bits, as float ``+`` and ``*`` commute.
+    The arguments are Python floats, or numpy arrays that broadcast together
+    with ``sqrt=numpy.sqrt``; both square roots are correctly rounded, so the
+    scalar and array forms agree bit for bit.
     """
-    return p1 * ta + p2 * tb, 2.0 * sqrt(p1 * p2 * ta * tb)
+    return p1 * ta + p2 * tb, 2.0 * sqrt((p1 * p2) * (ta * tb))
 
 
 def invert_column(q, p1, p2, ta, tb, sqrt=math.sqrt, where=where):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxprob import (TOL_EXACT, ContextStatistics, CtxprobError, TheoryKind, TransitionMatrix,
-                     analyze_exact, report_to_dict)
+from ctxprob import (TOL_EXACT, ContextStatistics, CtxprobError, ModelKind, TheoryKind,
+                     TransitionMatrix, analyze_exact, exact_statistics, lambda_from_statistics,
+                     random_model, report_to_dict)
 from ctxprob.calculus import interference_terms
 from ctxprob.report import analyze_block
 
@@ -176,3 +177,79 @@ def test_the_report_holds_every_value_its_payload_writes(transition, outcome, li
     psi = report.amplitudes and [[z.real, z.imag] for z in report.amplitudes.psi]
     assert psi == payload.get("amplitudes", {}).get("psi")
     assert (psi is not None) is lifted
+
+
+# ---------------------------------------------------------------------------
+# Results that do not depend on outcome labels
+# ---------------------------------------------------------------------------
+
+
+def relabelled(stats, a, b):
+    """``stats`` with the two outcomes of A swapped if ``a``, and those of B if ``b``."""
+    prior, rows, outcome = stats.prior, stats.transition.rows, stats.outcome
+    if b:
+        prior, rows = prior[::-1], rows[::-1]
+    if a:
+        rows, outcome = tuple(row[::-1] for row in rows), outcome[::-1]
+    return ContextStatistics(prior, TransitionMatrix(rows), outcome)
+
+
+def scalar_analysis(stats, eps):
+    """Coefficients, phases and verdict of ``analyze_exact``, floats as their bits."""
+    report = analyze_exact(stats, eps_class=eps)
+    verdict = report.theory_class
+    return (
+        bits(report.lambda_point),
+        [(phase.kind, phase.theta.hex(), phase.sign) for phase in report.phases],
+        (verdict.kind, verdict.hyper_component, verdict.boundary_components),
+    )
+
+
+def swapped_components(analysis):
+    """What a scalar analysis becomes when the components 1 and 2 trade places."""
+    lam, phases, (kind, hyper, boundary) = analysis
+    hyper = None if hyper is None else 3 - hyper
+    return lam[::-1], phases[::-1], (kind, hyper, tuple(sorted(3 - j for j in boundary)))
+
+
+def block_row(stats):
+    return [*stats.prior, *stats.transition.rows[0], *stats.transition.rows[1], *stats.outcome]
+
+
+@pytest.mark.parametrize("a, b", [(False, True), (True, False), (True, True)],
+                         ids=["relabel-b", "relabel-a", "relabel-both"])
+@given(
+    kind=st.sampled_from(list(ModelKind)),
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.sampled_from([None, "zero", "below-one", "above-one"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_relabelled_outcomes_give_the_same_analysis_bit_for_bit(a, b, kind, seed, edge):
+    """Which outcome of A or B is called the first is a naming choice.
+
+    Relabelling B keeps the coefficients, phases and verdict bit for bit; relabelling
+    A swaps them, with the component numbers of the verdict swapped too.  Both hold for
+    ``analyze_exact`` and for the rows of ``analyze_block``.  The CIs of a counts report
+    are out of scope: each bootstrap stream belongs to an experiment, so a relabelled
+    counts file draws other replicates, and its CIs differ by sampling noise.
+    """
+    stats = exact_statistics(random_model(kind, seed))
+    try:
+        magnitude = abs(lambda_from_statistics(stats).lambda1)
+    except CtxprobError:
+        return
+    # A band edge on the first coefficient, where one bit decides the verdict.
+    eps = max(0.0, {None: 1e-6, "zero": magnitude, "below-one": 1.0 - magnitude,
+                    "above-one": magnitude - 1.0}[edge])
+    other = relabelled(stats, a, b)
+    expected = scalar_analysis(stats, eps)
+    if a:
+        expected = swapped_components(expected)
+    assert scalar_analysis(other, eps) == expected
+
+    block = np.array([block_row(stats), block_row(other)])
+    columns = analyze_block(block, lambda i: (stats, other)[i], eps_class=eps)
+    original, got = (bits(column[8:]) for column in zip(*(c.tolist() for c in columns)))
+    if a:  # lambda1, lambda2, theta1, theta2, kind, residual
+        original = [*original[1::-1], *original[3:1:-1], *original[4:]]
+    assert got == original
