@@ -229,8 +229,8 @@ def _write_output(texts: Iterable[str], path: str | None) -> None:
     replaces it after the last chunk and is removed on any error or interrupt.
     The new file gets the mode ``open(path, "w")`` would leave.  Anything else at
     ``path``, such as a symlink, a device or a FIFO, is written straight through,
-    as is a path whose directory takes no new file; ``open`` then names ``path``
-    in its error.
+    as is a path whose directory takes no new file, or the empty path; ``open``
+    then names ``path`` in its error.
     """
     if path is None:
         sys.stdout.writelines(texts)
@@ -240,7 +240,7 @@ def _write_output(texts: Iterable[str], path: str | None) -> None:
     except OSError:
         mode = None
     fd = None
-    if mode is None or stat.S_ISREG(mode):
+    if path and (mode is None or stat.S_ISREG(mode)):
         temp = os.path.join(os.path.dirname(path), f".ctxprob-{os.urandom(6).hex()}.tmp")
         with contextlib.suppress(OSError):
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

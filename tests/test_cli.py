@@ -899,6 +899,18 @@ class TestOutputIsAllOrNothing:
         assert link.is_symlink() and target.read_text().startswith("target_lambda1,")
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "sweep.csv"]
 
+    def test_an_empty_path_is_named_as_given_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # '' names no file, so the error names '' rather than a new file beside it
+        monkeypatch.chdir(tmp_path)
+        argv = ["balance", str(GOLDEN / "inputs" / "e1_exact.json"), "--output="]
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["ctxprob: i/o error: [Errno 2] No such file or directory: ''\n"] * 2
+        assert os.listdir(tmp_path) == []
+
 
 def _outcome(parse, argv):
     """What ``parse(argv)`` returns or exits with, and prints."""
