@@ -7,6 +7,8 @@ for fixed inputs and seeds).  Angles are radians.  Exit codes:
 * 1 -- invalid input or flags
 * 2 -- degenerate statistics or model
 * 3 -- infeasible or inconsistent data
+* 130 -- interrupted (SIGINT)
+* 141 -- stdout closed by its reader (SIGPIPE)
 """
 
 from __future__ import annotations
