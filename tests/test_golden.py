@@ -84,6 +84,13 @@ def test_every_json_report_carries_the_report_format_version():
         assert json.loads(text)["format_version"] == REPORT_FORMAT_VERSION, case["name"]
 
 
+def test_readme_has_one_history_line_per_report_format_version():
+    readme = (SRC.parent / "README.md").read_text("utf-8")
+    history = readme.split("\n## Report format history\n", 1)[1].split("\n## ", 1)[0]
+    versions = re.findall(r"^- \*([0-9]+):\*", history, re.MULTILINE)
+    assert versions == [str(v) for v in range(1, REPORT_FORMAT_VERSION + 1)]
+
+
 def test_corpus_writer_writes_the_committed_corpus():
     # The committed inputs are what today's ExperimentFile.dumps writes.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
