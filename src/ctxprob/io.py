@@ -217,14 +217,11 @@ def statistics_from_dict(payload: dict) -> ContextStatistics:
 
 def counts_to_dict(counts: CountsRecord) -> dict:
     return {
-        "n_context": counts.n_context,
-        "a_counts": list(counts.a_counts),
-        "n_filtration": counts.n_filtration,
-        "b_counts": list(counts.b_counts),
-        "filtered": [
-            {"n": counts.n_filtered[i], "a_counts": list(counts.a_counts_given[i])}
-            for i in range(2)
-        ],
+        "n_context": counts.sizes[0],
+        "a_counts": list(counts.tallies[0]),
+        "n_filtration": counts.sizes[1],
+        "b_counts": list(counts.tallies[1]),
+        "filtered": [{"n": counts.sizes[j], "a_counts": list(counts.tallies[j])} for j in (2, 3)],
         "seed": counts.seed,
     }
 
@@ -241,12 +238,8 @@ def counts_from_dict(payload: dict) -> CountsRecord:
     for f in filtered:
         _require_keys(f, "filtered context", {"n", "a_counts"})
     return CountsRecord(
-        n_context=payload["n_context"],
-        a_counts=payload["a_counts"],
-        n_filtration=payload["n_filtration"],
-        b_counts=payload["b_counts"],
-        n_filtered=(filtered[0]["n"], filtered[1]["n"]),
-        a_counts_given=(filtered[0]["a_counts"], filtered[1]["a_counts"]),
+        sizes=(payload["n_context"], payload["n_filtration"], *(f["n"] for f in filtered)),
+        tallies=(payload["a_counts"], payload["b_counts"], *(f["a_counts"] for f in filtered)),
         seed=payload["seed"],
     )
 

@@ -1,11 +1,12 @@
 """Finite-ensemble simulation and inference for context statistics.
 
-A full characterization run consists of three physically separate
-experiments, each on its own freshly prepared ensemble:
+A full characterization run consists of four physically separate
+experiments, each on its own freshly prepared ensemble, in the order of roles 1-4:
 
 1. measure A on the context ensemble,
 2. measure B on the context ensemble (the filtration statistics),
-3. measure A on each of the two filtered ensembles.
+3. measure A on filtered ensemble 1,
+4. measure A on filtered ensemble 2.
 
 Samples are never shared between experiments; probabilities belong to their
 preparation, so reusing one ensemble for two contexts would smuggle in a
@@ -14,8 +15,7 @@ from a substream derived from ``(seed, role)``; the bootstrap redraws the tally
 of experiment ``j`` for every replicate from the one substream
 ``(seed, bootstrap-experiment, j)``.  All results are therefore deterministic
 functions of their inputs, independent of evaluation order or parallelism.
-Experiment ``j = 0..3`` is that of role ``j + 1``: A on the context, B on the
-context, and A on filtered contexts 1 and 2.
+Experiment ``j = 0..3`` is that of role ``j + 1``.
 
 Estimation is plain frequency counting (:func:`estimate_statistics`); the
 interference coefficients inherit the uncertainty of the tallies through the
@@ -73,8 +73,9 @@ CONFIDENCE = 0.95
 _TWO_THREADS_FROM = 2500
 
 
-#: The four experiments in the order of roles 1-4 and of the bootstrap's ``j``: each one's
-#: role and its names in estimate_statistics, simulate_counts' sizes and CountsRecord.
+#: The four experiments in the order of roles 1-4, of the bootstrap's ``j`` and of
+#: CountsRecord's fields: each one's role and its names in messages, ``label`` in
+#: estimate_statistics', ``size`` in simulate_counts' and ``tally`` in CountsRecord's.
 _Experiment = namedtuple("_Experiment", "role label size tally")
 _EXPERIMENTS = tuple(_Experiment(*row) for row in (
     (ROLE_A_ON_CONTEXT, "A-on-context", "a_on_context", "a_counts"),
@@ -85,18 +86,22 @@ _EXPERIMENTS = tuple(_Experiment(*row) for row in (
 
 
 class CountsRecord(Record):
-    """Raw tallies of the three experiments, plus the seed that produced them."""
+    """Raw tallies of the four experiments, plus the seed that produced them.
 
-    def __init__(self, n_context: int, a_counts: tuple[int, int], n_filtration: int,
-                 b_counts: tuple[int, int], n_filtered: tuple[int, int],
-                 a_counts_given: tuple[tuple[int, int], tuple[int, int]], seed: int) -> None:
+    ``sizes`` holds the four ensemble sizes and ``tallies`` the four outcome pairs,
+    both in the order of roles 1-4, as ``sizes`` of :func:`simulate_counts`: A on
+    the context, B on the context, and A on filtered contexts 1 and 2.
+    """
+
+    def __init__(self, sizes: tuple[int, int, int, int],
+                 tallies: tuple[tuple[int, int], ...], seed: int) -> None:
         require_seed(seed)
-        shape = "counts need exactly two filtered contexts"
-        n_filtered = as_pair(n_filtered, shape)
-        a_counts_given = as_pair(a_counts_given, shape)
+        shape = "counts need four ensemble sizes and four tally pairs, one per experiment"
+        sizes, tallies = as_tuple(sizes, shape), as_tuple(tallies, shape)
+        if len(sizes) != len(_EXPERIMENTS) or len(tallies) != len(_EXPERIMENTS):
+            raise ValidationError(shape)
         pairs = []
-        for experiment, total, pair in zip(_EXPERIMENTS, (n_context, n_filtration, *n_filtered),
-                                           (a_counts, b_counts, *a_counts_given)):
+        for experiment, total, pair in zip(_EXPERIMENTS, sizes, tallies):
             label = experiment.tally
             pair = as_pair(pair, f"{label} must be a pair of nonnegative integers")
             if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in pair):
@@ -109,15 +114,7 @@ class CountsRecord(Record):
                     f"{label} must sum to its ensemble size {total}, got {shown(pair)}"
                 )
             pairs.append(pair)
-        self._set(n_context=n_context, a_counts=pairs[0], n_filtration=n_filtration,
-                  b_counts=pairs[1], n_filtered=n_filtered, a_counts_given=tuple(pairs[2:]),
-                  seed=seed)
-
-
-def _tallies(counts: CountsRecord):
-    """``(experiment, n, tally pair)`` of each experiment, in the order of ``_EXPERIMENTS``."""
-    return zip(_EXPERIMENTS, (counts.n_context, counts.n_filtration, *counts.n_filtered),
-               (counts.a_counts, counts.b_counts, *counts.a_counts_given))
+        self._set(sizes=sizes, tallies=tuple(pairs), seed=seed)
 
 
 class LambdaEstimate(Record):
@@ -143,7 +140,7 @@ class LambdaEstimate(Record):
 
 
 def simulate_counts(model: Model, sizes: int | tuple[int, ...], seed: int) -> CountsRecord:
-    """Simulate the three experiments against a model's exact statistics.
+    """Simulate the four experiments against a model's exact statistics.
 
     ``sizes`` is one ensemble size for every experiment, or four sizes in the
     order of roles 1-4: A on the context, B on the context, and A on filtered
@@ -168,9 +165,7 @@ def simulate_counts(model: Model, sizes: int | tuple[int, ...], seed: int) -> Co
         )
     ps = (stats.outcome[0], stats.prior[0], *(row[0] for row in stats.transition.rows))
     ks = [int(substream(seed, e.role).binomial(n, p)) for e, n, p in zip(_EXPERIMENTS, ns, ps)]
-    pairs = [(k, n - k) for k, n in zip(ks, ns)]
-    return CountsRecord(n_context=ns[0], a_counts=pairs[0], n_filtration=ns[1], b_counts=pairs[1],
-                        n_filtered=ns[2:], a_counts_given=pairs[2:], seed=seed)
+    return CountsRecord(ns, [(k, n - k) for k, n in zip(ks, ns)], seed)
 
 
 def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
@@ -181,12 +176,12 @@ def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
     left alone -- whether they equal one is an empirical finding about the
     data, not a constraint imposed here.
     """
-    for experiment, n, _ in _tallies(counts):
+    for experiment, n in zip(_EXPERIMENTS, counts.sizes):
         if n == 0:
             raise DegenerateContextError(
                 f"{experiment.label} ensemble is empty; frequencies undefined"
             )
-    outcome, prior, *rows = ((k1 / n, k2 / n) for _, n, (k1, k2) in _tallies(counts))
+    outcome, prior, *rows = ((k1 / n, k2 / n) for n, (k1, k2) in zip(counts.sizes, counts.tallies))
     return ContextStatistics(prior=prior, transition=TransitionMatrix(rows), outcome=outcome)
 
 
@@ -219,7 +214,7 @@ def _bootstrap_frequencies(counts: CountsRecord, replicates: int, seed: int) -> 
     An error of either half is raised here, after both are done.
     """
     draws = [(substream(seed, ROLE_BOOTSTRAP_EXPERIMENT, j), n, k)
-             for j, (_, n, (k, _)) in enumerate(_tallies(counts))]
+             for j, (n, (k, _)) in enumerate(zip(counts.sizes, counts.tallies))]
     frequencies = np.empty((len(draws), replicates))
     errors = []
     if replicates < _TWO_THREADS_FROM:

@@ -43,20 +43,17 @@ DEGENERATE = ContextStatistics(
 
 # Counts files with no model.  A-on-filtered-1 is empty: no frequencies (exit 2).
 EMPTY_COUNTS = CountsRecord(
-    n_context=10, a_counts=(4, 6), n_filtration=10, b_counts=(3, 7),
-    n_filtered=(0, 10), a_counts_given=((0, 0), (5, 5)), seed=1,
+    sizes=(10, 10, 0, 10), tallies=((4, 6), (3, 7), (0, 0), (5, 5)), seed=1
 )
 # Small ensembles: many bootstrap replicates are degenerate (failed_replicates).
 SPARSE_COUNTS = CountsRecord(
-    n_context=20, a_counts=(12, 8), n_filtration=6, b_counts=(1, 5),
-    n_filtered=(20, 20), a_counts_given=((15, 5), (9, 11)), seed=5,
+    sizes=(20, 6, 20, 20), tallies=((12, 8), (1, 5), (15, 5), (9, 11)), seed=5
 )
 # Tiny ensembles: a replicate that draws a transition entry of 0 or a filtration
 # probability of 0 or 1 has a vanishing weight.  With --seed 1 the one replicate
 # draws t11 = 1, so the second column cannot be inverted (exit 2).
 DEGENERATE_BOOTSTRAP_COUNTS = CountsRecord(
-    n_context=10, a_counts=(5, 5), n_filtration=2, b_counts=(1, 1),
-    n_filtered=(10, 10), a_counts_given=((9, 1), (1, 9)), seed=1,
+    sizes=(10, 2, 10, 10), tallies=((5, 5), (1, 1), (9, 1), (1, 9)), seed=1
 )
 
 # lambda1 = 0.5 and its balanced companion lambda2 = -w1 * 0.5 / w2 = -1.22...:

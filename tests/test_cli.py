@@ -211,8 +211,7 @@ class TestSimulate:
             "--n", "100", "--n-context", "250", "--seed", "3", "--output", out,
         ]) == 0
         record = ExperimentFile.loads((tmp_path / "c.json").read_text())
-        assert record.counts.n_context == 250
-        assert record.counts.n_filtration == 100
+        assert record.counts.sizes == (250, 100, 100, 100)
 
     @pytest.mark.parametrize(
         "transition, message",
@@ -1064,4 +1063,4 @@ def test_python_dash_m_runs_main(module, tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert ExperimentFile.loads(out.read_text()).counts.n_context == 100
+    assert ExperimentFile.loads(out.read_text()).counts.sizes[0] == 100

@@ -190,11 +190,18 @@ class TestExperimentFile:
 
     def test_counts_round_trip_including_model(self):
         model = QubitModel(alpha=math.pi / 6, phi=math.pi / 2, b_rotation=math.pi / 4)
-        counts = simulate_counts(model, 1000, seed=9)
-        original = ExperimentFile(counts=counts, model=model)
-        loaded = ExperimentFile.loads(original.dumps())
-        assert loaded == original
-        assert loaded.model == model
+        for sizes in (1000, (250, 100, 300, 400)):
+            counts = simulate_counts(model, sizes, seed=9)
+            original = ExperimentFile(counts=counts, model=model)
+            loaded = ExperimentFile.loads(original.dumps())
+            assert loaded == original
+            assert loaded.model == model
+        # Each experiment's n lands under its own file key, in role order.
+        payload = json.loads(original.dumps())["counts"]
+        assert [payload["n_context"], payload["n_filtration"],
+                *(f["n"] for f in payload["filtered"])] == [250, 100, 300, 400]
+        assert [payload["a_counts"], payload["b_counts"],
+                *(f["a_counts"] for f in payload["filtered"])] == [list(t) for t in counts.tallies]
 
     def test_serialization_is_byte_stable(self):
         record = ExperimentFile(exact=E1_STATS)

@@ -109,8 +109,7 @@ def _simulated():
     for name, seed in itertools.product(sorted(PRESETS), SIMULATION_SEEDS):
         record = simulate_counts(PRESETS[name], SIMULATION_SIZES, seed)
         estimate = estimate_lambda(record, 200, seed)
-        tallies = [record.a_counts, record.b_counts, *record.a_counts_given]
-        rows.append([name, seed, [list(pair) for pair in tallies], list(estimate.ci_low),
+        rows.append([name, seed, [list(pair) for pair in record.tallies], list(estimate.ci_low),
                      list(estimate.ci_high), list(estimate.stderr)])
     return rows
 

@@ -61,12 +61,8 @@ def mean_abs_errors(model, sizes, runs, base_seed):
 def e2_proportional_counts(n=10000):
     """Tallies exactly proportional to the E2 probabilities."""
     return CountsRecord(
-        n_context=n,
-        a_counts=(int(0.48 * n), n - int(0.48 * n)),
-        n_filtration=n,
-        b_counts=(int(0.3 * n), n - int(0.3 * n)),
-        n_filtered=(n, n),
-        a_counts_given=((int(0.2 * n), n - int(0.2 * n)), (int(0.6 * n), n - int(0.6 * n))),
+        sizes=(n, n, n, n),
+        tallies=tuple((int(p * n), n - int(p * n)) for p in (0.48, 0.3, 0.2, 0.6)),
         seed=0,
     )
 
@@ -84,13 +80,13 @@ class TestSimulateCounts:
 
     def test_unit_ensembles_give_one_hot_tallies(self):
         counts = simulate_counts(E1_MODEL, 1, seed=3)
-        for pair in (counts.a_counts, counts.b_counts, *counts.a_counts_given):
+        for pair in counts.tallies:
             assert sorted(pair) == [0, 1]
 
     def test_large_run_lands_within_three_sigma(self):
         # binomial sigma at p=0.75, n=1e6 is ~4.3e-4; freeze the 3-sigma band
         counts = simulate_counts(E1_MODEL, 10**6, seed=7)
-        assert abs(counts.a_counts[0] / 10**6 - 0.75) < 0.0013
+        assert abs(counts.tallies[0][0] / 10**6 - 0.75) < 0.0013
 
     def test_zero_filtration_is_rejected(self):
         model = QubitModel(alpha=0.0, phi=0.0, b_rotation=0.0)  # state = b1 exactly
@@ -103,35 +99,38 @@ class TestSimulateCounts:
 
     def test_tallies_must_sum_to_sizes(self):
         with pytest.raises(ValidationError):
-            CountsRecord(
-                n_context=10,
-                a_counts=(4, 5),
-                n_filtration=10,
-                b_counts=(5, 5),
-                n_filtered=(10, 10),
-                a_counts_given=((5, 5), (5, 5)),
-                seed=0,
-            )
+            CountsRecord(sizes=(10, 10, 10, 10), tallies=((4, 5), (5, 5), (5, 5), (5, 5)), seed=0)
 
     @pytest.mark.parametrize(
-        "fields, message",
+        "position, pair, message",
         [
-            ({"n_filtered": 5}, "counts need exactly two filtered contexts"),
-            ({"a_counts_given": 5}, "counts need exactly two filtered contexts"),
-            ({"a_counts": 5}, "a_counts must be a pair of nonnegative integers"),
-            ({"b_counts": None}, "b_counts must be a pair of nonnegative integers"),
-            ({"a_counts_given": ((5, 5), 7)},
-             "a_counts_given\\[2\\] must be a pair of nonnegative integers"),
-            ({"a_counts": (1.5, 8.5)}, "a_counts must be a pair of nonnegative integers"),
+            (0, 5, "a_counts must be a pair of nonnegative integers"),
+            (1, None, "b_counts must be a pair of nonnegative integers"),
+            (3, 7, "a_counts_given\\[2\\] must be a pair of nonnegative integers"),
+            (0, (1.5, 8.5), "a_counts must be a pair of nonnegative integers"),
         ],
-        ids=["n_filtered", "a_counts_given", "a_counts", "b_counts", "a_counts_given-2",
-             "a_counts-floats"],
+        ids=["a_counts", "b_counts", "a_counts_given-2", "a_counts-floats"],
     )
-    def test_non_pair_counts_are_invalid(self, fields, message):
-        record = {"n_context": 10, "a_counts": (5, 5), "n_filtration": 10, "b_counts": (5, 5),
-                  "n_filtered": (10, 10), "a_counts_given": ((5, 5), (5, 5)), "seed": 0}
+    def test_non_pair_counts_are_invalid(self, position, pair, message):
+        tallies = [(5, 5)] * 4
+        tallies[position] = pair
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            CountsRecord(**{**record, **fields})
+            CountsRecord(sizes=(10, 10, 10, 10), tallies=tallies, seed=0)
+
+    @pytest.mark.parametrize("sizes, tallies", [
+        ((10, 10, 10), ((5, 5),) * 4),
+        ((10,) * 5, ((5, 5),) * 4),
+        (10, ((5, 5),) * 4),
+        ((10,) * 4, ((5, 5),) * 3),
+        ((10,) * 4, ((5, 5),) * 5),
+        ((10,) * 4, 5),
+    ], ids=["three-sizes", "five-sizes", "int-sizes", "three-tallies", "five-tallies",
+            "int-tallies"])
+    def test_sizes_and_tallies_not_four_are_invalid(self, sizes, tallies):
+        # io checks for two filtered contexts first, so only a library caller gets here.
+        shape = "^counts need four ensemble sizes and four tally pairs, one per experiment$"
+        with pytest.raises(ValidationError, match=shape):
+            CountsRecord(sizes=sizes, tallies=tallies, seed=0)
 
     @pytest.mark.parametrize("sizes", [10.0, None, "10", (10, 10, 5), (10,) * 5],
                              ids=["float", "none", "string", "three", "five"])
@@ -147,18 +146,12 @@ class TestSimulateCounts:
         with pytest.raises(ValidationError, match="^a_on_context must be an integer, got '10'$"):
             simulate_counts(E1_MODEL, ("10", 10, 10, 10), seed=0)
 
-    @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
-    def test_boolean_ensemble_size_is_rejected(self, field):
-        sizes = {"n_context": 1, "n_filtration": 1, "n_filtered": (1, 1)}
-        sizes[field] = (True, 1) if field == "n_filtered" else True
+    @pytest.mark.parametrize("position", range(3), ids=["n_context", "n_filtration", "n_filtered"])
+    def test_boolean_ensemble_size_is_rejected(self, position):
+        sizes = [1, 1, 1, 1]
+        sizes[position] = True
         with pytest.raises(ValidationError, match="ensemble size"):
-            CountsRecord(
-                a_counts=(1, 0),
-                b_counts=(1, 0),
-                a_counts_given=((1, 0), (1, 0)),
-                seed=0,
-                **sizes,
-            )
+            CountsRecord(sizes=sizes, tallies=((1, 0),) * 4, seed=0)
 
     @pytest.mark.parametrize("position", range(4))
     def test_sizes_are_bounded_at_a_c_long(self, position):
@@ -166,25 +159,19 @@ class TestSimulateCounts:
         sizes = [1, 1, 1, 1]
         sizes[position] = 2**63 - 1
         counts = simulate_counts(E1_MODEL, sizes, 3)
-        assert 2**63 - 1 in (counts.n_context, counts.n_filtration, *counts.n_filtered)
+        assert counts.sizes[position] == 2**63 - 1
         sizes[position] = 2**63
         with pytest.raises(ValidationError, match="at most 2\\^63 - 1"):
             simulate_counts(E1_MODEL, sizes, 3)
 
-    @pytest.mark.parametrize("field", ["n_context", "n_filtration", "n_filtered"])
-    def test_counts_ensemble_sizes_are_bounded(self, field):
+    @pytest.mark.parametrize("position", range(3), ids=["n_context", "n_filtration", "n_filtered"])
+    def test_counts_ensemble_sizes_are_bounded(self, position):
         def record(n):
-            # Ensembles of 1000, but ``field``'s first one has n draws, split in halves.
-            half = (n - n // 2, n // 2)
-            fields = {"n_context": 1000, "a_counts": (500, 500), "n_filtration": 1000,
-                      "b_counts": (500, 500), "n_filtered": (1000, 1000),
-                      "a_counts_given": ((700, 300), (300, 700))}
-            tallies = {"n_context": "a_counts", "n_filtration": "b_counts"}
-            if field == "n_filtered":
-                fields.update(n_filtered=(n, 1000), a_counts_given=(half, (300, 700)))
-            else:
-                fields.update({field: n, tallies[field]: half})
-            return CountsRecord(**fields, seed=0)
+            # Ensembles of 1000, but experiment ``position`` has n draws, split in halves.
+            sizes = [1000] * 4
+            tallies = [(500, 500), (500, 500), (700, 300), (300, 700)]
+            sizes[position], tallies[position] = n, (n - n // 2, n // 2)
+            return CountsRecord(sizes, tallies, seed=0)
 
         estimate = estimate_lambda(record(2**63 - 1), replicates=20, seed=1)
         assert estimate.failed_replicates == 0
@@ -194,16 +181,16 @@ class TestSimulateCounts:
 
 class TestEstimateStatistics:
     def test_frequencies(self):
+        # Four distinct sizes and tallies, so a swapped experiment changes the result.
         counts = CountsRecord(
-            n_context=1000,
-            a_counts=(480, 520),
-            n_filtration=1000,
-            b_counts=(300, 700),
-            n_filtered=(1000, 1000),
-            a_counts_given=((200, 800), (600, 400)),
+            sizes=(1000, 500, 250, 800),
+            tallies=((480, 520), (150, 350), (50, 200), (480, 320)),
             seed=0,
         )
-        assert estimate_statistics(counts).prior == (0.3, 0.7)
+        stats = estimate_statistics(counts)
+        assert stats.prior == (0.3, 0.7)
+        assert stats.transition.rows == ((0.2, 0.8), (0.6, 0.4))
+        assert stats.outcome == (0.48, 0.52)
 
     def test_exactly_proportional_tallies_reproduce_e2(self):
         stats = estimate_statistics(e2_proportional_counts())
@@ -218,13 +205,7 @@ class TestEstimateStatistics:
 
     def test_empty_ensemble(self):
         counts = CountsRecord(
-            n_context=10,
-            a_counts=(5, 5),
-            n_filtration=10,
-            b_counts=(5, 5),
-            n_filtered=(0, 10),
-            a_counts_given=((0, 0), (5, 5)),
-            seed=0,
+            sizes=(10, 10, 0, 10), tallies=((5, 5), (5, 5), (0, 0), (5, 5)), seed=0
         )
         with pytest.raises(DegenerateContextError, match="ensemble is empty"):
             estimate_statistics(counts)
@@ -279,7 +260,7 @@ class TestEstimateLambda:
             target_lambda=LambdaPair(1.25, -1.25),
         )
         counts = simulate_counts(model, 10**6, seed=17)
-        assert counts.a_counts == (10**6, 0)
+        assert counts.tallies[0] == (10**6, 0)
         report = analyze_estimated(counts, replicates=400, seed=3)
         assert report.lambda_estimate.lambda_hat.lambda1 == pytest.approx(1.25, abs=0.01)
         assert report.theory_class.kind is TheoryKind.HYPERBOLIC
@@ -338,10 +319,7 @@ class TestBootstrapKernel:
         (10**6, (300000, 500000, 700000, 123456), _TWO_THREADS_FROM),
     ])
     def test_same_bytes_as_the_serial_draw(self, monkeypatch, n, tallies, replicates):
-        k1, k2, k3, k4 = tallies
-        counts = CountsRecord(n_context=n, a_counts=(k1, n - k1), n_filtration=n,
-                              b_counts=(k2, n - k2), n_filtered=(n, n),
-                              a_counts_given=((k3, n - k3), (k4, n - k4)), seed=0)
+        counts = CountsRecord((n,) * 4, [(k, n - k) for k in tallies], seed=0)
         serial = np.stack([substream(7, 8, j).binomial(n, k / n, size=replicates) / n
                            for j, k in enumerate(tallies)])
         draw_rows = ctxprob.sampling._draw_rows

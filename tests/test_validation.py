@@ -22,7 +22,7 @@ from ctxprob._validation import Record
 
 E1 = exact_statistics(QubitModel(0.5235987755982988, 1.5707963267948966, 0.7853981633974483))
 REPORT = analyze_exact(E1)
-COUNTS = CountsRecord(10, (6, 4), 10, (5, 5), (10, 10), ((5, 5), (3, 7)), 7)
+COUNTS = CountsRecord((10, 10, 10, 10), ((6, 4), (5, 5), (5, 5), (3, 7)), 7)
 
 RECORDS = [
     DichotomicObservable("A", ("a1", "a2")),
