@@ -293,8 +293,9 @@ def predict_outcome(
 ) -> tuple[float, float]:
     """Outcome probabilities from filtration data and interference coefficients.
 
-    Evaluates, in fixed order,
-    ``q_j = p1*t1j + p2*t2j + 2*sqrt(p1*p2*t1j*t2j)*lambda_j`` for j = 1, 2.
+    Evaluates ``q_j = classical + weight*lambda_j`` for j = 1, 2, with the terms
+    of :func:`interference_terms` in its operation order:
+    ``p1*t1j + p2*t2j`` and ``2*sqrt((p1*p2)*(t1j*t2j))``.
 
     Values straying outside [0, 1] by at most ``TOL_EXACT`` are clipped to
     the boundary (floating-point noise); larger excursions raise

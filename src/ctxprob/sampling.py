@@ -73,9 +73,9 @@ CONFIDENCE = 0.95
 _TWO_THREADS_FROM = 2500
 
 
-#: The four experiments in the order of roles 1-4, of the bootstrap's ``j`` and of
-#: CountsRecord's fields: each one's role and its names in messages, ``label`` in
-#: estimate_statistics', ``size`` in simulate_counts' and ``tally`` in CountsRecord's.
+#: The four experiments in the order of roles 1-4, of the bootstrap's ``j`` and of CountsRecord's
+#: sizes and tallies.  simulate_counts seeds its draws by ``role``; the names are for messages:
+#: ``label`` in estimate_statistics, ``size`` in simulate_counts and ``tally`` in CountsRecord.
 _Experiment = namedtuple("_Experiment", "role label size tally")
 _EXPERIMENTS = tuple(_Experiment(*row) for row in (
     (ROLE_A_ON_CONTEXT, "A-on-context", "a_on_context", "a_counts"),
@@ -89,8 +89,8 @@ class CountsRecord(Record):
     """Raw tallies of the four experiments, plus the seed that produced them.
 
     ``sizes`` holds the four ensemble sizes and ``tallies`` the four outcome pairs,
-    both in the order of roles 1-4, as ``sizes`` of :func:`simulate_counts`: A on
-    the context, B on the context, and A on filtered contexts 1 and 2.
+    both in the order of roles 1-4, like the ``sizes`` of :func:`simulate_counts`:
+    A on the context, B on the context, and A on filtered contexts 1 and 2.
     """
 
     def __init__(self, sizes: tuple[int, int, int, int],
