@@ -27,7 +27,7 @@ TOL_DEGENERATE = 1e-12
 
 _MAX_SEED = 2**64
 
-#: Largest ensemble size: numpy's binomial draw takes a C long.
+#: Largest count of :func:`require_count`: numpy's binomial draw takes a C long.
 MAX_ENSEMBLE_SIZE = 2**63 - 1
 
 # Integers of up to 24 digits (2^64 has 20) and every float repr stay whole.
@@ -150,16 +150,12 @@ def require_distribution(pair: Sequence[Any], name: str) -> tuple[float, float]:
     return (p1, p2)
 
 
-def require_positive_int(n: Any, name: str) -> int:
+def require_count(n: Any, name: str, least: int) -> int:
+    """Validate a count: an ``int``, not a bool, in ``[least, MAX_ENSEMBLE_SIZE]``."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValidationError(f"{name} must be an integer, got {shown(n)}")
-    if n < 1:
-        raise ValidationError(f"{name} must be >= 1, got {shown(n)}")
-    return n
-
-
-def require_ensemble_size(n: int, name: str) -> int:
-    """Bound an integer ensemble size at :data:`MAX_ENSEMBLE_SIZE`."""
+    if n < least:
+        raise ValidationError(f"{name} must be >= {least}, got {shown(n)}")
     if n > MAX_ENSEMBLE_SIZE:
         raise ValidationError(f"{name} must be at most 2^63 - 1, got {shown(n)}")
     return n

@@ -25,7 +25,6 @@ inversion formula, quantified by a percentile bootstrap that redraws them.
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
 
 import numpy as np
 
@@ -37,9 +36,7 @@ from ._rng import (
     ROLE_BOOTSTRAP_EXPERIMENT,
     substream,
 )
-from ._validation import (
-    Record, as_pair, as_tuple, require_ensemble_size, require_positive_int, require_seed, shown
-)
+from ._validation import Record, as_pair, as_tuple, require_count, require_seed, shown
 from .calculus import (
     ContextStatistics,
     LambdaPair,
@@ -73,16 +70,15 @@ CONFIDENCE = 0.95
 _TWO_THREADS_FROM = 2500
 
 
-#: The four experiments in the order of roles 1-4, of the bootstrap's ``j`` and of CountsRecord's
-#: sizes and tallies.  simulate_counts seeds its draws by ``role``; the names are for messages:
-#: ``label`` in estimate_statistics, ``size`` in simulate_counts and ``tally`` in CountsRecord.
-_Experiment = namedtuple("_Experiment", "role label size tally")
-_EXPERIMENTS = tuple(_Experiment(*row) for row in (
-    (ROLE_A_ON_CONTEXT, "A-on-context", "a_on_context", "a_counts"),
-    (ROLE_B_ON_CONTEXT, "B-on-context", "b_on_context", "b_counts"),
-    (ROLE_A_ON_FILTERED_1, "A-on-filtered-1", "a_on_filtered[1]", "a_counts_given[1]"),
-    (ROLE_A_ON_FILTERED_2, "A-on-filtered-2", "a_on_filtered[2]", "a_counts_given[2]"),
-))
+#: The four experiments as ``(role, name)``, in the order of roles 1-4, of the bootstrap's ``j``
+#: and of CountsRecord's sizes and tallies.  simulate_counts seeds its draws by ``role``; every
+#: message about an experiment's ensemble or counts starts with its ``name``.
+_EXPERIMENTS = (
+    (ROLE_A_ON_CONTEXT, "A-on-context"),
+    (ROLE_B_ON_CONTEXT, "B-on-context"),
+    (ROLE_A_ON_FILTERED_1, "A-on-filtered-1"),
+    (ROLE_A_ON_FILTERED_2, "A-on-filtered-2"),
+)
 
 
 class CountsRecord(Record):
@@ -101,17 +97,14 @@ class CountsRecord(Record):
         if len(sizes) != len(_EXPERIMENTS) or len(tallies) != len(_EXPERIMENTS):
             raise ValidationError(shape)
         pairs = []
-        for experiment, total, pair in zip(_EXPERIMENTS, sizes, tallies):
-            label = experiment.tally
-            pair = as_pair(pair, f"{label} must be a pair of nonnegative integers")
-            if any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in pair):
-                raise ValidationError(f"{label} must be a pair of nonnegative integers")
-            if isinstance(total, bool) or not isinstance(total, int) or total < 0:
-                raise ValidationError(f"ensemble size for {label} must be a nonnegative integer")
-            require_ensemble_size(total, f"ensemble size for {label}")
+        for (_, name), total, pair in zip(_EXPERIMENTS, sizes, tallies):
+            require_count(total, f"{name} ensemble size", 0)
+            pair = as_pair(pair, f"{name} counts must be a pair of integers")
+            for k in pair:
+                require_count(k, f"{name} count", 0)
             if pair[0] + pair[1] != total:
                 raise ValidationError(
-                    f"{label} must sum to its ensemble size {total}, got {shown(pair)}"
+                    f"{name} counts must sum to its ensemble size {total}, got {shown(pair)}"
                 )
             pairs.append(pair)
         self._set(sizes=sizes, tallies=tuple(pairs), seed=seed)
@@ -153,8 +146,8 @@ def simulate_counts(model: Model, sizes: int | tuple[int, ...], seed: int) -> Co
     ns = (sizes,) * len(_EXPERIMENTS) if isinstance(sizes, int) else as_tuple(sizes, shape)
     if len(ns) != len(_EXPERIMENTS):
         raise ValidationError(shape)
-    for experiment, n in zip(_EXPERIMENTS, ns):
-        require_ensemble_size(require_positive_int(n, experiment.size), experiment.size)
+    for (_, name), n in zip(_EXPERIMENTS, ns):
+        require_count(n, f"{name} ensemble size", 1)
     seed = require_seed(seed)
     stats = exact_statistics(model)
     if min(stats.prior) <= 0.0:
@@ -164,7 +157,7 @@ def simulate_counts(model: Model, sizes: int | tuple[int, ...], seed: int) -> Co
             f"its filtered ensemble cannot be prepared"
         )
     ps = (stats.outcome[0], stats.prior[0], *(row[0] for row in stats.transition.rows))
-    ks = [int(substream(seed, e.role).binomial(n, p)) for e, n, p in zip(_EXPERIMENTS, ns, ps)]
+    ks = [int(substream(seed, role).binomial(n, p)) for (role, _), n, p in zip(_EXPERIMENTS, ns, ps)]
     return CountsRecord(ns, [(k, n - k) for k, n in zip(ks, ns)], seed)
 
 
@@ -176,11 +169,9 @@ def estimate_statistics(counts: CountsRecord) -> ContextStatistics:
     left alone -- whether they equal one is an empirical finding about the
     data, not a constraint imposed here.
     """
-    for experiment, n in zip(_EXPERIMENTS, counts.sizes):
+    for (_, name), n in zip(_EXPERIMENTS, counts.sizes):
         if n == 0:
-            raise DegenerateContextError(
-                f"{experiment.label} ensemble is empty; frequencies undefined"
-            )
+            raise DegenerateContextError(f"{name} ensemble is empty; frequencies undefined")
     outcome, prior, *rows = ((k1 / n, k2 / n) for n, (k1, k2) in zip(counts.sizes, counts.tallies))
     return ContextStatistics(prior=prior, transition=TransitionMatrix(rows), outcome=outcome)
 
@@ -272,7 +263,7 @@ def estimate_lambda(
     propagation through the inversion's denominator does not.
     """
     stats = estimate_statistics(counts)
-    require_positive_int(replicates, "replicates")
+    require_count(replicates, "replicates", 1)
     if replicates > MAX_BOOTSTRAP_REPLICATES:
         raise ValidationError(
             f"replicates is {replicates}; a bootstrap takes at most "

@@ -151,7 +151,7 @@ class TestModelDescriptors:
     (model_from_dict, {**E3_MODEL, "lambda": [1.0]},
      "target_lambda must have exactly two components"),
     (counts_from_dict, {**E1_COUNTS, "a_counts": 5},
-     "a_counts must be a pair of nonnegative integers"),
+     "A-on-context counts must be a pair of integers"),
     (ExperimentFile.from_dict, {**E1_FILE, "observables": [
         {"name": "A", "values": ["a1"]}, {"name": "B", "values": ["b1", "b2"]}]},
      "observable 'A' labels must be two nonempty strings, got ('a1',)"),

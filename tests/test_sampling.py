@@ -34,6 +34,9 @@ from ctxprob.sampling import (
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
+# The four experiments in role order, as every message about one names it.
+EXPERIMENT_NAMES = ["A-on-context", "B-on-context", "A-on-filtered-1", "A-on-filtered-2"]
+
 E1_MODEL = QubitModel(alpha=math.pi / 6, phi=math.pi / 2, b_rotation=math.pi / 4)
 E2_MODEL = KolmogorovModel(
     weights=(0.06, 0.24, 0.42, 0.28), a_values=(0, 1, 0, 1), b_values=(0, 0, 1, 1)
@@ -94,7 +97,8 @@ class TestSimulateCounts:
             simulate_counts(model, 100, seed=0)
 
     def test_sizes_must_be_positive(self):
-        with pytest.raises(ValidationError, match="^a_on_context must be >= 1, got 0$"):
+        message = "^A-on-context ensemble size must be >= 1, got 0$"
+        with pytest.raises(ValidationError, match=message):
             simulate_counts(E1_MODEL, 0, seed=0)
 
     def test_tallies_must_sum_to_sizes(self):
@@ -104,10 +108,10 @@ class TestSimulateCounts:
     @pytest.mark.parametrize(
         "position, pair, message",
         [
-            (0, 5, "a_counts must be a pair of nonnegative integers"),
-            (1, None, "b_counts must be a pair of nonnegative integers"),
-            (3, 7, "a_counts_given\\[2\\] must be a pair of nonnegative integers"),
-            (0, (1.5, 8.5), "a_counts must be a pair of nonnegative integers"),
+            (0, 5, "A-on-context counts must be a pair of integers"),
+            (1, None, "B-on-context counts must be a pair of integers"),
+            (3, 7, "A-on-filtered-2 counts must be a pair of integers"),
+            (0, (1.5, 8.5), "A-on-context count must be an integer, got 1.5"),
         ],
         ids=["a_counts", "b_counts", "a_counts_given-2", "a_counts-floats"],
     )
@@ -143,10 +147,12 @@ class TestSimulateCounts:
         assert simulate_counts(E1_MODEL, [10, 10, 10, 10], 3) == simulate_counts(E1_MODEL, 10, 3)
 
     def test_string_ensemble_size_is_invalid(self):
-        with pytest.raises(ValidationError, match="^a_on_context must be an integer, got '10'$"):
+        message = "^A-on-context ensemble size must be an integer, got '10'$"
+        with pytest.raises(ValidationError, match=message):
             simulate_counts(E1_MODEL, ("10", 10, 10, 10), seed=0)
 
-    @pytest.mark.parametrize("position", range(3), ids=["n_context", "n_filtration", "n_filtered"])
+    @pytest.mark.parametrize("position", range(4),
+                             ids=["n_context", "n_filtration", "n_filtered", "n_filtered-2"])
     def test_boolean_ensemble_size_is_rejected(self, position):
         sizes = [1, 1, 1, 1]
         sizes[position] = True
@@ -164,7 +170,8 @@ class TestSimulateCounts:
         with pytest.raises(ValidationError, match="at most 2\\^63 - 1"):
             simulate_counts(E1_MODEL, sizes, 3)
 
-    @pytest.mark.parametrize("position", range(3), ids=["n_context", "n_filtration", "n_filtered"])
+    @pytest.mark.parametrize("position", range(4),
+                             ids=["n_context", "n_filtration", "n_filtered", "n_filtered-2"])
     def test_counts_ensemble_sizes_are_bounded(self, position):
         def record(n):
             # Ensembles of 1000, but experiment ``position`` has n draws, split in halves.
@@ -177,6 +184,28 @@ class TestSimulateCounts:
         assert estimate.failed_replicates == 0
         with pytest.raises(ValidationError, match="at most 2\\^63 - 1"):
             record(2**63)
+
+    @pytest.mark.parametrize("size, pair, error", [
+        (10.0, (5, 5), ValidationError),
+        (2**64, (2**63, 2**63), ValidationError),
+        (10, (5, 5, 0), ValidationError),
+        (10, (5.0, 5), ValidationError),
+        (10, (-1, 11), ValidationError),
+        (10, (4, 5), ValidationError),
+        (0, (0, 0), DegenerateContextError),
+        (0, None, ValidationError),
+    ], ids=["size-type", "size-range", "tally-shape", "tally-type", "tally-range", "sum",
+            "empty-ensemble", "simulate-size"])
+    @pytest.mark.parametrize("position, name", enumerate(EXPERIMENT_NAMES), ids=EXPERIMENT_NAMES)
+    def test_messages_start_with_the_experiment_name(self, position, name, size, pair, error):
+        # One experiment is refused, the other three are valid: the message names that one.
+        sizes, tallies = [10] * 4, [(5, 5)] * 4
+        sizes[position], tallies[position] = size, pair
+        with pytest.raises(error, match=f"^{name} "):
+            if pair is None:
+                simulate_counts(E1_MODEL, sizes, seed=0)
+            else:
+                estimate_statistics(CountsRecord(sizes, tallies, seed=0))
 
 
 class TestEstimateStatistics:
