@@ -505,9 +505,9 @@ def _simulate_flags(simulate: _Parser) -> None:
     simulate.add_argument("--n-filtration", type=int, default=None,
                           help="override: B-on-context ensemble size")
     simulate.add_argument("--n-filtered-1", type=int, default=None,
-                          help="override: A-on-filtered-context-1 ensemble size")
+                          help="override: A-on-filtered-1 ensemble size")
     simulate.add_argument("--n-filtered-2", type=int, default=None,
-                          help="override: A-on-filtered-context-2 ensemble size")
+                          help="override: A-on-filtered-2 ensemble size")
     simulate.add_argument("--note", default=None, help="free-text provenance note")
     simulate.add_argument("--seed", type=int, default=0,
                           help="simulation seed (default 0)")
@@ -553,7 +553,7 @@ def _balance_flags(balance: _Parser) -> None:
 _COMMANDS = {
     "analyze": ("full report for an experiment file (exact or counts)",
                 _analyze_flags, _cmd_analyze),
-    "simulate": ("simulate the three experiments against a model",
+    "simulate": ("simulate the four experiments against a model",
                  _simulate_flags, _cmd_simulate),
     "sweep": ("classify exact statistics over a model parameter grid (CSV)",
               _sweep_flags, _cmd_sweep),
