@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
 import os
 import re
@@ -27,28 +26,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._validation import TOL_EXACT, as_pair, cut, require_distribution, shown
-from .calculus import (
-    EPS_CLASS_DEFAULT,
-    LambdaPair,
-    TransitionMatrix,
-    check_double_stochastic,
-    interference_terms,
-)
-from .errors import CtxprobError, DegenerateContextError, InfeasibleLambdaError, ValidationError
+from . import models
+from ._validation import TOL_EXACT, as_pair, cut, shown
+from .calculus import EPS_CLASS_DEFAULT, LambdaPair, TransitionMatrix, check_double_stochastic
+from .errors import CtxprobError, InfeasibleLambdaError, ValidationError
 from .io import ExperimentFile, model_to_dict
-from .models import (
-    KolmogorovModel,
-    Model,
-    QubitModel,
-    SyntheticModel,
-    born,
-    exact_statistics,
-    qubit_basis,
-    qubit_state,
-    random_classical_rows,
-    random_model,
-)
+from .models import (KolmogorovModel, Model, QubitModel, SyntheticModel, exact_statistics,
+                     random_model)
 from .report import (
     analyze_block, analyze_estimated, analyze_exact, balance_to_dict, report_json, report_to_dict
 )
@@ -313,12 +297,7 @@ def _simulate_model(args: argparse.Namespace) -> Model:
     if args.model == "qubit":
         if args.alpha is None:
             raise ValidationError("qubit model needs --alpha")
-        return QubitModel(
-            alpha=args.alpha,
-            phi=args.phi,
-            b_rotation=args.b_rotation,
-            b_phase=args.b_phase,
-        )
+        return QubitModel(args.alpha, args.phi, args.b_rotation, args.b_phase)
     if args.model == "classical":
         if args.points is None:
             raise ValidationError("classical model needs --points 'weight:a:b,...'")
@@ -348,40 +327,15 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         names = ["alpha", "phi", "b_rotation", "b_phase"]
         grids = [_parse_grid(getattr(args, name), name.replace("_", "-")) for name in names]
         _check_sweep_size(math.prod(map(len, grids)), "qubit grid")
-        if not all(map(math.isfinite, itertools.chain(*grids))):
-            for values in itertools.product(*grids):
-                QubitModel(*values)
-        columns = [axis.ravel() for axis in np.meshgrid(*grids, indexing="ij")]
-        # Point (state s, basis k) is row s * len(bases) + k of the grid product.
-        states = list(itertools.starmap(qubit_state, itertools.product(*grids[:2])))
-        bases = list(itertools.starmap(qubit_basis, itertools.product(*grids[2:])))
-        block = np.empty((len(states), len(bases), 8))
-        for j in (0, 1):
-            block[:, :, j] = [[born(basis[j], psi) for basis in bases] for psi in states]
-        block[:, :, 2:6] = [[abs(z) ** 2 for vector in basis for z in vector] for basis in bases]
-        block[:, :, 6:8] = np.array([[abs(z) ** 2 for z in psi] for psi in states])[:, None]
-        block = block.reshape(-1, 8)
+        columns, block = models.qubit_rows(*grids)
         return names, columns, block, lambda i: QubitModel(*[c[i].item() for c in columns])
     if args.family == "synthetic":
         if args.lambda1 is None:
             raise ValidationError("synthetic sweep needs --lambda1 grid")
         prior = _parse_float_list(args.prior, "prior", 2)
         transition = _parse_transition(args.transition)
-        prior = require_distribution(prior, "prior")  # before the weights take its sqrt
-        rows = np.array(transition.rows)
-        classical, weight = interference_terms(*prior, *rows, sqrt=np.sqrt)
-        if weight[1] <= 0.0:
-            raise DegenerateContextError(
-                "second interference weight vanishes; no balanced companion exists"
-            )
-        lam1 = _parse_grid(args.lambda1, "lambda1")
-        with np.errstate(all="ignore"):
-            lam = np.array([lam1, -weight[0] * np.array(lam1) / weight[1]]).T
-            # Model checks in the scalar order; then predict_outcome for every point.
-            for pair in lam[~np.isfinite(lam).all(axis=1)][:1]:
-                LambdaPair(*pair.tolist())
-            fixed = np.tile((*prior, *rows.ravel()), (len(lam1), 1))
-            block = np.hstack((fixed, classical + weight * lam))
+        lam, block = models.synthetic_rows(prior, transition,
+                                           lambda: _parse_grid(args.lambda1, "lambda1"))
         return ["target_lambda1"], [lam[:, 0]], block, lambda i: SyntheticModel(
             prior, transition, LambdaPair(*lam[i].tolist())
         )
@@ -391,7 +345,7 @@ def _sweep_block(args: argparse.Namespace) -> tuple:
         raise ValidationError("classical sweep needs --count >= 1")
     _check_sweep_size(count, "classical sweep")
     seeds = range(args.seed, args.seed + count)
-    block = random_classical_rows(seeds)
+    block = models.random_classical_rows(seeds)
     return ["model_seed"], [np.array(seeds, object)], block, lambda i: random_model(
         "classical", seeds[i]
     )

@@ -12,14 +12,18 @@ Three independent oracles exercise the calculus from the outside:
 * :class:`SyntheticModel` -- statistics manufactured to carry a prescribed
   coefficient pair, the only practical way to reach the hyperbolic regime.
 
-Random instances of each family are pure functions of ``(kind, seed)``.
+Each oracle has an array twin that builds a sweep's ``(N, 8)`` block with its
+expressions: :func:`random_classical_rows`, :func:`qubit_rows` and
+:func:`synthetic_rows`.  Random instances are pure functions of ``(kind, seed)``.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -183,6 +187,27 @@ def qubit_statistics(model: QubitModel) -> ContextStatistics:
                              [abs(z) ** 2 for z in psi])
 
 
+def qubit_rows(alpha: list[float], phi: list[float], b_rotation: list[float],
+               b_phase: list[float]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The raveled parameter columns of the four grids' product and its unvalidated
+    ``(N, 8)`` block, bit for bit as :func:`qubit_statistics` computes it before it
+    clips.  A non-finite value raises as the first model that holds it would.  Each
+    state and basis is built once: (state s, basis k) is row ``s * len(bases) + k``."""
+    grids = (alpha, phi, b_rotation, b_phase)
+    if not all(map(math.isfinite, itertools.chain(*grids))):
+        for values in itertools.product(*grids):
+            QubitModel(*values)
+    columns = [axis.ravel() for axis in np.meshgrid(*grids, indexing="ij")]
+    states = list(itertools.starmap(qubit_state, itertools.product(alpha, phi)))
+    bases = list(itertools.starmap(qubit_basis, itertools.product(b_rotation, b_phase)))
+    block = np.empty((len(states), len(bases), 8))
+    for j in (0, 1):
+        block[:, :, j] = [[born(basis[j], psi) for basis in bases] for psi in states]
+    block[:, :, 2:6] = [[abs(z) ** 2 for vector in basis for z in vector] for basis in bases]
+    block[:, :, 6:8] = np.array([[abs(z) ** 2 for z in psi] for psi in states])[:, None]
+    return columns, block.reshape(-1, 8)
+
+
 def synthesize_statistics(model: SyntheticModel) -> ContextStatistics:
     """Statistics carrying exactly the model's target coefficients.
 
@@ -200,6 +225,28 @@ def synthesize_statistics(model: SyntheticModel) -> ContextStatistics:
             f"normalization: predictions sum to {outcome[0] + outcome[1]}"
         )
     return ContextStatistics(prior=model.prior, transition=model.transition, outcome=outcome)
+
+
+def synthetic_rows(prior: tuple[float, float], transition: TransitionMatrix,
+                   lambda1: Callable[[], list[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(N, 2)`` pairs of the grid ``lambda1()`` and each one's balanced companion
+    ``-w1 * lambda1 / w2``, and their unvalidated ``(N, 8)`` block, bit for bit as
+    :func:`synthesize_statistics` computes it before it checks and clips.  The prior
+    and ``w2 > 0`` are checked before the grid is read, and then the pairs, in order."""
+    prior = require_distribution(prior, "prior")
+    rows = np.array(transition.rows)
+    classical, weight = interference_terms(*prior, *rows, sqrt=np.sqrt)
+    if weight[1] <= 0.0:
+        raise DegenerateContextError(
+            "second interference weight vanishes; no balanced companion exists"
+        )
+    lam1 = np.array(lambda1())
+    with np.errstate(all="ignore"):
+        lam = np.array([lam1, -weight[0] * lam1 / weight[1]]).T
+        for pair in lam[~np.isfinite(lam).all(axis=1)][:1]:
+            LambdaPair(*pair.tolist())
+        fixed = np.tile((*prior, *rows.ravel()), (len(lam1), 1))
+        return lam, np.hstack((fixed, classical + weight * lam))
 
 
 def exact_statistics(model: Model) -> ContextStatistics:

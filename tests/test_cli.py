@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -20,22 +21,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctxprob
-from ctxprob import (ContextStatistics, ExperimentFile, QubitModel, TransitionMatrix,
-                     exact_statistics)
-from ctxprob._validation import clip_probability
-from ctxprob.cli import _csv_chunks, _parse, _sweep_block, build_parser, main
+from ctxprob import ContextStatistics, ExperimentFile, TransitionMatrix
+from ctxprob.cli import _csv_chunks, _parse, build_parser, main
 from ctxprob.models import random_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 COMMANDS = ["analyze", "simulate", "sweep", "reconstruct", "balance"]
 COMMAND_CASES = [case for case in GOLDEN_CASES if case["argv"] and case["argv"][0] in COMMANDS]
-
-# Qubit angles: both signed zeros, repeats, and angles beyond 2 pi either way.
-ANGLE = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.7, 2 * math.pi, 7.0, -9.5]),
-    st.floats(-20.0, 20.0),
-)
 
 E1_STATS = ContextStatistics(
     (0.5, 0.5), TransitionMatrix(((0.5, 0.5), (0.5, 0.5))), (0.75, 0.25)
@@ -295,45 +288,6 @@ class TestSweep:
         assert len(lines) == 6
         assert all(line.split(",")[-2] == "classical" for line in lines[1:])
 
-    @given(first=st.integers(0, 2**64 - 50), count=st.integers(1, 50))
-    @example(first=2**32 - 3, count=6)  # seeds of one and two words
-    @example(first=2**32 - 10, count=20)  # the draw chunks on either side of 2^32
-    @example(first=2**64 - 50, count=50)
-    @example(first=60, count=10)  # across a 64-model draw chunk
-    @settings(max_examples=60, deadline=None)
-    def test_classical_block_rows_are_the_models_statistics(self, first, count):
-        # The block is unvalidated: compare it clipped, as analyze_block reads it.
-        args = argparse.Namespace(family="classical", count=count, seed=first)
-        _, (seeds,), block, _ = _sweep_block(args)
-        assert seeds.tolist() == list(range(first, first + count))
-        for seed, row in zip(seeds.tolist(), block.tolist(), strict=True):
-            stats = exact_statistics(random_model("classical", seed))
-            expected = [*stats.prior, *stats.transition.rows[0], *stats.transition.rows[1],
-                        *stats.outcome]
-            assert [clip_probability(value).hex() for value in row] == list(
-                map(float.hex, expected))
-
-    @given(axes=st.lists(st.lists(ANGLE, min_size=1, max_size=3), min_size=4, max_size=4))
-    @example(axes=[[0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0], [-0.0]])
-    @example(axes=[[0.3, 0.3], [7.0], [1.1, 1.1, 13.0], [-7.0, 2.0]])
-    @example(axes=[[0.4], [0.2], [0.9], [2.5]])
-    @settings(max_examples=60, deadline=None)
-    def test_qubit_block_rows_are_the_models_statistics(self, axes):
-        args = argparse.Namespace(
-            family="qubit", **{name: ",".join(map(repr, values)) for name, values in
-                               zip(["alpha", "phi", "b_rotation", "b_phase"], axes)})
-        _, columns, block, _ = _sweep_block(args)
-        points = list(itertools.product(*axes))
-        assert [list(map(float.hex, row)) for row in zip(*(c.tolist() for c in columns))] == [
-            list(map(float.hex, point)) for point in points]
-        # The block is unvalidated: compare it clipped, as analyze_block reads it.
-        for point, row in zip(points, block.tolist(), strict=True):
-            stats = exact_statistics(QubitModel(*point))
-            expected = [*stats.prior, *stats.transition.rows[0], *stats.transition.rows[1],
-                        *stats.outcome]
-            assert [clip_probability(value).hex() for value in row] == list(
-                map(float.hex, expected))
-
     @given(seed=st.integers(0, 2**64 - 1), before=st.lists(st.integers(0, 150), min_size=2,
                                                           max_size=2),
            after=st.lists(st.integers(0, 150), min_size=2, max_size=2))
@@ -455,6 +409,17 @@ def _csv_module_text(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def test_cli_holds_no_family_statistics_code():
+    # Each family's statistics are built in models: cli calls a family's block builder
+    # there, imports none, and never defines, imports or reads the pieces they share.
+    tree = ast.parse(Path(ctxprob.cli.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "attr", "name")}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert names.isdisjoint({"born", "qubit_state", "qubit_basis", "interference_terms"})
+    assert imported.isdisjoint({"qubit_rows", "synthetic_rows", "random_classical_rows"})
 
 
 class TestSweepWriter:

@@ -1,9 +1,12 @@
 """Model oracles: finite classical spaces, qubit statistics, synthesis."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctxprob import (
     ContextStatistics,
@@ -25,10 +28,28 @@ from ctxprob import (
     random_model,
     synthesize_statistics,
 )
+from ctxprob._validation import clip_probability
+from ctxprob.models import qubit_rows, random_classical_rows, synthetic_rows
 
 E2_MODEL = KolmogorovModel(
     weights=(0.06, 0.24, 0.42, 0.28), a_values=(0, 1, 0, 1), b_values=(0, 0, 1, 1)
 )
+
+# Qubit angles: both signed zeros, repeats, and angles beyond 2 pi either way.
+ANGLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.7, 2 * math.pi, 7.0, -9.5]),
+    st.floats(-20.0, 20.0),
+)
+# Probabilities of a prior or a transition row that leave both weights nonzero.
+INNER = st.one_of(st.sampled_from([0.5, 0.2, 0.8, 1e-3]), st.floats(1e-6, 1.0 - 1e-6))
+# First coefficients: zero of both signs, the band edges, and beyond either way.
+LAMBDA1 = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.25, -1.25]), st.floats(-3.0, 3.0))
+
+
+def row_of(stats):
+    """``(p1, p2, t11, t12, t21, t22, q1, q2)`` of ``stats``, as ``float.hex``."""
+    return [value.hex() for value in (*stats.prior, *stats.transition.rows[0],
+                                      *stats.transition.rows[1], *stats.outcome)]
 
 
 def born_statistics_oracle(alpha, phi, beta, chi):
@@ -224,3 +245,68 @@ class TestExactStatisticsDispatch:
     def test_rejects_unknown_model(self):
         with pytest.raises(ValidationError):
             exact_statistics("not a model")
+
+
+class TestBlocks:
+    """Each family's sweep block, row by row against its exact oracle.  A block is
+    unvalidated: each row is compared clipped, as ``analyze_block`` reads it."""
+
+    @given(first=st.integers(0, 2**64 - 50), count=st.integers(1, 50))
+    @example(first=2**32 - 3, count=6)  # seeds of one and two words
+    @example(first=2**32 - 10, count=20)  # the draw chunks on either side of 2^32
+    @example(first=2**64 - 50, count=50)
+    @example(first=60, count=10)  # across a 64-model draw chunk
+    @settings(max_examples=60, deadline=None)
+    def test_classical_block_rows_are_the_models_statistics(self, first, count):
+        seeds = range(first, first + count)
+        block = random_classical_rows(seeds)
+        assert [[clip_probability(value).hex() for value in row] for row in block.tolist()] == [
+            row_of(exact_statistics(random_model("classical", seed))) for seed in seeds]
+
+    @given(axes=st.lists(st.lists(ANGLE, min_size=1, max_size=3), min_size=4, max_size=4))
+    @example(axes=[[0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0], [-0.0]])
+    @example(axes=[[0.3, 0.3], [7.0], [1.1, 1.1, 13.0], [-7.0, 2.0]])
+    @example(axes=[[0.4], [0.2], [0.9], [2.5]])
+    @settings(max_examples=60, deadline=None)
+    def test_qubit_block_rows_are_the_models_statistics(self, axes):
+        columns, block = qubit_rows(*axes)
+        points = list(itertools.product(*axes))
+        assert [list(map(float.hex, row)) for row in zip(*(c.tolist() for c in columns))] == [
+            list(map(float.hex, point)) for point in points]
+        assert [[clip_probability(value).hex() for value in row] for row in block.tolist()] == [
+            row_of(exact_statistics(QubitModel(*point))) for point in points]
+
+    @given(p1=INNER, rows=st.one_of(INNER.map(lambda q: ((q, 1.0 - q), (1.0 - q, q))),
+                                    st.tuples(INNER, INNER).map(
+                                        lambda t: ((t[0], 1.0 - t[0]), (t[1], 1.0 - t[1])))),
+           lam1=st.lists(LAMBDA1, min_size=1, max_size=4))
+    @example(p1=0.5, rows=((0.8, 0.2), (0.2, 0.8)), lam1=[0.0, -0.0, 1.25, 2.0])  # E3's family
+    @example(p1=0.5, rows=((0.9, 0.1), (0.3, 0.7)), lam1=[0.3, -1.0])  # not doubly stochastic
+    @settings(max_examples=80, deadline=None)
+    def test_synthetic_block_rows_are_the_models_statistics(self, p1, rows, lam1):
+        prior, transition = (p1, 1.0 - p1), TransitionMatrix(rows)
+        lam, block = synthetic_rows(prior, transition, lambda: lam1)
+        assert list(map(float.hex, lam[:, 0].tolist())) == list(map(float.hex, lam1))
+        for pair, row in zip(lam.tolist(), block.tolist(), strict=True):
+            model = SyntheticModel(prior, transition, LambdaPair(*pair))
+            try:
+                expected = row_of(exact_statistics(model))
+            except InfeasibleLambdaError:
+                # The array checks refuse the row that the oracle refuses.
+                clipped = [clip_probability(value) for value in row]
+                assert min(row) < -1e-9 or max(row) > 1.0 + 1e-9 or abs(
+                    clipped[6] + clipped[7] - 1.0) > 1e-9
+                continue
+            assert [clip_probability(value).hex() for value in row] == expected
+
+    def test_synthetic_checks_come_in_the_scalar_order(self):
+        def unread():
+            raise AssertionError("the grid is read after the weights are checked")
+
+        with pytest.raises(ValidationError, match="prior must sum to 1"):
+            synthetic_rows((0.5, 0.6), TransitionMatrix(((0.8, 0.2), (0.2, 0.8))), unread)
+        with pytest.raises(DegenerateContextError, match="second interference weight vanishes"):
+            synthetic_rows((0.3, 0.7), TransitionMatrix(((1.0, 0.0), (0.5, 0.5))), unread)
+        with pytest.raises(ValidationError, match="lambda1 must be finite, got inf$"):
+            synthetic_rows((0.5, 0.5), TransitionMatrix(((0.8, 0.2), (0.2, 0.8))),
+                           lambda: [0.1, math.inf, math.nan])
