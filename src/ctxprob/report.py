@@ -35,10 +35,7 @@ from .calculus import (
     regimes,
 )
 from .io import canonical_dumps
-from .sampling import (
-    BOOTSTRAP_STREAM, CONFIDENCE, CountsRecord, LambdaEstimate, estimate_lambda,
-    estimate_statistics,
-)
+from .sampling import BOOTSTRAP_STREAM, CONFIDENCE, CountsRecord, LambdaEstimate, estimate_lambda
 
 __all__ = ["REPORT_FORMAT_VERSION", "AnalysisReport", "analyze_exact", "analyze_estimated",
            "report_to_dict"]
@@ -158,7 +155,7 @@ def analyze_estimated(
     estimate = estimate_lambda(counts, replicates=replicates, seed=seed)
     eps = max(estimate.half_widths()) if eps_class is None else eps_class
     verdict = classify_theory(estimate.lambda_hat, eps)
-    return _assemble(estimate_statistics(counts), estimate.lambda_hat, estimate, verdict, tol)
+    return _assemble(estimate.statistics, estimate.lambda_hat, estimate, verdict, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -113,17 +113,20 @@ class CountsRecord(Record):
 class LambdaEstimate(Record):
     """Point estimate of the interference coefficients with bootstrap CI.
 
+    ``statistics`` are the frequency statistics the point estimate inverts.
     The interval has coverage :data:`CONFIDENCE`.  ``failed_replicates``
     counts bootstrap draws whose resampled statistics were degenerate; they
     are excluded from the percentiles but never silently dropped from the
     report.
     """
 
-    def __init__(self, lambda_hat: LambdaPair, ci_low: tuple[float, float],
-                 ci_high: tuple[float, float], stderr: tuple[float, float], replicates: int,
-                 seed: int, failed_replicates: int) -> None:
-        self._set(lambda_hat=lambda_hat, ci_low=ci_low, ci_high=ci_high, stderr=stderr,
-                  replicates=replicates, seed=seed, failed_replicates=failed_replicates)
+    def __init__(self, statistics: ContextStatistics, lambda_hat: LambdaPair,
+                 ci_low: tuple[float, float], ci_high: tuple[float, float],
+                 stderr: tuple[float, float], replicates: int, seed: int,
+                 failed_replicates: int) -> None:
+        self._set(statistics=statistics, lambda_hat=lambda_hat, ci_low=ci_low, ci_high=ci_high,
+                  stderr=stderr, replicates=replicates, seed=seed,
+                  failed_replicates=failed_replicates)
 
     def half_widths(self) -> tuple[float, float]:
         return (
@@ -297,13 +300,5 @@ def estimate_lambda(
                  for percent in (tail, 100.0 - tail))
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
     ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
-    return LambdaEstimate(
-        lambda_hat=lambda_hat,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        stderr=stderr,
-        replicates=replicates,
-        seed=seed,
-        failed_replicates=failed,
-    )
+    return LambdaEstimate(stats, lambda_hat, ci_low, ci_high, stderr, replicates, seed, failed)
 

@@ -1,6 +1,7 @@
 """Finite-ensemble simulation, frequency estimation, bootstrap inference."""
 
 import math
+import sys
 import threading
 from pathlib import Path
 
@@ -293,6 +294,23 @@ class TestEstimateLambda:
         report = analyze_estimated(counts, replicates=400, seed=3)
         assert report.lambda_estimate.lambda_hat.lambda1 == pytest.approx(1.25, abs=0.01)
         assert report.theory_class.kind is TheoryKind.HYPERBOLIC
+
+    def test_counts_statistics_are_built_once(self, monkeypatch):
+        # Count the calls through every ctxprob module that holds the name, as a
+        # tracer that rebinds it would; the report reads the estimate's statistics.
+        calls = []
+
+        def counted(counts):
+            calls.append(counts)
+            return estimate_statistics(counts)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("ctxprob")]:
+            if getattr(module, "estimate_statistics", None) is estimate_statistics:
+                monkeypatch.setattr(module, "estimate_statistics", counted)
+        counts = simulate_counts(E1_MODEL, 1000, seed=4)
+        report = analyze_estimated(counts, replicates=50, seed=0)
+        assert calls == [counts]
+        assert report.stats == report.lambda_estimate.statistics == estimate_statistics(counts)
 
 
 class TestBootstrapKernel:
