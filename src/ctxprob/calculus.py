@@ -310,8 +310,8 @@ def predict_outcome(
         value = classical + weight * lam_j
         if out_of_range(value, TOL_EXACT):
             raise InfeasibleLambdaError(
-                f"predicted outcome probability {value} for component {j + 1} is outside "
-                f"[0, 1]; (prior, transition, lambda) triple is infeasible"
+                f"predicted outcome probability {shown(value)} for component {j + 1} is "
+                f"outside [0, 1]; (prior, transition, lambda) is infeasible"
             )
         out.append(clip_probability(value))
     return (out[0], out[1])

@@ -221,8 +221,8 @@ def synthesize_statistics(model: SyntheticModel) -> ContextStatistics:
     outcome = predict_outcome(model.prior, model.transition, model.target_lambda)
     if sum_residual(outcome[0], outcome[1]) > TOL_EXACT:
         raise InfeasibleLambdaError(
-            f"target coefficients {tuple(model.target_lambda)} break outcome "
-            f"normalization: predictions sum to {outcome[0] + outcome[1]}"
+            f"target lambda {shown(tuple(model.target_lambda))} breaks normalization: "
+            f"predictions sum to {shown(outcome[0] + outcome[1])}"
         )
     return ContextStatistics(prior=model.prior, transition=model.transition, outcome=outcome)
 

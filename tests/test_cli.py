@@ -240,6 +240,27 @@ class TestSimulate:
             "--output", str(tmp_path / "x.json"),
         ]) == 3
 
+    @pytest.mark.parametrize("argv, value", [
+        (["simulate", "--model", "synthetic", "--n", "10",
+          "--lambda=-1.2345678901234567e+300,1.2345678901234567e+300"], "-4.9382715604938274e+299"),
+        (["sweep", "--family", "synthetic", "--lambda1=-1.2345678901234567e+300"],
+         "-4.9382715604938274e+299"),
+        (["simulate", "--model", "synthetic", "--n", "100",
+          "--prior", "0.2735661416463548,0.7264338583536452", "--transition",
+          "0.886982307393567,0.11301769260643302;0.11301769260643302,0.886982307393567",
+          "--lambda=-1.25,1.25"], "-0.028109752364421592"),
+        # Column 2's weight is zero, so its coefficient is never range-checked.
+        (["simulate", "--model", "synthetic", "--n", "10", "--prior", "0.3,0.7",
+          "--transition", "1,0;0.5,0.5", "--lambda=-0.0012345678901234567,-1.2345678901234567e+300"],
+         "(-0.0012345678901234567, -1.2345678901234567e+300)"),
+    ], ids=["predicted-24", "sweep-predicted-24", "predicted-21", "unbalanced-target-24"])
+    def test_infeasible_data_is_one_line_of_at_most_160_characters(self, argv, value, capsys):
+        # A float's repr takes up to 24 characters, and each message echoes them in full.
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ctxprob: infeasible data: ") and value in err
+        assert err.count("\n") == 1 and len(err) - 1 <= 160
+
 
 class TestSweep:
     def test_qubit_sweep_columns_and_classes(self, tmp_path):
