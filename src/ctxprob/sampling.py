@@ -300,5 +300,7 @@ def estimate_lambda(
                  for percent in (tail, 100.0 - tail))
     ci_low = tuple(min(float(low[j]), lambda_hat[j]) for j in range(2))
     ci_high = tuple(max(float(high[j]), lambda_hat[j]) for j in range(2))
-    return LambdaEstimate(stats, lambda_hat, ci_low, ci_high, stderr, replicates, seed, failed)
+    return LambdaEstimate(statistics=stats, lambda_hat=lambda_hat, ci_low=ci_low,
+                          ci_high=ci_high, stderr=stderr, replicates=replicates, seed=seed,
+                          failed_replicates=failed)
 
